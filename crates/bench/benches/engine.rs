@@ -7,8 +7,9 @@ use qufi_core::campaign::{golden_outputs, run_point_sweep, run_point_sweep_naive
 use qufi_core::engine::SweepExecutor;
 use qufi_core::executor::{Executor, NoisyExecutor};
 use qufi_core::fault::{enumerate_injection_points, FaultGrid};
+use qufi_math::CMatrix;
 use qufi_noise::{simulate, BackendCalibration, KrausChannel};
-use qufi_sim::{DensityMatrix, Gate, Statevector};
+use qufi_sim::{BatchedDensity, DensityMatrix, Gate, Statevector};
 use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
 
 fn bench_statevector(c: &mut Criterion) {
@@ -76,6 +77,108 @@ fn bench_density(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+    }
+    group.finish();
+}
+
+/// An evolution-kernel operand: a unitary (`ρ ↦ UρU†` on density states) or
+/// a channel superoperator.
+enum Operand {
+    Unitary(CMatrix),
+    Superop(CMatrix),
+}
+
+/// The evolution kernels on the calibrated `jakarta` matrices noisy replay
+/// applies (rz, sx, CX, the 1q depolarizing∘relaxation superoperator after
+/// sx, the 2q depolarizing superoperator after CX), each next to a fully
+/// dense operand of the same shape (`*_dense`, `U(0.7, 0.3, 0.1)` and its
+/// Kronecker powers). The real operands show where skipping exact-zero
+/// entries pays; the dense rows show the no-zero path holds its speed.
+///
+/// Rows run on a width-16 batched density block (the replay engine's
+/// default width), the scalar density matrix, both at 4 qubits, and a
+/// 10-qubit statevector (the trajectory replay). Each iteration applies
+/// the operand once to a fresh copy of a generic state, so repeated
+/// channels never decay it into subnormals.
+fn bench_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels");
+    group.sample_size(200);
+    let model = BackendCalibration::jakarta().noise_model();
+    let superop1 = model.channels_after(Gate::Sx, &[1])[0]
+        .0
+        .superoperator()
+        .clone();
+    let superop2 = model.channels_after(Gate::Cx, &[0, 1])[0]
+        .0
+        .superoperator()
+        .clone();
+    let u1 = CMatrix::u_gate(0.7, 0.3, 0.1);
+    let u2 = u1.kron(&u1);
+    let cases = [
+        ("u1_dense", Operand::Unitary(u1.clone()), &[1usize][..]),
+        ("rz", Operand::Unitary(Gate::Rz(0.4).matrix()), &[1]),
+        ("sx", Operand::Unitary(Gate::Sx.matrix()), &[1]),
+        ("u2_dense", Operand::Unitary(u2.clone()), &[0, 2]),
+        ("cx", Operand::Unitary(Gate::Cx.matrix()), &[0, 1]),
+        ("superop1_dense", Operand::Superop(u2.clone()), &[1]),
+        ("superop1_depol_relax", Operand::Superop(superop1), &[1]),
+        ("superop2_dense", Operand::Superop(u2.kron(&u2)), &[0, 1]),
+        ("superop2_depol", Operand::Superop(superop2), &[0, 1]),
+    ];
+
+    let generic_state = |n: usize| {
+        let mut sv = Statevector::new(n).expect("fits");
+        for q in 0..n {
+            sv.apply_gate(Gate::U(0.3 + 0.4 * q as f64, 0.2 * q as f64, 0.1), &[q]);
+        }
+        for q in 0..n - 1 {
+            sv.apply_gate(Gate::Cx, &[q, q + 1]);
+        }
+        sv
+    };
+    let rho = DensityMatrix::from_statevector(&generic_state(4));
+    let batch = BatchedDensity::broadcast(&rho, 16);
+    let sv = generic_state(10);
+
+    for (name, op, qubits) in &cases {
+        group.bench_function(format!("batch16_4q_{name}"), |b| {
+            b.iter_batched(
+                || batch.clone(),
+                |mut state| {
+                    match op {
+                        Operand::Unitary(u) => state.apply_unitary(u, qubits),
+                        Operand::Superop(s) => state.apply_superoperator(s, qubits),
+                    }
+                    state
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(format!("density_4q_{name}"), |b| {
+            b.iter_batched(
+                || rho.clone(),
+                |mut state| {
+                    match op {
+                        Operand::Unitary(u) => state.apply_unitary(u, qubits),
+                        Operand::Superop(s) => state.apply_superoperator(s, qubits),
+                    }
+                    state
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        if let Operand::Unitary(u) = op {
+            group.bench_function(format!("statevector_10q_{name}"), |b| {
+                b.iter_batched(
+                    || sv.clone(),
+                    |mut state| {
+                        state.apply_matrix(u, qubits);
+                        state
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
     }
     group.finish();
 }
@@ -218,7 +321,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_statevector, bench_density, bench_pipeline, bench_sweep_engine,
+    targets = bench_statevector, bench_density, bench_kernels, bench_pipeline, bench_sweep_engine,
         bench_replay_grid, bench_replay_grid_batched, bench_obs_overhead
 }
 criterion_main!(benches);

@@ -1,13 +1,20 @@
-//! Golden-file test: the `export` output of a small committed manifest is
-//! pinned byte-for-byte under `tests/golden/results/`. Any refactor of the
-//! sweep engine (or the exporters) that silently changes campaign results
-//! fails here instead of shipping.
+//! Golden-file tests: the `export` output of small committed manifests is
+//! pinned byte-for-byte. Any refactor of the sweep engine, the evolution
+//! kernels or the exporters that silently changes campaign results fails
+//! here instead of shipping. One golden per executor family whose results
+//! come from different code:
 //!
-//! To re-bless the snapshot after an *intentional* result change:
+//! * `tests/golden/` — the noisy density executor (bv-2, ghz-2 on lima);
+//! * `tests/golden_trajectory/` — the Monte-Carlo trajectory executor
+//!   (ghz-3 on lima, 64 shots, coarse grid);
+//! * `tests/golden_hardware/` — the hardware executor's noisy evolution
+//!   plus seeded readout sampling (bv-3 on lima, coarse grid).
+//!
+//! To re-bless the snapshots after an *intentional* result change:
 //!
 //! ```bash
 //! QUFI_BLESS=1 cargo test -p qufi-cli --test golden_export
-//! git add crates/cli/tests/golden
+//! git add crates/cli/tests/golden*
 //! ```
 
 use qufi_cli::{run_to_completion, Manifest, RunOptions, RunStatus};
@@ -15,8 +22,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+fn golden_dir(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(name)
 }
 
 /// Every file under `root`, keyed by relative path.
@@ -41,13 +50,15 @@ fn tree(root: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-#[test]
-fn export_matches_committed_golden_files() {
-    let manifest_text = fs::read_to_string(golden_dir().join("manifest.toml")).unwrap();
+/// Runs `tests/<name>/manifest.toml` and diffs its `results/` against the
+/// committed `tests/<name>/results/` (or re-blesses it under `QUFI_BLESS`).
+fn check_golden(name: &str) {
+    let dir = golden_dir(name);
+    let manifest_text = fs::read_to_string(dir.join("manifest.toml")).unwrap();
     let manifest = Manifest::from_toml(&manifest_text).unwrap();
 
     let out = std::env::temp_dir().join(format!(
-        "qufi-golden-{}-{:?}",
+        "qufi-{name}-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -63,9 +74,9 @@ fn export_matches_committed_golden_files() {
     .unwrap();
     assert_eq!(outcome.summary.status, RunStatus::Complete);
     let produced = tree(&out.join("results"));
-    assert!(!produced.is_empty(), "campaign exported nothing");
+    assert!(!produced.is_empty(), "{name}: campaign exported nothing");
 
-    let snapshot_dir = golden_dir().join("results");
+    let snapshot_dir = dir.join("results");
     if std::env::var_os("QUFI_BLESS").is_some() {
         let _ = fs::remove_dir_all(&snapshot_dir);
         for (rel, bytes) in &produced {
@@ -73,7 +84,7 @@ fn export_matches_committed_golden_files() {
             fs::create_dir_all(dest.parent().unwrap()).unwrap();
             fs::write(dest, bytes).unwrap();
         }
-        eprintln!("blessed {} golden files", produced.len());
+        eprintln!("{name}: blessed {} golden files", produced.len());
         let _ = fs::remove_dir_all(&out);
         return;
     }
@@ -82,14 +93,29 @@ fn export_matches_committed_golden_files() {
     assert_eq!(
         expected.keys().collect::<Vec<_>>(),
         produced.keys().collect::<Vec<_>>(),
-        "artifact set changed — if intentional, re-bless with QUFI_BLESS=1"
+        "{name}: artifact set changed — if intentional, re-bless with QUFI_BLESS=1"
     );
     for (rel, bytes) in &expected {
         assert_eq!(
             bytes, &produced[rel],
-            "artifact {rel} diverged from the golden snapshot — campaign \
+            "{name}: artifact {rel} diverged from the golden snapshot — campaign \
              results changed; if intentional, re-bless with QUFI_BLESS=1"
         );
     }
     let _ = fs::remove_dir_all(&out);
+}
+
+#[test]
+fn export_matches_committed_golden_files() {
+    check_golden("golden");
+}
+
+#[test]
+fn trajectory_export_matches_committed_golden_files() {
+    check_golden("golden_trajectory");
+}
+
+#[test]
+fn hardware_export_matches_committed_golden_files() {
+    check_golden("golden_hardware");
 }

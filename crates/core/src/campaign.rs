@@ -416,7 +416,7 @@ pub fn run_single_campaign<E: SweepExecutor>(
                 let mut local = Vec::new();
                 while let Ok(point) = rx.recv() {
                     if first_error.lock().is_some() {
-                        return;
+                        break;
                     }
                     let sweep = if options.naive {
                         run_point_sweep_naive(qc, golden, executor, point, grid)
@@ -427,11 +427,16 @@ pub fn run_single_campaign<E: SweepExecutor>(
                         Ok(records) => local.extend(records),
                         Err(e) => {
                             first_error.lock().get_or_insert(e);
-                            return;
+                            break;
                         }
                     }
                 }
                 records.lock().extend(local);
+                // Merge telemetry before the closure returns, on every exit
+                // path: the scope's exit synchronizes with closure
+                // completion, not with TLS destructors, so at-exit merging
+                // would race the caller's snapshot.
+                qufi_obs::flush();
             });
         }
     });

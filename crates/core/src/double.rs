@@ -199,15 +199,15 @@ pub fn run_double_campaign<E: SweepExecutor>(
             let naive = options.naive;
             scope.spawn(move || {
                 let mut local = Vec::new();
-                while let Ok((point, neighbor)) = rx.recv() {
+                'items: while let Ok((point, neighbor)) = rx.recv() {
                     if first_error.lock().is_some() {
-                        return;
+                        break 'items;
                     }
                     let prepared = match executor.prepare_double(qc, point, neighbor) {
                         Ok(p) => p,
                         Err(e) => {
                             first_error.lock().get_or_insert(e);
-                            return;
+                            break 'items;
                         }
                     };
                     for &phi0 in &grid.phis {
@@ -234,7 +234,7 @@ pub fn run_double_campaign<E: SweepExecutor>(
                                         }),
                                         Err(e) => {
                                             first_error.lock().get_or_insert(e);
-                                            return;
+                                            break 'items;
                                         }
                                     }
                                 }
@@ -243,6 +243,9 @@ pub fn run_double_campaign<E: SweepExecutor>(
                     }
                 }
                 records.lock().extend(local);
+                // Merge telemetry before the closure returns, on every exit
+                // path (see `run_single_campaign`).
+                qufi_obs::flush();
             });
         }
     });

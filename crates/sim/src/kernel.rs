@@ -19,17 +19,65 @@
 //! 1-qubit channel — run through specialized loops; larger operands (Toffoli,
 //! 2-qubit-channel superoperators) fall back to a generic `k ≤ 4` path. All
 //! paths are allocation-free (fixed stack buffers) because campaigns call
-//! them hundreds of millions of times, and all paths perform **exactly** the
-//! same arithmetic in the same order (gather the group, accumulate each
-//! output row from zero in column order, scatter), so results are
-//! bit-identical regardless of which path dispatches — a property the
-//! campaign layer's byte-pinned golden exports rely on.
+//! them hundreds of millions of times.
+//!
+//! # Arithmetic contract
+//!
+//! Every path, scalar or batched, computes each output amplitude the same
+//! way: gather the operand group, accumulate the output from `+0.0` over the
+//! **nonzero** entries of its matrix row in ascending column order — `acc +=
+//! u[row][col] · g[col]`, the complex product expanded as `(ur·gr − ui·gi,
+//! ur·gi + ui·gr)` — and scatter. Results are therefore bit-identical
+//! whichever path dispatches, at any batch width, and whether a loop visits
+//! every entry or only the nonzero ones — a property the campaign layer's
+//! byte-pinned golden exports rely on.
+//!
+//! Skipping an exactly-zero entry (`±0` in both parts) is exact, not an
+//! approximation:
+//!
+//! 1. An accumulator that starts at `+0.0` never holds `−0.0`: `+0 + (−0)`
+//!    is `+0`, and two nonzero values that cancel exactly sum to `+0`.
+//! 2. A zero entry times a finite amplitude has parts that are each a sum
+//!    or difference of two signed-zero products, so `±0`.
+//! 3. `x + (±0) = x` for every `x` other than `−0`.
+//!
+//! So a zero entry's product never changes an accumulator's bits, and the
+//! dense and the skipping loop perform the same sequence of bit-changing
+//! additions. The argument needs finite amplitudes (`0 · ∞` is NaN), the
+//! default round-to-nearest mode (rounding toward −∞ makes `+0 + (−0)` equal
+//! `−0`) and unfused multiply-adds (rustc never contracts `a * b + c`).
+//! Nothing here may fold the first product into an accumulator's
+//! initialization either: `+0 + x` normalizes the sign of a zero product
+//! exactly as every other path does.
+//!
+//! Each kernel reads the zero pattern of the matrix it is handed once per
+//! call; nothing else selects a path. A matrix without zero entries runs
+//! the plain dense loops. Otherwise the 1-qubit kernels run a loop
+//! specialized to the pattern, the 2-qubit kernels walk each row's nonzero
+//! entries padded with zero entries to a common count (where that beats the
+//! dense loop: see [`apply_2q`] and [`batch_apply_2q`]), and the generic
+//! kernels walk a row-sparse list of the nonzero entries.
 
 use qufi_math::Complex;
+use std::ops::Range;
 
 /// Largest supported operand count: 3-qubit gates (Toffoli) and 2-qubit
 /// channel superoperators (4 combined row/column bits).
 pub(crate) const MAX_KERNEL_QUBITS: usize = 4;
+
+/// Rows (and columns) of the largest operand matrix.
+const MAX_GROUP: usize = 1 << MAX_KERNEL_QUBITS;
+
+/// Entries of the largest operand matrix.
+const MAX_ENTRIES: usize = MAX_GROUP * MAX_GROUP;
+
+/// `true` when both parts of a matrix entry are zero, of either sign: its
+/// product with a finite amplitude cannot change an accumulator (see the
+/// module docs), so a kernel may skip it.
+#[inline]
+fn is_zero(z: Complex) -> bool {
+    z.re == 0.0 && z.im == 0.0
+}
 
 /// Applies `u` (a row-major `2^k × 2^k` matrix over the listed flat bit
 /// `positions`) to `data`, a buffer of `2^m` amplitudes.
@@ -62,14 +110,208 @@ pub(crate) fn apply_matrix_on_bits(
     }
 }
 
+/// Transposed (and optionally conjugated) split-layout copy of a row-major
+/// `group × group` matrix — entry `(row, col)` at `col * group + row` — so
+/// column-outer accumulation walks it contiguously as plain `f64` arrays the
+/// compiler can keep in SIMD registers.
+fn transposed<const N: usize>(u: &[Complex], group: usize, conj: bool) -> ([f64; N], [f64; N]) {
+    let mut ut_re = [0.0f64; N];
+    let mut ut_im = [0.0f64; N];
+    for row in 0..group {
+        for col in 0..group {
+            let x = u[row * group + col];
+            ut_re[col * group + row] = x.re;
+            ut_im[col * group + row] = if conj { -x.im } else { x.im };
+        }
+    }
+    (ut_re, ut_im)
+}
+
+/// A 4×4 matrix (optionally conjugated) as exactly `k` entries per row, `k`
+/// the most nonzero entries any row has: each row's nonzero entries in
+/// ascending column order, then `+0` entries at column 0. A padding entry's
+/// product is a signed zero, which leaves an accumulator unchanged (see the
+/// module docs), so every row takes `k` multiply-adds and the loops over
+/// them carry no per-entry branches.
+struct PaddedRows {
+    k: usize,
+    col: [[usize; 4]; 4],
+    re: [[f64; 4]; 4],
+    im: [[f64; 4]; 4],
+}
+
+impl PaddedRows {
+    fn of(u: &[Complex], conj: bool) -> Self {
+        let mut p = PaddedRows {
+            k: 0,
+            col: [[0; 4]; 4],
+            re: [[0.0; 4]; 4],
+            im: [[0.0; 4]; 4],
+        };
+        for row in 0..4 {
+            let mut n = 0;
+            for (col, &x) in u[row * 4..row * 4 + 4].iter().enumerate() {
+                if !is_zero(x) {
+                    p.col[row][n] = col;
+                    p.re[row][n] = x.re;
+                    p.im[row][n] = if conj { -x.im } else { x.im };
+                    n += 1;
+                }
+            }
+            p.k = p.k.max(n);
+        }
+        p
+    }
+}
+
+/// The nonzero entries of a `group × group` matrix (optionally conjugated),
+/// row by row with columns ascending: the order each output accumulates
+/// its terms in.
+struct RowSparse {
+    /// Row `r`'s entries are `start[r]..start[r + 1]`.
+    start: [usize; MAX_GROUP + 1],
+    col: [u8; MAX_ENTRIES],
+    re: [f64; MAX_ENTRIES],
+    im: [f64; MAX_ENTRIES],
+}
+
+impl RowSparse {
+    fn of(u: &[Complex], group: usize, conj: bool) -> Self {
+        let mut s = RowSparse {
+            start: [0; MAX_GROUP + 1],
+            col: [0; MAX_ENTRIES],
+            re: [0.0; MAX_ENTRIES],
+            im: [0.0; MAX_ENTRIES],
+        };
+        let mut e = 0;
+        for row in 0..group {
+            for (col, &x) in u[row * group..(row + 1) * group].iter().enumerate() {
+                if !is_zero(x) {
+                    s.col[e] = col as u8;
+                    s.re[e] = x.re;
+                    s.im[e] = if conj { -x.im } else { x.im };
+                    e += 1;
+                }
+            }
+            s.start[row + 1] = e;
+        }
+        s
+    }
+
+    #[inline(always)]
+    fn row(&self, row: usize) -> Range<usize> {
+        self.start[row]..self.start[row + 1]
+    }
+
+    #[inline(always)]
+    fn col(&self, e: usize) -> usize {
+        usize::from(self.col[e])
+    }
+}
+
+/// Data offset of each matrix index's amplitude within its group (the
+/// deposit of the index bits at the operand positions; matrix bit `k-1-j`
+/// is `positions[j]`), and the operand positions sorted ascending — the
+/// holes [`deposit`] spreads the rest-space counter around.
+fn group_layout(positions: &[usize]) -> ([usize; MAX_GROUP], [usize; MAX_KERNEL_QUBITS]) {
+    let k = positions.len();
+    let mut pos = [0usize; MAX_GROUP];
+    for (mm, slot) in pos.iter_mut().enumerate().take(1 << k) {
+        for (j, &q) in positions.iter().enumerate() {
+            if (mm >> (k - 1 - j)) & 1 == 1 {
+                *slot |= 1usize << q;
+            }
+        }
+    }
+    let mut holes = [0usize; MAX_KERNEL_QUBITS];
+    holes[..k].copy_from_slice(positions);
+    holes[..k].sort_unstable();
+    (pos, holes)
+}
+
+/// Base index of rest-space group `r`: its bits deposited around the sorted
+/// operand `holes`.
+#[inline(always)]
+fn deposit(r: usize, holes: &[usize]) -> usize {
+    let mut idx = r;
+    for &q in holes {
+        let low = idx & ((1 << q) - 1);
+        idx = ((idx >> q) << (q + 1)) | low;
+    }
+    idx
+}
+
+/// The rest-space walk of a two-operand kernel: counter bits are deposited
+/// around the two operand holes (sorted ascending), and each group lists
+/// its four amplitudes in matrix-index order (`p_hi` the most significant
+/// matrix bit).
+struct Quad {
+    qa: usize,
+    qb: usize,
+    o_hi: usize,
+    o_lo: usize,
+}
+
+impl Quad {
+    fn new(p_hi: usize, p_lo: usize) -> Self {
+        Quad {
+            qa: p_hi.min(p_lo),
+            qb: p_hi.max(p_lo),
+            o_hi: 1 << p_hi,
+            o_lo: 1 << p_lo,
+        }
+    }
+
+    #[inline(always)]
+    fn amps(&self, r: usize) -> [usize; 4] {
+        let (qa, qb) = (self.qa, self.qb);
+        let t = ((r >> qa) << (qa + 1)) | (r & ((1 << qa) - 1));
+        let idx = ((t >> qb) << (qb + 1)) | (t & ((1 << qb) - 1));
+        [
+            idx,
+            idx | self.o_lo,
+            idx | self.o_hi,
+            idx | self.o_lo | self.o_hi,
+        ]
+    }
+}
+
 /// Specialized single-operand kernel: transforms amplitude pairs in place.
+///
+/// The matrix's zero pattern picks one of sixteen monomorphizations of
+/// [`apply_1q_nz`], so each runs a branch-free loop over just its nonzero
+/// entries (the all-nonzero one is the plain dense loop).
+fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
+    type Kernel = fn(&mut [Complex], &[Complex], usize, bool);
+    const BY_PATTERN: [Kernel; 16] = [
+        apply_1q_nz::<0>,
+        apply_1q_nz::<1>,
+        apply_1q_nz::<2>,
+        apply_1q_nz::<3>,
+        apply_1q_nz::<4>,
+        apply_1q_nz::<5>,
+        apply_1q_nz::<6>,
+        apply_1q_nz::<7>,
+        apply_1q_nz::<8>,
+        apply_1q_nz::<9>,
+        apply_1q_nz::<10>,
+        apply_1q_nz::<11>,
+        apply_1q_nz::<12>,
+        apply_1q_nz::<13>,
+        apply_1q_nz::<14>,
+        apply_1q_nz::<15>,
+    ];
+    let pattern = (0..4).fold(0, |p, e| p | (usize::from(!is_zero(u[e])) << e));
+    BY_PATTERN[pattern](data, u, q, conjugate);
+}
+
+/// [`apply_1q`] for zero pattern `NZ`: bit `e` set when row-major entry `e`
+/// is nonzero.
 ///
 /// Blocks are walked as `chunks_exact_mut(2·bit)` split at `bit`, so the
 /// inner pair loop is a bounds-check-free zip over two slices the compiler
-/// can pipeline and vectorize. Each pair performs the exact operation
-/// sequence of the generic path (accumulate from zero in column order), so
-/// dispatch never changes bits.
-fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
+/// can pipeline and vectorize.
+fn apply_1q_nz<const NZ: u8>(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
     let bit = 1usize << q;
     let (u00, u01, u10, u11) = if conjugate {
         (u[0].conj(), u[1].conj(), u[2].conj(), u[3].conj())
@@ -82,11 +324,19 @@ fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
             let v0 = *p0;
             let v1 = *p1;
             let mut a0 = Complex::ZERO;
-            a0 += u00 * v0;
-            a0 += u01 * v1;
+            if NZ & 1 != 0 {
+                a0 += u00 * v0;
+            }
+            if NZ & 2 != 0 {
+                a0 += u01 * v1;
+            }
             let mut a1 = Complex::ZERO;
-            a1 += u10 * v0;
-            a1 += u11 * v1;
+            if NZ & 4 != 0 {
+                a1 += u10 * v0;
+            }
+            if NZ & 8 != 0 {
+                a1 += u11 * v1;
+            }
             *p0 = a0;
             *p1 = a1;
         }
@@ -96,45 +346,36 @@ fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
 /// Specialized two-operand kernel: 4-amplitude gather, 4×4 transform,
 /// scatter. `p_hi` is the most significant matrix bit.
 ///
-/// The transform accumulates column-outer into four independent output
-/// accumulators (through a transposed matrix copy, so the inner row loop is
-/// contiguous): each output still sums its columns in ascending order —
-/// bit-identical to the row-major form — but the four chains pipeline
-/// instead of serializing on one accumulator.
+/// The full transform accumulates column-outer into four independent output
+/// accumulators (through a [`transposed`] copy, so the inner row loop is
+/// contiguous): each output still sums its columns in ascending order, but
+/// the four chains pipeline instead of serializing on one accumulator, and
+/// the compiler vectorizes them across the four rows. That beats walking
+/// the [`PaddedRows`] entries one product at a time unless each row has at
+/// most one nonzero entry (CX, Pauli products, diagonal matrices), so only
+/// those take the walk.
 fn apply_2q(data: &mut [Complex], u: &[Complex], p_hi: usize, p_lo: usize, conjugate: bool) {
-    let o_hi = 1usize << p_hi;
-    let o_lo = 1usize << p_lo;
-    // Transposed (and optionally conjugated) split-layout copy of the 4×4
-    // matrix: real and imaginary parts in separate arrays, so the
-    // accumulation below is plain `f64` array arithmetic the compiler can
-    // keep in SIMD registers.
-    let mut ut_re = [0.0f64; 16];
-    let mut ut_im = [0.0f64; 16];
-    for row in 0..4 {
-        for col in 0..4 {
-            let x = u[row * 4 + col];
-            ut_re[col * 4 + row] = x.re;
-            ut_im[col * 4 + row] = if conjugate { -x.im } else { x.im };
-        }
-    }
-    // Enumerate the "rest" space by depositing counter bits around the two
-    // operand holes (sorted ascending).
-    let (qa, qb) = if p_hi < p_lo {
-        (p_hi, p_lo)
-    } else {
-        (p_lo, p_hi)
-    };
-    let mask_a = (1usize << qa) - 1;
-    let mask_b = (1usize << qb) - 1;
+    let quad = Quad::new(p_hi, p_lo);
     let rest = data.len() >> 2;
+    let rows = PaddedRows::of(u, conjugate);
+    if rows.k <= 1 {
+        for r in 0..rest {
+            let amps = quad.amps(r);
+            let g = amps.map(|a| data[a]);
+            for (row, &a) in amps.iter().enumerate() {
+                let mut acc = Complex::ZERO;
+                for j in 0..rows.k {
+                    acc += Complex::new(rows.re[row][j], rows.im[row][j]) * g[rows.col[row][j]];
+                }
+                data[a] = acc;
+            }
+        }
+        return;
+    }
+    let (ut_re, ut_im) = transposed::<16>(u, 4, conjugate);
     for r in 0..rest {
-        let t = ((r >> qa) << (qa + 1)) | (r & mask_a);
-        let idx = ((t >> qb) << (qb + 1)) | (t & mask_b);
-        let i0 = idx;
-        let i1 = idx | o_lo;
-        let i2 = idx | o_hi;
-        let i3 = idx | o_lo | o_hi;
-        let g = [data[i0], data[i1], data[i2], data[i3]];
+        let amps = quad.amps(r);
+        let g = amps.map(|a| data[a]);
         let mut o_re = [0.0f64; 4];
         let mut o_im = [0.0f64; 4];
         for (col, &gc) in g.iter().enumerate() {
@@ -148,75 +389,51 @@ fn apply_2q(data: &mut [Complex], u: &[Complex], p_hi: usize, p_lo: usize, conju
                 *oi_ += ar * ci + ai * cr;
             }
         }
-        data[i0] = Complex::new(o_re[0], o_im[0]);
-        data[i1] = Complex::new(o_re[1], o_im[1]);
-        data[i2] = Complex::new(o_re[2], o_im[2]);
-        data[i3] = Complex::new(o_re[3], o_im[3]);
+        for (row, &a) in amps.iter().enumerate() {
+            data[a] = Complex::new(o_re[row], o_im[row]);
+        }
     }
 }
 
 /// Generic `k ≤ 4` fallback (Toffoli, 2-qubit-channel superoperators).
 fn apply_generic(data: &mut [Complex], u: &[Complex], positions: &[usize], m: usize, conj: bool) {
     let k = positions.len();
-
-    // Offsets (in flat-index units) contributed by each matrix bit.
-    // Matrix bit (k-1-j) <-> positions[j].
-    let mut bit_offsets = [0usize; MAX_KERNEL_QUBITS];
-    for (j, &q) in positions.iter().enumerate() {
-        bit_offsets[k - 1 - j] = 1usize << q;
-    }
-
-    // Sorted bit positions for enumerating the "rest" space.
-    let mut sorted = [0usize; MAX_KERNEL_QUBITS];
-    sorted[..k].copy_from_slice(positions);
-    sorted[..k].sort_unstable();
-
     let group = 1usize << k;
     let rest = 1usize << (m - k);
+    let (pos, holes) = group_layout(positions);
+    let holes = &holes[..k];
+    let mut gathered = [Complex::ZERO; MAX_GROUP];
 
-    // Precompute the data offset of each matrix index (deposit of its bits).
-    let mut pos = [0usize; 1 << MAX_KERNEL_QUBITS];
-    for (mm, slot) in pos.iter_mut().enumerate().take(group) {
-        let mut off = 0usize;
-        for (b, &bo) in bit_offsets.iter().enumerate().take(k) {
-            if (mm >> b) & 1 == 1 {
-                off |= bo;
+    if u.iter().any(|&x| is_zero(x)) {
+        // Row-sparse: each output accumulates its row's nonzero entries.
+        let sparse = RowSparse::of(u, group, conj);
+        for r in 0..rest {
+            let idx = deposit(r, holes);
+            for (slot, &off) in gathered.iter_mut().zip(&pos).take(group) {
+                *slot = data[idx | off];
+            }
+            for (row, &off) in pos.iter().enumerate().take(group) {
+                let mut acc = Complex::ZERO;
+                for e in sparse.row(row) {
+                    acc += Complex::new(sparse.re[e], sparse.im[e]) * gathered[sparse.col(e)];
+                }
+                data[idx | off] = acc;
             }
         }
-        *slot = off;
+        return;
     }
 
-    // Transposed (and optionally conjugated) split-layout copy of the
-    // matrix: the column-outer accumulation below walks it contiguously as
-    // plain `f64` arrays the compiler can vectorize. Each output element
-    // still sums its columns in ascending order — the exact operation
-    // sequence (and bits) of a row-major accumulation over `Complex`
-    // values — but the `group` output chains are independent and pipeline
-    // instead of serializing on a single accumulator.
-    let mut ut_re = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    let mut ut_im = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    for row in 0..group {
-        for col in 0..group {
-            let x = u[row * group + col];
-            ut_re[col * group + row] = x.re;
-            ut_im[col * group + row] = if conj { -x.im } else { x.im };
-        }
-    }
-
-    let mut gathered = [Complex::ZERO; 1 << MAX_KERNEL_QUBITS];
-    let mut o_re = [0.0f64; 1 << MAX_KERNEL_QUBITS];
-    let mut o_im = [0.0f64; 1 << MAX_KERNEL_QUBITS];
-
+    // Dense: column-outer accumulation over the transposed copy. Each
+    // output element still sums its columns in ascending order, but the
+    // `group` output chains are independent and pipeline instead of
+    // serializing on a single accumulator.
+    let (ut_re, ut_im) = transposed::<MAX_ENTRIES>(u, group, conj);
+    let mut o_re = [0.0f64; MAX_GROUP];
+    let mut o_im = [0.0f64; MAX_GROUP];
     for r in 0..rest {
-        // Deposit the rest-bits of `r` around the holes at `sorted`.
-        let mut idx = r;
-        for &q in &sorted[..k] {
-            let low = idx & ((1 << q) - 1);
-            idx = ((idx >> q) << (q + 1)) | low;
-        }
-        // Gather, transform, scatter.
-        for (mm, slot) in gathered.iter_mut().enumerate().take(group) {
-            *slot = data[idx | pos[mm]];
+        let idx = deposit(r, holes);
+        for (slot, &off) in gathered.iter_mut().zip(&pos).take(group) {
+            *slot = data[idx | off];
         }
         o_re[..group].fill(0.0);
         o_im[..group].fill(0.0);
@@ -249,21 +466,21 @@ fn apply_generic(data: &mut [Complex], u: &[Complex], positions: &[usize], m: us
 // parts in separate `f64` buffers. A gate's index arithmetic (block walks,
 // rest-space deposits, gather/scatter offsets) is computed once per amplitude
 // group and applied to all cells through stride-1 inner loops the compiler
-// vectorizes *across cells*. Each cell's own operation sequence — gather,
-// accumulate each output from zero in column order, scatter — is exactly the
-// scalar kernel's, so a batched cell is bit-identical to a scalar replay of
-// the same state. (Like the scalar kernels, nothing here may fold the first
-// product into the accumulator's initialization: `0.0 + x` normalizes the
-// sign of zero exactly as the scalar path does.)
+// vectorizes *across cells*. Each cell's own operation sequence is exactly
+// the scalar kernels' (the module's arithmetic contract), so a batched cell
+// is bit-identical to a scalar replay of the same state. Zero-entry
+// decisions sit outside the cell loops: a skipped entry costs at most one
+// branch per amplitude group, never work per cell.
 //
-// Every public entry point dispatches the runtime `width` to a `const W`
-// monomorphization: the cell loops' trip counts must be compile-time
-// constants, or the vectorizer emits runtime-trip prologue/epilogue checks
-// around 4–16-element loops and the batched path loses to the scalar
-// kernels' fully unrolled fixed-length loops. Monomorphizing is what turns
-// the cell axis into straight-line vector code (one or two full-width
-// vectors per accumulate at W = 8/16 on AVX-512). Unrolling never changes
-// arithmetic order, so const and odd-width paths stay bit-identical.
+// Every kernel runs its cell loops at a compile-time width: it dispatches
+// the runtime `width` to a `const W` monomorphization, or walks the cells in
+// `const T` tiles. With runtime trip counts the vectorizer emits
+// prologue/epilogue checks around 4–16-element loops and the batched path
+// loses to the scalar kernels' fully unrolled fixed-length loops;
+// monomorphizing is what turns the cell axis into straight-line vector code
+// (one or two full-width vectors per accumulate at W = 8/16 on AVX-512).
+// Unrolling never changes arithmetic order, so const and odd-width paths
+// stay bit-identical.
 
 /// Largest supported batch width (cells per block). Sized so a 4-operand
 /// gather/accumulate group (16 amplitudes × 16 cells × 4 buffers) still fits
@@ -322,7 +539,10 @@ pub(crate) fn batch_apply_matrix_on_bits(
         "batch width must be 1..={MAX_BATCH_CELLS}"
     );
     match k {
-        1 => dispatch_width!(width => batch_apply_1q(re, im, u, positions[0], conjugate)),
+        1 if u[..4].iter().all(|&x| !is_zero(x)) => {
+            dispatch_width!(width => batch_apply_1q(re, im, u, positions[0], conjugate))
+        }
+        1 => dispatch_width!(width => batch_apply_1q_sparse(re, im, u, positions[0], conjugate)),
         2 => batch_apply_2q(re, im, width, u, positions[0], positions[1], conjugate),
         _ => batch_apply_generic(re, im, width, u, positions, m, conjugate),
     }
@@ -339,6 +559,31 @@ pub(crate) fn batch_apply_matrix_on_bits(
 /// 512-bit vector per row, amortizing its much larger gather).
 const BATCH_TILE_2Q: usize = 4;
 const BATCH_TILE_GENERIC: usize = 8;
+
+/// Cells in the next tile of a sparse walk starting at cell `c0`: the
+/// largest power of two that fits. The walks keep one output row live, so
+/// registers do not bound their tiles, and a full block of
+/// [`MAX_BATCH_CELLS`] goes as one tile; powers of two split any width into
+/// at most five tiles while monomorphizing only five tile sizes.
+#[inline(always)]
+fn sparse_tile(width: usize, c0: usize) -> usize {
+    1 << (width - c0).ilog2()
+}
+
+/// Expands `match tile` over the [`sparse_tile`] sizes so each arm calls
+/// the tile kernel with a `const T` equal to the runtime tile.
+macro_rules! dispatch_pow2 {
+    ($tile:expr => $f:ident($($args:expr),* $(,)?)) => {
+        match $tile {
+            1 => $f::<1>($($args),*),
+            2 => $f::<2>($($args),*),
+            4 => $f::<4>($($args),*),
+            8 => $f::<8>($($args),*),
+            16 => $f::<16>($($args),*),
+            _ => unreachable!("sparse tiles are powers of two up to MAX_BATCH_CELLS"),
+        }
+    };
+}
 
 /// Expands `match tile` over 1..=8 so each arm calls the tile kernel with a
 /// `const T` equal to the runtime remainder.
@@ -367,8 +612,26 @@ fn row_mut<const W: usize>(buf: &mut [f64], amp: usize) -> &mut [f64; W] {
         .expect("row of W reals")
 }
 
-/// Batched single-operand kernel with one shared matrix: the scalar pair
-/// loop with a `W`-cell stride-1 lane under every amplitude pair.
+/// `acc += (ar + i·ai) · g` in every one of `T` cells, each part expanded
+/// exactly as the scalar `Complex` product.
+#[inline(always)]
+fn cell_mac<const T: usize>(
+    acc_re: &mut [f64; T],
+    acc_im: &mut [f64; T],
+    ar: f64,
+    ai: f64,
+    g_re: &[f64; T],
+    g_im: &[f64; T],
+) {
+    for c in 0..T {
+        acc_re[c] += ar * g_re[c] - ai * g_im[c];
+        acc_im[c] += ar * g_im[c] + ai * g_re[c];
+    }
+}
+
+/// Batched single-operand kernel with one shared matrix and no zero entry:
+/// the scalar pair loop with a `W`-cell stride-1 lane under every amplitude
+/// pair.
 fn batch_apply_1q<const W: usize>(
     re: &mut [f64],
     im: &mut [f64],
@@ -412,6 +675,45 @@ fn batch_apply_1q<const W: usize>(
                 p1r[c] = a1r;
                 p1i[c] = a1i;
             }
+        }
+    }
+}
+
+/// [`batch_apply_1q`] for a matrix with a zero entry (rz, x, damping Kraus
+/// operators): under every amplitude pair, each nonzero entry's product
+/// runs as its own `W`-cell loop, in the row's column order.
+fn batch_apply_1q_sparse<const W: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    u: &[Complex],
+    q: usize,
+    conj: bool,
+) {
+    let bit = 1usize << q;
+    let entries: [Complex; 4] = std::array::from_fn(|e| if conj { u[e].conj() } else { u[e] });
+    let nonzero = entries.map(|x| !is_zero(x));
+    let block = (bit << 1) * W;
+    let half = bit * W;
+    for (bre, bim) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
+        let (lo_re, hi_re) = bre.split_at_mut(half);
+        let (lo_im, hi_im) = bim.split_at_mut(half);
+        for p in 0..bit {
+            let p0r = row_mut::<W>(lo_re, p);
+            let p0i = row_mut::<W>(lo_im, p);
+            let p1r = row_mut::<W>(hi_re, p);
+            let p1i = row_mut::<W>(hi_im, p);
+            let v = [(*p0r, *p0i), (*p1r, *p1i)];
+            let mut out = [([0.0f64; W], [0.0f64; W]); 2];
+            for (row, (o_re, o_im)) in out.iter_mut().enumerate() {
+                for (col, (v_re, v_im)) in v.iter().enumerate() {
+                    let e = row * 2 + col;
+                    if nonzero[e] {
+                        cell_mac(o_re, o_im, entries[e].re, entries[e].im, v_re, v_im);
+                    }
+                }
+            }
+            (*p0r, *p0i) = out[0];
+            (*p1r, *p1i) = out[1];
         }
     }
 }
@@ -492,7 +794,10 @@ fn batch_apply_1q_per_cell_w<const W: usize>(
 }
 
 /// Batched two-operand kernel: the scalar 4-amplitude gather/transform/
-/// scatter with the cell dimension as the stride-1 inner axis, walked in
+/// scatter with the cell dimension as the stride-1 inner axis. Here every
+/// multiply-add is a vector operation across cells, so a matrix whose rows
+/// have fewer than four nonzero entries each walks its [`PaddedRows`] in
+/// [`batch_2q_padded_tile`]s; the full transform is walked in
 /// [`BATCH_TILE_2Q`]-cell register tiles.
 fn batch_apply_2q(
     re: &mut [f64],
@@ -503,29 +808,24 @@ fn batch_apply_2q(
     p_lo: usize,
     conj: bool,
 ) {
-    let o_hi = 1usize << p_hi;
-    let o_lo = 1usize << p_lo;
-    let mut ut_re = [0.0f64; 16];
-    let mut ut_im = [0.0f64; 16];
-    for row in 0..4 {
-        for col in 0..4 {
-            let x = u[row * 4 + col];
-            ut_re[col * 4 + row] = x.re;
-            ut_im[col * 4 + row] = if conj { -x.im } else { x.im };
-        }
-    }
-    let (qa, qb) = if p_hi < p_lo {
-        (p_hi, p_lo)
-    } else {
-        (p_lo, p_hi)
-    };
-    let mask_a = (1usize << qa) - 1;
-    let mask_b = (1usize << qb) - 1;
+    let quad = Quad::new(p_hi, p_lo);
+    let rows = PaddedRows::of(u, conj);
     let rest = (re.len() / width) >> 2;
+    if rows.k < 4 {
+        for r in 0..rest {
+            let amps = quad.amps(r);
+            let mut c0 = 0usize;
+            while c0 < width {
+                let tile = sparse_tile(width, c0);
+                dispatch_pow2!(tile => batch_2q_padded_tile(re, im, width, c0, &amps, &rows));
+                c0 += tile;
+            }
+        }
+        return;
+    }
+    let (ut_re, ut_im) = transposed::<16>(u, 4, conj);
     for r in 0..rest {
-        let t = ((r >> qa) << (qa + 1)) | (r & mask_a);
-        let idx = ((t >> qb) << (qb + 1)) | (t & mask_b);
-        let amps = [idx, idx | o_lo, idx | o_hi, idx | o_lo | o_hi];
+        let amps = quad.amps(r);
         let mut c0 = 0usize;
         while c0 < width {
             let tile = (width - c0).min(BATCH_TILE_2Q);
@@ -536,7 +836,8 @@ fn batch_apply_2q(
 }
 
 /// One register tile of [`batch_apply_2q`]: cells `c0..c0 + T` of a gathered
-/// 4-amplitude group.
+/// 4-amplitude group, accumulated column-outer over the [`transposed`]
+/// matrix.
 #[inline(always)]
 fn batch_2q_tile<const T: usize>(
     re: &mut [f64],
@@ -558,13 +859,9 @@ fn batch_2q_tile<const T: usize>(
     let mut o_im = [[0.0f64; T]; 4];
     for col in 0..4 {
         for row in 0..4 {
-            let ar = ut_re[col * 4 + row];
-            let ai = ut_im[col * 4 + row];
-            for c in 0..T {
-                let (cr, ci) = (g_re[col][c], g_im[col][c]);
-                o_re[row][c] += ar * cr - ai * ci;
-                o_im[row][c] += ar * ci + ai * cr;
-            }
+            let e = col * 4 + row;
+            let (or_, oi_) = (&mut o_re[row], &mut o_im[row]);
+            cell_mac(or_, oi_, ut_re[e], ut_im[e], &g_re[col], &g_im[col]);
         }
     }
     for (row, &a) in amps.iter().enumerate() {
@@ -574,8 +871,47 @@ fn batch_2q_tile<const T: usize>(
     }
 }
 
-/// Batched generic `k ≤ 4` kernel (Toffoli, channel superoperators), walked
-/// in [`BATCH_TILE_GENERIC`]-cell register tiles.
+/// One register tile of [`batch_apply_2q`]'s [`PaddedRows`] walk: cells
+/// `c0..c0 + T` of a gathered 4-amplitude group, one output row at a time.
+#[inline(always)]
+fn batch_2q_padded_tile<const T: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    amps: &[usize; 4],
+    rows: &PaddedRows,
+) {
+    let mut g_re = [[0.0f64; T]; 4];
+    let mut g_im = [[0.0f64; T]; 4];
+    for (slot, &a) in amps.iter().enumerate() {
+        let base = a * width + c0;
+        g_re[slot].copy_from_slice(&re[base..base + T]);
+        g_im[slot].copy_from_slice(&im[base..base + T]);
+    }
+    for (row, &a) in amps.iter().enumerate() {
+        let mut o_re = [0.0f64; T];
+        let mut o_im = [0.0f64; T];
+        for j in 0..rows.k {
+            let col = rows.col[row][j];
+            cell_mac(
+                &mut o_re,
+                &mut o_im,
+                rows.re[row][j],
+                rows.im[row][j],
+                &g_re[col],
+                &g_im[col],
+            );
+        }
+        let base = a * width + c0;
+        re[base..base + T].copy_from_slice(&o_re);
+        im[base..base + T].copy_from_slice(&o_im);
+    }
+}
+
+/// Batched generic `k ≤ 4` kernel (Toffoli, channel superoperators). A
+/// dense matrix is walked in [`BATCH_TILE_GENERIC`]-cell register tiles;
+/// one with a zero entry walks a [`RowSparse`] list in [`batch_sparse_tile`]s.
 fn batch_apply_generic(
     re: &mut [f64],
     im: &mut [f64],
@@ -586,44 +922,30 @@ fn batch_apply_generic(
     conj: bool,
 ) {
     let k = positions.len();
-    let mut bit_offsets = [0usize; MAX_KERNEL_QUBITS];
-    for (j, &q) in positions.iter().enumerate() {
-        bit_offsets[k - 1 - j] = 1usize << q;
-    }
-    let mut sorted = [0usize; MAX_KERNEL_QUBITS];
-    sorted[..k].copy_from_slice(positions);
-    sorted[..k].sort_unstable();
-
     let group = 1usize << k;
     let rest = 1usize << (m - k);
+    let (pos, holes) = group_layout(positions);
+    let holes = &holes[..k];
 
-    let mut pos = [0usize; 1 << MAX_KERNEL_QUBITS];
-    for (mm, slot) in pos.iter_mut().enumerate().take(group) {
-        let mut off = 0usize;
-        for (b, &bo) in bit_offsets.iter().enumerate().take(k) {
-            if (mm >> b) & 1 == 1 {
-                off |= bo;
+    if u.iter().any(|&x| is_zero(x)) {
+        let sparse = RowSparse::of(u, group, conj);
+        for r in 0..rest {
+            let idx = deposit(r, holes);
+            let mut c0 = 0usize;
+            while c0 < width {
+                let tile = sparse_tile(width, c0);
+                dispatch_pow2!(
+                    tile => batch_sparse_tile(re, im, width, c0, idx, &pos, group, &sparse)
+                );
+                c0 += tile;
             }
         }
-        *slot = off;
+        return;
     }
 
-    let mut ut_re = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    let mut ut_im = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    for row in 0..group {
-        for col in 0..group {
-            let x = u[row * group + col];
-            ut_re[col * group + row] = x.re;
-            ut_im[col * group + row] = if conj { -x.im } else { x.im };
-        }
-    }
-
+    let (ut_re, ut_im) = transposed::<MAX_ENTRIES>(u, group, conj);
     for r in 0..rest {
-        let mut idx = r;
-        for &q in &sorted[..k] {
-            let low = idx & ((1 << q) - 1);
-            idx = ((idx >> q) << (q + 1)) | low;
-        }
+        let idx = deposit(r, holes);
         let mut c0 = 0usize;
         while c0 < width {
             let tile = (width - c0).min(BATCH_TILE_GENERIC);
@@ -648,13 +970,13 @@ fn batch_generic_tile<const T: usize>(
     width: usize,
     c0: usize,
     idx: usize,
-    pos: &[usize; 1 << MAX_KERNEL_QUBITS],
+    pos: &[usize; MAX_GROUP],
     group: usize,
-    ut_re: &[f64; 1 << (2 * MAX_KERNEL_QUBITS)],
-    ut_im: &[f64; 1 << (2 * MAX_KERNEL_QUBITS)],
+    ut_re: &[f64; MAX_ENTRIES],
+    ut_im: &[f64; MAX_ENTRIES],
 ) {
-    let mut g_re = [[0.0f64; T]; 1 << MAX_KERNEL_QUBITS];
-    let mut g_im = [[0.0f64; T]; 1 << MAX_KERNEL_QUBITS];
+    let mut g_re = [[0.0f64; T]; MAX_GROUP];
+    let mut g_im = [[0.0f64; T]; MAX_GROUP];
     for mm in 0..group {
         let base = (idx | pos[mm]) * width + c0;
         g_re[mm].copy_from_slice(&re[base..base + T]);
@@ -667,13 +989,15 @@ fn batch_generic_tile<const T: usize>(
         let mut o_im = [[0.0f64; T]; 4];
         for col in 0..group {
             for dr in 0..rows {
-                let ar = ut_re[col * group + row0 + dr];
-                let ai = ut_im[col * group + row0 + dr];
-                for c in 0..T {
-                    let (cr, ci) = (g_re[col][c], g_im[col][c]);
-                    o_re[dr][c] += ar * cr - ai * ci;
-                    o_im[dr][c] += ar * ci + ai * cr;
-                }
+                let e = col * group + row0 + dr;
+                cell_mac(
+                    &mut o_re[dr],
+                    &mut o_im[dr],
+                    ut_re[e],
+                    ut_im[e],
+                    &g_re[col],
+                    &g_im[col],
+                );
             }
         }
         for dr in 0..rows {
@@ -682,6 +1006,48 @@ fn batch_generic_tile<const T: usize>(
             im[base..base + T].copy_from_slice(&o_im[dr]);
         }
         row0 += rows;
+    }
+}
+
+/// One register tile of [`batch_apply_generic`]'s row-sparse walk: cells
+/// `c0..c0 + T` of one gathered `group`-amplitude rest index, one output
+/// row at a time over its nonzero entries.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn batch_sparse_tile<const T: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    idx: usize,
+    pos: &[usize; MAX_GROUP],
+    group: usize,
+    sparse: &RowSparse,
+) {
+    let mut g_re = [[0.0f64; T]; MAX_GROUP];
+    let mut g_im = [[0.0f64; T]; MAX_GROUP];
+    for mm in 0..group {
+        let base = (idx | pos[mm]) * width + c0;
+        g_re[mm].copy_from_slice(&re[base..base + T]);
+        g_im[mm].copy_from_slice(&im[base..base + T]);
+    }
+    for (row, &off) in pos.iter().enumerate().take(group) {
+        let mut o_re = [0.0f64; T];
+        let mut o_im = [0.0f64; T];
+        for e in sparse.row(row) {
+            let col = sparse.col(e);
+            cell_mac(
+                &mut o_re,
+                &mut o_im,
+                sparse.re[e],
+                sparse.im[e],
+                &g_re[col],
+                &g_im[col],
+            );
+        }
+        let base = (idx | off) * width + c0;
+        re[base..base + T].copy_from_slice(&o_re);
+        im[base..base + T].copy_from_slice(&o_im);
     }
 }
 

@@ -11,10 +11,19 @@
 //! invariant under kernel dispatch: padding a gate with an identity operand
 //! (which reroutes it through the wider specialized/generic kernel paths)
 //! must not change a single bit of the state.
+//!
+//! The kernels skip matrix entries that are exactly zero. The last two
+//! properties check that this is exact: every entry point, bit for bit,
+//! against a test-local reference that runs the full dense loop — every
+//! entry, zero or not, accumulated from `+0.0` in column order — on
+//! operands built to stress the signed-zero argument of `kernel.rs`.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
-use qufi_sim::{DensityMatrix, EvolutionWorkspace, Gate, Statevector};
+use qufi_sim::{
+    BatchWorkspace, BatchedDensity, BatchedStatevector, DensityMatrix, EvolutionWorkspace, Gate,
+    Statevector,
+};
 
 /// Embeds a `2^k × 2^k` operator over `qubits` of an `n`-qubit register
 /// into the full `2^n × 2^n` matrix, entry by entry. Matches the kernel's
@@ -290,5 +299,355 @@ proptest! {
         // The evolved state is still a density matrix.
         prop_assert!((rho.trace().re - 1.0).abs() < 1e-9);
         prop_assert!(rho.is_hermitian(1e-9));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Zero skipping is bitwise exact
+// ---------------------------------------------------------------------------
+
+/// Deterministic xorshift stream building one case's operands.
+struct Stream(u64);
+
+impl Stream {
+    fn new(seed: u64) -> Self {
+        Stream(seed | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A nonzero value in (−1, 1).
+    fn value(&mut self) -> f64 {
+        let x = (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        if x == 0.0 {
+            0.5
+        } else {
+            x
+        }
+    }
+
+    fn signed_zero(&mut self) -> f64 {
+        if self.next() & 1 == 0 {
+            0.0
+        } else {
+            -0.0
+        }
+    }
+
+    /// A zero entry: `±0` in both parts.
+    fn zero(&mut self) -> Complex {
+        Complex::new(self.signed_zero(), self.signed_zero())
+    }
+
+    /// A nonzero entry: both parts random, or one of them a signed zero.
+    fn nonzero(&mut self) -> Complex {
+        match self.below(3) {
+            0 => Complex::new(self.value(), self.value()),
+            1 => Complex::new(self.value(), self.signed_zero()),
+            _ => Complex::new(self.signed_zero(), self.value()),
+        }
+    }
+
+    /// An amplitude, zero in both parts one time in four.
+    fn amplitude(&mut self) -> Complex {
+        if self.below(4) == 0 {
+            self.zero()
+        } else {
+            self.nonzero()
+        }
+    }
+
+    /// A `dim × dim` matrix: fully dense, a random zero pattern, monomial,
+    /// or a random pattern with whole rows zeroed. Zero entries carry
+    /// random signs; nonzero ones are scaled by `1/dim` so repeated
+    /// application stays O(1).
+    fn matrix(&mut self, dim: usize) -> CMatrix {
+        let kind = self.below(4);
+        let perm = self.permutation(dim);
+        let zero_rows: Vec<bool> = (0..dim).map(|_| kind == 3 && self.below(2) == 0).collect();
+        let mut m = CMatrix::zeros(dim, dim);
+        for row in 0..dim {
+            for col in 0..dim {
+                let nonzero = match kind {
+                    0 => true,
+                    2 => perm[row] == col,
+                    _ => !zero_rows[row] && self.below(2) == 0,
+                };
+                m[(row, col)] = if nonzero {
+                    self.nonzero().scale(1.0 / dim as f64)
+                } else {
+                    self.zero()
+                };
+            }
+        }
+        m
+    }
+
+    /// A random permutation of `0..n` (Fisher–Yates).
+    fn permutation(&mut self, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            let j = self.below(i + 1);
+            p.swap(i, j);
+        }
+        p
+    }
+
+    /// `k` distinct operand qubits of an `n`-qubit register.
+    fn operands(&mut self, k: usize, n: usize) -> Vec<usize> {
+        self.permutation(n)[..k].to_vec()
+    }
+}
+
+/// The dense kernel loop, written independently of `kernel.rs`: for every
+/// group of `2^k` amplitudes, each output accumulates `u[row][col] ·
+/// g[col]` over **every** column, from `+0.0`, in column order.
+fn dense_reference(data: &mut [Complex], u: &CMatrix, positions: &[usize], conj: bool) {
+    let k = positions.len();
+    let dim = 1usize << k;
+    let offset = |mm: usize| -> usize {
+        (0..k)
+            .filter(|&j| (mm >> (k - 1 - j)) & 1 == 1)
+            .map(|j| 1usize << positions[j])
+            .sum()
+    };
+    let operand_mask = offset(dim - 1);
+    for base in (0..data.len()).filter(|b| b & operand_mask == 0) {
+        let g: Vec<Complex> = (0..dim).map(|col| data[base | offset(col)]).collect();
+        for row in 0..dim {
+            let mut acc = Complex::ZERO;
+            for (col, &gc) in g.iter().enumerate() {
+                let x = if conj {
+                    u[(row, col)].conj()
+                } else {
+                    u[(row, col)]
+                };
+                acc += x * gc;
+            }
+            data[base | offset(row)] = acc;
+        }
+    }
+}
+
+/// `ρ ↦ UρU†` on a raw row-major `n`-qubit density buffer, as two
+/// reference passes (row bits at `n + q`, conjugated column pass at `q`).
+fn reference_unitary(rho: &mut [Complex], n: usize, u: &CMatrix, qubits: &[usize]) {
+    let rows: Vec<usize> = qubits.iter().map(|&q| n + q).collect();
+    dense_reference(rho, u, &rows, false);
+    dense_reference(rho, u, qubits, true);
+}
+
+fn raw_density(rho: &DensityMatrix) -> Vec<Complex> {
+    let dim = rho.dim();
+    (0..dim * dim)
+        .map(|i| rho.entry(i / dim, i % dim))
+        .collect()
+}
+
+fn assert_bits(got: &[Complex], want: &[Complex], what: &str) {
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(
+            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+            "{what}: entry {i}: kernel {x:?} vs dense reference {y:?}"
+        );
+    }
+}
+
+/// A batched cell's Born probabilities against the reference values they
+/// are built from (`ProbDist` clamps at zero, so the reference is clamped
+/// the same way).
+fn assert_probs(got: &qufi_sim::ProbDist, want: impl Iterator<Item = f64>, what: &str) {
+    for (i, w) in want.enumerate() {
+        assert_eq!(
+            got.prob(i).to_bits(),
+            w.max(0.0).to_bits(),
+            "{what}: outcome {i}: batched {} vs dense reference {w}",
+            got.prob(i)
+        );
+    }
+}
+
+/// One density-matrix channel step of the zero-skipping property.
+enum DensityOp {
+    Unitary(CMatrix, Vec<usize>),
+    Superop(CMatrix, Vec<usize>),
+    Kraus(Vec<CMatrix>, Vec<usize>),
+}
+
+impl DensityOp {
+    fn draw(s: &mut Stream, n: usize) -> Self {
+        match s.below(3) {
+            0 => {
+                let k = 1 + s.below(4);
+                DensityOp::Unitary(s.matrix(1 << k), s.operands(k, n))
+            }
+            kind => {
+                let k = 1 + s.below(2);
+                let kraus: Vec<CMatrix> = (0..1 + s.below(3)).map(|_| s.matrix(1 << k)).collect();
+                let qubits = s.operands(k, n);
+                if kind == 1 {
+                    // Completely positive, so batched diagonals stay
+                    // probabilities; the sums never produce −0, so zero
+                    // entries get random signs afterwards.
+                    let mut sup = superop_of(&kraus);
+                    let d = sup.rows();
+                    for i in 0..d {
+                        for j in 0..d {
+                            if sup[(i, j)] == Complex::ZERO {
+                                sup[(i, j)] = s.zero();
+                            }
+                        }
+                    }
+                    DensityOp::Superop(sup, qubits)
+                } else {
+                    DensityOp::Kraus(kraus, qubits)
+                }
+            }
+        }
+    }
+
+    fn reference(&self, rho: &mut [Complex], n: usize) {
+        match self {
+            DensityOp::Unitary(u, qs) => reference_unitary(rho, n, u, qs),
+            DensityOp::Superop(sup, qs) => {
+                let mut combined: Vec<usize> = qs.iter().map(|&q| n + q).collect();
+                combined.extend_from_slice(qs);
+                dense_reference(rho, sup, &combined, false);
+            }
+            DensityOp::Kraus(kraus, qs) => {
+                let mut acc = vec![Complex::ZERO; rho.len()];
+                for k in kraus {
+                    let mut term = rho.to_vec();
+                    reference_unitary(&mut term, n, k, qs);
+                    for (a, t) in acc.iter_mut().zip(&term) {
+                        *a += *t;
+                    }
+                }
+                rho.copy_from_slice(&acc);
+            }
+        }
+    }
+}
+
+/// Register of the zero-skipping properties: wide enough for 4-operand
+/// (16 × 16) unitaries on both engines.
+const ZN: usize = 4;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Statevector` and `BatchedStatevector` (widths 1, 3, 16, each cell
+    /// first hit by its own injector) against the dense reference, after
+    /// every operation of a random sequence.
+    #[test]
+    fn statevector_zero_skipping_is_bitwise_exact(seed in 0u64..u64::MAX) {
+        let mut s = Stream::new(seed);
+        let amps: Vec<Complex> = (0..1 << ZN).map(|_| s.amplitude()).collect();
+        let ops: Vec<(CMatrix, Vec<usize>)> = (0..4)
+            .map(|_| {
+                let k = 1 + s.below(4);
+                (s.matrix(1 << k), s.operands(k, ZN))
+            })
+            .collect();
+
+        let mut sv = Statevector::from_amplitudes(amps.clone());
+        let mut want = amps.clone();
+        for (u, qs) in &ops {
+            sv.apply_matrix(u, qs);
+            dense_reference(&mut want, u, qs, false);
+            assert_bits(sv.amplitudes(), &want, &format!("statevector {qs:?}"));
+        }
+
+        for width in [1usize, 3, 16] {
+            let injectors: Vec<CMatrix> = (0..width).map(|_| s.matrix(2)).collect();
+            let target = s.below(ZN);
+            let mut batch =
+                BatchedStatevector::broadcast(&Statevector::from_amplitudes(amps.clone()), width);
+            batch.apply_matrix_per_cell(&injectors, target);
+            let mut cells: Vec<Vec<Complex>> = injectors
+                .iter()
+                .map(|u| {
+                    let mut cell = amps.clone();
+                    dense_reference(&mut cell, u, &[target], false);
+                    cell
+                })
+                .collect();
+            for (u, qs) in &ops {
+                batch.apply_matrix(u, qs);
+                for (c, cell) in cells.iter_mut().enumerate() {
+                    dense_reference(cell, u, qs, false);
+                    assert_probs(
+                        &batch.probabilities(c),
+                        cell.iter().map(|z| z.norm_sqr()),
+                        &format!("batched statevector width {width} cell {c} {qs:?}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// `DensityMatrix` unitary (row pass plus conjugated column pass),
+    /// superoperator and Kraus application, and `BatchedDensity` at widths
+    /// 1, 3, 16, against the dense reference after every operation.
+    #[test]
+    fn density_zero_skipping_is_bitwise_exact(seed in 0u64..u64::MAX) {
+        let mut s = Stream::new(seed);
+        let amps: Vec<Complex> = (0..1 << ZN).map(|_| s.amplitude()).collect();
+        let rho0 = DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps));
+        let ops: Vec<DensityOp> = (0..4).map(|_| DensityOp::draw(&mut s, ZN)).collect();
+
+        let mut rho = rho0.clone();
+        let mut want = raw_density(&rho0);
+        let mut ws = EvolutionWorkspace::new();
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                DensityOp::Unitary(u, qs) => rho.apply_unitary(u, qs),
+                DensityOp::Superop(sup, qs) => rho.apply_superoperator(sup, qs),
+                DensityOp::Kraus(kraus, qs) => rho.apply_kraus_with(kraus, qs, &mut ws),
+            }
+            op.reference(&mut want, ZN);
+            assert_bits(&raw_density(&rho), &want, &format!("density op {i}"));
+        }
+
+        let dim = 1usize << ZN;
+        let mut bws = BatchWorkspace::new();
+        for width in [1usize, 3, 16] {
+            let injectors: Vec<CMatrix> = (0..width).map(|_| s.matrix(2)).collect();
+            let target = s.below(ZN);
+            let mut batch = BatchedDensity::broadcast(&rho0, width);
+            batch.apply_unitary_per_cell(&injectors, target);
+            let mut cells: Vec<Vec<Complex>> = injectors
+                .iter()
+                .map(|u| {
+                    let mut cell = raw_density(&rho0);
+                    reference_unitary(&mut cell, ZN, u, &[target]);
+                    cell
+                })
+                .collect();
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    DensityOp::Unitary(u, qs) => batch.apply_unitary(u, qs),
+                    DensityOp::Superop(sup, qs) => batch.apply_superoperator(sup, qs),
+                    DensityOp::Kraus(kraus, qs) => batch.apply_kraus_with(kraus, qs, &mut bws),
+                }
+                for (c, cell) in cells.iter_mut().enumerate() {
+                    op.reference(cell, ZN);
+                    assert_probs(
+                        &batch.probabilities(c),
+                        (0..dim).map(|d| cell[d * dim + d].re),
+                        &format!("batched density width {width} cell {c} op {i}"),
+                    );
+                }
+            }
+        }
     }
 }
