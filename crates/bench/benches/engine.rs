@@ -97,9 +97,10 @@ enum Operand {
 ///
 /// Rows run on a width-16 batched density block (the replay engine's
 /// default width), the scalar density matrix, both at 4 qubits, and a
-/// 10-qubit statevector (the trajectory replay). Each iteration applies
-/// the operand once to a fresh copy of a generic state, so repeated
-/// channels never decay it into subnormals.
+/// 10-qubit statevector (the trajectory replay). The 1q operands and the
+/// per-cell injector also run at widths 8 (a paper grid's last block) and
+/// 15. Each iteration applies the operand once to a fresh copy of a
+/// generic state, so repeated channels never decay it into subnormals.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(200);
@@ -139,6 +140,41 @@ fn bench_kernels(c: &mut Criterion) {
     let rho = DensityMatrix::from_statevector(&generic_state(4));
     let batch = BatchedDensity::broadcast(&rho, 16);
     let sv = generic_state(10);
+
+    for width in [8usize, 15, 16] {
+        let block = BatchedDensity::broadcast(&rho, width);
+        let injectors: Vec<CMatrix> = (0..width)
+            .map(|c| CMatrix::u_gate(0.3 + 0.1 * c as f64, 0.2, 0.0))
+            .collect();
+        group.bench_function(format!("batch{width}_4q_injector"), |b| {
+            b.iter_batched(
+                || block.clone(),
+                |mut state| {
+                    state.apply_unitary_per_cell(&injectors, 1);
+                    state
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        if width == 16 {
+            continue;
+        }
+        for (name, op, qubits) in cases.iter().take(3) {
+            let Operand::Unitary(u) = op else {
+                unreachable!("the first cases are 1q unitaries")
+            };
+            group.bench_function(format!("batch{width}_4q_{name}"), |b| {
+                b.iter_batched(
+                    || block.clone(),
+                    |mut state| {
+                        state.apply_unitary(u, qubits);
+                        state
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+    }
 
     for (name, op, qubits) in &cases {
         group.bench_function(format!("batch16_4q_{name}"), |b| {

@@ -154,6 +154,19 @@ fn render_counters(out: &mut String, snap: &Snapshot) {
             );
         }
     }
+    if let (Some(&groups), Some(&skipped)) = (
+        snap.counters.get("replay.batch.groups"),
+        snap.counters.get("replay.batch.groups_skipped"),
+    ) {
+        if groups > 0 {
+            let _ = writeln!(
+                out,
+                "  note: batched density replay skipped {:.1}% of {groups} amplitude group(s): \
+                 no readout observes them",
+                100.0 * skipped as f64 / groups as f64
+            );
+        }
+    }
     if let Some(&salvaged) = snap.counters.get("checkpoint.salvaged_lines") {
         if salvaged > 0 {
             let _ = writeln!(
@@ -400,6 +413,24 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.50 µs");
         assert_eq!(fmt_ns(2_500_000), "2.50 ms");
         assert_eq!(fmt_ns(3_210_000_000), "3.21 s");
+    }
+
+    #[test]
+    fn counters_note_the_skipped_group_share() {
+        let mut snap = Snapshot {
+            counters: Default::default(),
+            hists: Default::default(),
+            costs: Vec::new(),
+        };
+        snap.counters.insert("replay.batch.groups".into(), 800);
+        snap.counters
+            .insert("replay.batch.groups_skipped".into(), 200);
+        let mut out = String::new();
+        render_counters(&mut out, &snap);
+        assert!(
+            out.contains("skipped 25.0% of 800 amplitude group(s)"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -47,8 +47,8 @@ use qufi_noise::trajectory::{
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
-    BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, Op, ProbDist,
-    QuantumCircuit, Statevector,
+    BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, ObservedMask,
+    Op, ProbDist, QuantumCircuit, Statevector,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -682,6 +682,30 @@ impl SweepExecutor for IdealExecutor {
 // Transpiling executors: marker through the pipeline, density-matrix
 // prefix forking under the noise model.
 
+/// One batched density operation of a single-site suffix, in application
+/// order (see [`PhysicalSweep::suffix_ops`]).
+enum SuffixOp<'a> {
+    /// The per-cell fault injector on the splice qubit.
+    Injector(&'a usize),
+    Unitary(&'a CMatrix, &'a [usize]),
+    Superop(&'a CMatrix, &'a [usize]),
+}
+
+impl<'a> SuffixOp<'a> {
+    /// A gate's noise channels, in the plan's order.
+    fn channels(chs: &'a [(CMatrix, Vec<usize>)]) -> impl Iterator<Item = SuffixOp<'a>> {
+        chs.iter()
+            .map(|(superop, targets)| SuffixOp::Superop(superop, targets))
+    }
+
+    fn operands(&self) -> &'a [usize] {
+        match *self {
+            SuffixOp::Injector(qubit) => std::slice::from_ref(qubit),
+            SuffixOp::Unitary(_, qubits) | SuffixOp::Superop(_, qubits) => qubits,
+        }
+    }
+}
+
 /// Everything the noisy/hardware replay paths share for one point: the
 /// stripped compact physical circuit, its splice sites, the noise model,
 /// and the parked prefix state.
@@ -698,6 +722,9 @@ struct PhysicalSweep {
     plan: NoisePlan,
     prefix: DensityMatrix,
     prefix_pos: usize,
+    /// One observed mask per [`PhysicalSweep::suffix_ops`] entry when the
+    /// point is [`batchable`](PhysicalSweep::batchable), else empty.
+    masks: Vec<ObservedMask>,
 }
 
 impl PhysicalSweep {
@@ -733,7 +760,7 @@ impl PhysicalSweep {
         let prefix_pos = cursor.position();
         let prefix = cursor.into_state();
         prefix_span.finish();
-        Ok(PhysicalSweep {
+        let mut sweep = PhysicalSweep {
             marked,
             physical,
             sites,
@@ -741,7 +768,14 @@ impl PhysicalSweep {
             plan,
             prefix,
             prefix_pos,
-        })
+            masks: Vec::new(),
+        };
+        if sweep.batchable() {
+            // The readout reads only ρ's diagonal.
+            let operands: Vec<&[usize]> = sweep.suffix_ops().map(|op| op.operands()).collect();
+            sweep.masks = ObservedMask::backward_from_diagonal(operands);
+        }
+        Ok(sweep)
     }
 
     /// Fast path: borrow the parked state into the scratch density matrix,
@@ -807,27 +841,46 @@ impl PhysicalSweep {
         self.prefix.dim() * self.prefix.dim()
     }
 
+    /// The batched suffix of a [`batchable`](PhysicalSweep::batchable)
+    /// point: the per-cell injector and its channels, then each planned
+    /// step's unitary and channels — the sequence [`PhysicalSweep::replay`]
+    /// applies through the cursor.
+    fn suffix_ops(&self) -> impl Iterator<Item = SuffixOp<'_>> {
+        let site = &self.sites[0];
+        std::iter::once(SuffixOp::Injector(&site.qubit))
+            .chain(SuffixOp::channels(self.plan.injector_channels(site.qubit)))
+            .chain(
+                self.plan
+                    .planned_steps(self.prefix_pos, self.physical.size())
+                    .flat_map(|(matrix, qubits, chs)| {
+                        std::iter::once(SuffixOp::Unitary(matrix, qubits))
+                            .chain(SuffixOp::channels(chs))
+                    }),
+            )
+    }
+
     /// One θ-sorted block of the batched grid replay: broadcast the parked
     /// prefix into the block, apply each cell's noisy injector, run the
     /// planned suffix once across all cells, and finish each cell exactly
-    /// like [`NoisyCursor::finish_dist`].
+    /// like [`NoisyCursor::finish_dist`]. Each operation computes only the
+    /// entries its observed mask keeps, so the diagonal the readout reads
+    /// is bit-identical to an unmasked replay's.
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
-        let site = &self.sites[0];
         let mats = injector_matrices(faults);
         let mut batch = BatchedDensity::broadcast(&self.prefix, faults.len());
-        batch.apply_unitary_per_cell(&mats, site.qubit);
-        for (superop, targets) in self.plan.injector_channels(site.qubit) {
-            batch.apply_superoperator(superop, targets);
-        }
-        for (matrix, qubits, channels) in self
-            .plan
-            .planned_steps(self.prefix_pos, self.physical.size())
-        {
-            batch.apply_unitary(matrix, qubits);
-            for (superop, targets) in channels {
-                batch.apply_superoperator(superop, targets);
+        debug_assert_eq!(self.suffix_ops().count(), self.masks.len());
+        for (op, &mask) in self.suffix_ops().zip(&self.masks) {
+            match op {
+                SuffixOp::Injector(&qubit) => {
+                    batch.apply_unitary_per_cell_masked(&mats, qubit, mask)
+                }
+                SuffixOp::Unitary(u, qubits) => batch.apply_unitary_masked(u, qubits, mask),
+                SuffixOp::Superop(s, qubits) => batch.apply_superoperator_masked(s, qubits, mask),
             }
         }
+        let (groups, skipped) = batch.group_counts();
+        qufi_obs::add("replay.batch.groups", groups);
+        qufi_obs::add("replay.batch.groups_skipped", skipped);
         let map = self.physical.measurement_map();
         (0..faults.len())
             .map(|c| {

@@ -97,6 +97,15 @@ impl Severity {
         }
     }
 
+    /// The class's name in exported records: `masked`, `dubious` or `sdc`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Severity::Masked => "masked",
+            Severity::Dubious => "dubious",
+            Severity::Sdc => "sdc",
+        }
+    }
+
     /// The heatmap colour the paper assigns to this class.
     pub fn color_name(&self) -> &'static str {
         match self {

@@ -299,11 +299,7 @@ pub fn records_to_csv(records: &[InjectionRecord]) -> String {
             r.theta,
             r.phi,
             r.qvf,
-            match Severity::classify(r.qvf) {
-                Severity::Masked => "masked",
-                Severity::Dubious => "dubious",
-                Severity::Sdc => "sdc",
-            }
+            Severity::classify(r.qvf).label()
         );
     }
     out

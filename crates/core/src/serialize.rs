@@ -134,13 +134,21 @@ pub fn double_records_from_csv(text: &str) -> Result<Vec<DoubleInjectionRecord>,
 
 /// Minimal JSON writers. serde is not available offline (see
 /// `vendor/README.md`), so machine-readable artifacts are emitted by
-/// hand; the format is plain enough for any consumer.
+/// hand; the format is plain enough for any consumer. The `write_*` forms
+/// append to a buffer, so a large document renders without a `String` per
+/// value.
 pub mod json {
     use std::fmt::Write as _;
 
     /// Escapes and quotes a string per RFC 8259.
     pub fn string(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
+        write_string(&mut out, s);
+        out
+    }
+
+    /// [`string`], appended to `out`.
+    pub(crate) fn write_string(out: &mut String, s: &str) {
         out.push('"');
         for c in s.chars() {
             match c {
@@ -156,21 +164,27 @@ pub mod json {
             }
         }
         out.push('"');
-        out
     }
 
     /// Renders a float: shortest round-trip form, `null` for NaN/∞
     /// (which JSON cannot represent).
     pub fn num(v: f64) -> String {
+        let mut out = String::new();
+        write_num(&mut out, v);
+        out
+    }
+
+    /// [`num`], appended to `out`.
+    pub(crate) fn write_num(out: &mut String, v: f64) {
         if v.is_finite() {
-            let mut s = format!("{v}");
+            let start = out.len();
+            let _ = write!(out, "{v}");
             // Rust renders whole floats as "1"; keep them typed as floats.
-            if !s.contains('.') && !s.contains('e') {
-                s.push_str(".0");
+            if !out[start..].contains(['.', 'e']) {
+                out.push_str(".0");
             }
-            s
         } else {
-            "null".to_string()
+            out.push_str("null");
         }
     }
 
@@ -186,48 +200,86 @@ pub mod json {
         out.push(']');
         out
     }
+
+    /// `[a, b, …]` of floats, appended to `out`.
+    pub(crate) fn write_nums(out: &mut String, values: &[f64]) {
+        out.push('[');
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_num(out, v);
+        }
+        out.push(']');
+    }
 }
 
-/// One record as a JSON object.
-fn record_to_json(r: &InjectionRecord) -> String {
-    format!(
-        "{{\"op_index\":{},\"qubit\":{},\"theta\":{},\"phi\":{},\"qvf\":{},\"severity\":{}}}",
-        r.point.op_index,
-        r.point.qubit,
-        json::num(r.theta),
-        json::num(r.phi),
-        json::num(r.qvf),
-        json::string(match Severity::classify(r.qvf) {
-            Severity::Masked => "masked",
-            Severity::Dubious => "dubious",
-            Severity::Sdc => "sdc",
-        })
-    )
+/// Bytes to reserve per record for [`records_to_json`]: a record of the
+/// paper campaign renders to 80–99 bytes.
+const RECORD_JSON_BYTES: usize = 112;
+
+/// Appends `records` as a JSON array of objects.
+fn write_records_json(out: &mut String, records: &[InjectionRecord]) {
+    use std::fmt::Write as _;
+    out.push('[');
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"op_index\":{},\"qubit\":{},\"theta\":",
+            r.point.op_index, r.point.qubit
+        );
+        json::write_num(out, r.theta);
+        out.push_str(",\"phi\":");
+        json::write_num(out, r.phi);
+        out.push_str(",\"qvf\":");
+        json::write_num(out, r.qvf);
+        out.push_str(",\"severity\":");
+        json::write_string(out, Severity::classify(r.qvf).label());
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Serializes raw records as a JSON array (the JSON sibling of
 /// [`crate::report::records_to_csv`]).
 pub fn records_to_json(records: &[InjectionRecord]) -> String {
-    json::array(records.iter().map(record_to_json))
+    let mut out = String::with_capacity(records.len() * RECORD_JSON_BYTES + 2);
+    write_records_json(&mut out, records);
+    out
 }
 
 /// Serializes a whole campaign — metadata, summary statistics and raw
 /// records — as one JSON document.
 pub fn campaign_to_json(result: &CampaignResult) -> String {
+    use std::fmt::Write as _;
     let (masked, dubious, sdc) = result.severity_counts();
-    format!(
-        "{{\"circuit\":{},\"golden\":{},\"baseline_qvf\":{},\"mean_qvf\":{},\
-         \"stddev_qvf\":{},\"severity\":{{\"masked\":{masked},\"dubious\":{dubious},\
-         \"sdc\":{sdc}}},\"grid\":{{\"thetas\":{},\"phis\":{}}},\"records\":{}}}",
-        json::string(&result.circuit_name),
-        json::array(result.golden.iter().map(|g| g.to_string())),
-        json::num(result.baseline_qvf),
-        json::num(result.mean_qvf()),
-        json::num(result.stddev_qvf()),
-        json::array(result.grid.thetas.iter().map(|&t| json::num(t))),
-        json::array(result.grid.phis.iter().map(|&p| json::num(p))),
-        records_to_json(&result.records),
-    )
+    let mut out = String::with_capacity(result.records.len() * RECORD_JSON_BYTES + 512);
+    out.push_str("{\"circuit\":");
+    json::write_string(&mut out, &result.circuit_name);
+    out.push_str(",\"golden\":[");
+    for (i, g) in result.golden.iter().enumerate() {
+        let _ = write!(out, "{}{g}", if i > 0 { "," } else { "" });
+    }
+    out.push_str("],\"baseline_qvf\":");
+    json::write_num(&mut out, result.baseline_qvf);
+    out.push_str(",\"mean_qvf\":");
+    json::write_num(&mut out, result.mean_qvf());
+    out.push_str(",\"stddev_qvf\":");
+    json::write_num(&mut out, result.stddev_qvf());
+    let _ = write!(
+        out,
+        ",\"severity\":{{\"masked\":{masked},\"dubious\":{dubious},\"sdc\":{sdc}}},\"grid\":{{\"thetas\":"
+    );
+    json::write_nums(&mut out, &result.grid.thetas);
+    out.push_str(",\"phis\":");
+    json::write_nums(&mut out, &result.grid.phis);
+    out.push_str("},\"records\":");
+    write_records_json(&mut out, &result.records);
+    out.push('}');
+    out
 }
 
 /// Serializes a heatmap — axes plus row-major `[phi][theta]` means and

@@ -13,12 +13,21 @@
 //! extracting any cell's distribution is bit-identical to replaying that cell
 //! alone. The engine layer relies on this to keep batched campaign exports
 //! byte-identical to the scalar path at any batch width.
+//!
+//! A replay that reads ρ only through its diagonal need not compute every
+//! entry. [`ObservedMask::backward_from_diagonal`] gives each operation of
+//! such a replay the qubits whose row and column bits may still differ in
+//! an entry that reaches the readout, and the `*_masked` methods of
+//! [`BatchedDensity`] skip the amplitude groups outside it. The diagonal
+//! stays bit-identical to the unmasked replay (see `kernel.rs`).
 
 use crate::circuit::QuantumCircuit;
 use crate::counts::ProbDist;
 use crate::density::DensityMatrix;
 use crate::gate::Gate;
-use crate::kernel::{batch_apply_1q_per_cell, batch_apply_matrix_on_bits, MAX_KERNEL_QUBITS};
+use crate::kernel::{
+    batch_apply_1q_per_cell, batch_apply_matrix_on_bits, Observed, MAX_KERNEL_QUBITS,
+};
 use crate::statevector::Statevector;
 use qufi_math::{CMatrix, Complex};
 
@@ -71,6 +80,69 @@ fn pack_per_cell_1q(us: &[CMatrix], width: usize) -> (Vec<f64>, Vec<f64>) {
         }
     }
     (u_re, u_im)
+}
+
+/// The qubits of one batched density operation whose row and column bits
+/// may differ in an entry it must compute: bit `q` for qubit `q`.
+///
+/// An operation applied with mask `M` computes every entry whose row and
+/// column agree on each qubit outside `M`, and may leave the others at
+/// earlier values. A mask must contain the operation's own operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObservedMask(u64);
+
+impl ObservedMask {
+    /// Every entry observed: what the unmasked methods compute.
+    const ALL: ObservedMask = ObservedMask(u64::MAX);
+
+    /// One mask per operation of a replay whose result is read only through
+    /// ρ's diagonal, from the operations' operand qubits in application
+    /// order.
+    ///
+    /// Walking backward from the readout, `D` starts empty — the diagonal
+    /// is the entries whose row and column agree on every qubit — and each
+    /// operation `T` gets `D ∪ T`, which then becomes `D` for the operation
+    /// before it. An entry `(r, c)` with `(r ⊕ c) ∩ D = ∅` after `T` is
+    /// computed from entries that differ from it only in `T`'s bits, so
+    /// `D ∪ T` is exactly what `T` needs computed before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a qubit index of 64 or more.
+    pub fn backward_from_diagonal<'a, I>(operands: I) -> Vec<ObservedMask>
+    where
+        I: IntoIterator<Item = &'a [usize]>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut later = 0u64;
+        let mut masks: Vec<ObservedMask> = operands
+            .into_iter()
+            .rev()
+            .map(|qubits| {
+                later |= ObservedMask::of(qubits).0;
+                ObservedMask(later)
+            })
+            .collect();
+        masks.reverse();
+        masks
+    }
+
+    /// The mask holding exactly `qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a qubit index of 64 or more.
+    fn of(qubits: &[usize]) -> Self {
+        ObservedMask(qubits.iter().fold(0, |bits, &q| {
+            assert!(q < 64, "observed masks cover qubits 0..64");
+            bits | 1 << q
+        }))
+    }
+
+    /// Whether the mask holds `qubit`.
+    fn contains(self, qubit: usize) -> bool {
+        qubit < 64 && self.0 >> qubit & 1 == 1
+    }
 }
 
 /// `width` forked pure states evolving in lockstep.
@@ -132,6 +204,7 @@ impl BatchedStatevector {
             qubits,
             self.n,
             false,
+            Observed::ALL,
         );
     }
 
@@ -153,6 +226,7 @@ impl BatchedStatevector {
             &u_im,
             qubit,
             false,
+            Observed::ALL,
         );
     }
 
@@ -215,6 +289,10 @@ pub struct BatchedDensity {
     block: CellBlock,
     n: usize,
     dim: usize,
+    /// Amplitude groups of every kernel pass so far, and how many of them
+    /// an observed mask skipped.
+    groups: u64,
+    groups_skipped: u64,
 }
 
 impl BatchedDensity {
@@ -228,6 +306,8 @@ impl BatchedDensity {
             block: CellBlock::broadcast(rho.raw(), width),
             n: rho.num_qubits(),
             dim: rho.dim(),
+            groups: 0,
+            groups_skipped: 0,
         }
     }
 
@@ -243,6 +323,24 @@ impl BatchedDensity {
         self.n
     }
 
+    /// Amplitude groups the kernel passes so far have walked, and how many
+    /// of them their observed masks skipped: `(groups, skipped)`.
+    pub fn group_counts(&self) -> (u64, u64) {
+        (self.groups, self.groups_skipped)
+    }
+
+    /// The kernel filter for `passes` passes over `operands` flat operand
+    /// bits each under `mask`, counted into [`BatchedDensity::group_counts`].
+    /// A group is kept when its row and column agree on every qubit outside
+    /// `mask`, and those qubits are all fixed bits of the group.
+    fn observe(&mut self, mask: ObservedMask, operands: usize, passes: u64) -> Observed {
+        let per_pass = 1u64 << (2 * self.n - operands);
+        let outside = (0..self.n).filter(|&q| !mask.contains(q)).count();
+        self.groups += passes * per_pass;
+        self.groups_skipped += passes * (per_pass - (per_pass >> outside));
+        Observed::density(self.n, mask.0)
+    }
+
     /// Applies one shared unitary to every cell: `ρ ↦ UρU†` as a row pass
     /// plus a conjugated column pass, exactly like the scalar engine.
     ///
@@ -250,12 +348,27 @@ impl BatchedDensity {
     ///
     /// Panics if a qubit index is out of range.
     pub fn apply_unitary(&mut self, u: &CMatrix, qubits: &[usize]) {
+        self.apply_unitary_masked(u, qubits, ObservedMask::ALL);
+    }
+
+    /// [`BatchedDensity::apply_unitary`] computing only the entries `mask`
+    /// observes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit index is out of range or `mask` misses one.
+    pub fn apply_unitary_masked(&mut self, u: &CMatrix, qubits: &[usize], mask: ObservedMask) {
         let k = qubits.len();
         let mut row_positions = [0usize; MAX_KERNEL_QUBITS];
         for (slot, &q) in row_positions.iter_mut().zip(qubits) {
             assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
             *slot = self.n + q;
         }
+        assert!(
+            qubits.iter().all(|&q| mask.contains(q)),
+            "observed mask misses an operand"
+        );
+        let observed = self.observe(mask, k, 2);
         batch_apply_matrix_on_bits(
             &mut self.block.re,
             &mut self.block.im,
@@ -264,6 +377,7 @@ impl BatchedDensity {
             &row_positions[..k],
             2 * self.n,
             false,
+            observed,
         );
         batch_apply_matrix_on_bits(
             &mut self.block.re,
@@ -273,6 +387,7 @@ impl BatchedDensity {
             qubits,
             2 * self.n,
             true,
+            observed,
         );
     }
 
@@ -284,8 +399,26 @@ impl BatchedDensity {
     /// Panics unless exactly `width` 2×2 matrices are given and the qubit is
     /// in range.
     pub fn apply_unitary_per_cell(&mut self, us: &[CMatrix], qubit: usize) {
+        self.apply_unitary_per_cell_masked(us, qubit, ObservedMask::ALL);
+    }
+
+    /// [`BatchedDensity::apply_unitary_per_cell`] computing only the
+    /// entries `mask` observes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly `width` 2×2 matrices are given and the qubit is
+    /// in range and in `mask`.
+    pub fn apply_unitary_per_cell_masked(
+        &mut self,
+        us: &[CMatrix],
+        qubit: usize,
+        mask: ObservedMask,
+    ) {
         assert!(qubit < self.n, "qubit {qubit} out of range");
+        assert!(mask.contains(qubit), "observed mask misses the operand");
         let (u_re, u_im) = pack_per_cell_1q(us, self.block.width);
+        let observed = self.observe(mask, 1, 2);
         batch_apply_1q_per_cell(
             &mut self.block.re,
             &mut self.block.im,
@@ -294,6 +427,7 @@ impl BatchedDensity {
             &u_im,
             self.n + qubit,
             false,
+            observed,
         );
         batch_apply_1q_per_cell(
             &mut self.block.re,
@@ -303,6 +437,7 @@ impl BatchedDensity {
             &u_im,
             qubit,
             true,
+            observed,
         );
     }
 
@@ -313,6 +448,22 @@ impl BatchedDensity {
     ///
     /// Panics if the matrix is not `4^k × 4^k` or a qubit is out of range.
     pub fn apply_superoperator(&mut self, s: &CMatrix, qubits: &[usize]) {
+        self.apply_superoperator_masked(s, qubits, ObservedMask::ALL);
+    }
+
+    /// [`BatchedDensity::apply_superoperator`] computing only the entries
+    /// `mask` observes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not `4^k × 4^k` or a qubit is out of range
+    /// or missing from `mask`.
+    pub fn apply_superoperator_masked(
+        &mut self,
+        s: &CMatrix,
+        qubits: &[usize],
+        mask: ObservedMask,
+    ) {
         let k = qubits.len();
         assert_eq!(s.rows(), 1 << (2 * k), "superoperator size mismatch");
         let mut combined = [0usize; MAX_KERNEL_QUBITS];
@@ -321,6 +472,11 @@ impl BatchedDensity {
             combined[i] = self.n + q;
             combined[k + i] = q;
         }
+        assert!(
+            qubits.iter().all(|&q| mask.contains(q)),
+            "observed mask misses an operand"
+        );
+        let observed = self.observe(mask, 2 * k, 1);
         batch_apply_matrix_on_bits(
             &mut self.block.re,
             &mut self.block.im,
@@ -329,6 +485,7 @@ impl BatchedDensity {
             &combined[..2 * k],
             2 * self.n,
             false,
+            observed,
         );
     }
 
@@ -376,6 +533,7 @@ impl BatchedDensity {
                 &row_positions[..k_count],
                 2 * self.n,
                 false,
+                Observed::ALL,
             );
             batch_apply_matrix_on_bits(
                 &mut ws.term_re[..len],
@@ -385,6 +543,7 @@ impl BatchedDensity {
                 qubits,
                 2 * self.n,
                 true,
+                Observed::ALL,
             );
             for (a, t) in ws.acc_re[..len].iter_mut().zip(&ws.term_re[..len]) {
                 *a += *t;
@@ -397,14 +556,16 @@ impl BatchedDensity {
         self.block.im.copy_from_slice(&ws.acc_im[..len]);
     }
 
+    /// The real parts of one cell's diagonal, unclamped.
+    pub fn diagonal(&self, cell: usize) -> Vec<f64> {
+        (0..self.dim)
+            .map(|i| self.block.at(i * self.dim + i, cell).0)
+            .collect()
+    }
+
     /// Born-rule probabilities of one cell: the diagonal of that cell's ρ.
     pub fn probabilities(&self, cell: usize) -> ProbDist {
-        ProbDist::from_probs(
-            (0..self.dim)
-                .map(|i| self.block.at(i * self.dim + i, cell).0)
-                .collect(),
-            self.n,
-        )
+        ProbDist::from_probs(self.diagonal(cell), self.n)
     }
 }
 
@@ -523,6 +684,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn backward_masks_collect_later_operands() {
+        let ops: [&[usize]; 4] = [&[0], &[1], &[0, 2], &[1]];
+        let masks = ObservedMask::backward_from_diagonal(ops);
+        let want = [0b111, 0b111, 0b111, 0b010].map(ObservedMask);
+        assert_eq!(masks, want);
+        assert!(masks[3].contains(1) && !masks[3].contains(0));
     }
 
     #[test]

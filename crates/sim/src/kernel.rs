@@ -57,6 +57,44 @@
 //! entries padded with zero entries to a common count (where that beats the
 //! dense loop: see [`apply_2q`] and [`batch_apply_2q`]), and the generic
 //! kernels walk a row-sparse list of the nonzero entries.
+//!
+//! The batched kernels make two more exact skips.
+//!
+//! **Real operands.** When every entry's imaginary part is `±0` (every CX,
+//! Pauli, and calibrated relaxation or depolarizing superoperator), the
+//! batched walks — the 1-qubit loop for a matrix with a zero entry, the
+//! padded-row walk and the row-sparse walk — accumulate `acc += ar · g`,
+//! part by part, and drop the `ai · g` products. With `g` finite, `ai · g`
+//! is a signed zero, so `ar·gr − ai·gi` equals `ar·gr` unless both are
+//! zeros, and then the two differ at most in the sign of zero; the same
+//! holds for `ar·gi + ai·gr`. By point 1 above the accumulator is never
+//! `−0`, and by point 3 adding `+0` or `−0` to it gives the same bits. So
+//! each accumulation, and every output, is unchanged.
+//!
+//! **Unobservable groups.** A batched density call may take an observed
+//! mask `M` of qubits and skip every amplitude group whose fixed bits have
+//! `(row ⊕ col)` outside `M` — a group's fixed bits fix `row ⊕ col` on every
+//! qubit that is not an operand, and `M` must contain the operands. A
+//! replay read only through ρ's diagonal gives each operation the mask
+//! `D ∪ T` (`BatchedDensity`'s `ObservedMask::backward_from_diagonal`):
+//! walking backward from the readout, `D` starts empty and collects every
+//! later operation's operands `T`. The analysis is closed:
+//!
+//! 1. An entry with `(row ⊕ col) ∩ D = ∅` after an operation on `T` is
+//!    computed from entries that differ from it only in `T`'s row and
+//!    column bits, which all satisfy `(row ⊕ col) ∩ (D ∪ T) = ∅`. So every
+//!    input a kept group reads was itself computed by the operation before
+//!    it, down to the broadcast prefix, which is complete.
+//! 2. A kept group therefore computes exactly the unmasked values, and a
+//!    skipped group's entries are never read by any kept group. They keep
+//!    earlier values — the exact values of an earlier state, so finite —
+//!    and the readout, whose `D` is empty, reads only kept diagonal
+//!    entries.
+//!
+//! Both skips keep the base contract's preconditions: finite amplitudes,
+//! round-to-nearest, and no fused multiply-add. Only the batched density
+//! replay uses masks; the scalar engines compute every entry and stay the
+//! oracle the batched replay is checked against.
 
 use qufi_math::Complex;
 use std::ops::Range;
@@ -135,6 +173,8 @@ fn transposed<const N: usize>(u: &[Complex], group: usize, conj: bool) -> ([f64;
 /// them carry no per-entry branches.
 struct PaddedRows {
     k: usize,
+    /// Every entry's imaginary part is `±0`.
+    real: bool,
     col: [[usize; 4]; 4],
     re: [[f64; 4]; 4],
     im: [[f64; 4]; 4],
@@ -144,6 +184,7 @@ impl PaddedRows {
     fn of(u: &[Complex], conj: bool) -> Self {
         let mut p = PaddedRows {
             k: 0,
+            real: u[..16].iter().all(|x| x.im == 0.0),
             col: [[0; 4]; 4],
             re: [[0.0; 4]; 4],
             im: [[0.0; 4]; 4],
@@ -170,6 +211,8 @@ impl PaddedRows {
 struct RowSparse {
     /// Row `r`'s entries are `start[r]..start[r + 1]`.
     start: [usize; MAX_GROUP + 1],
+    /// Every entry's imaginary part is `±0`.
+    real: bool,
     col: [u8; MAX_ENTRIES],
     re: [f64; MAX_ENTRIES],
     im: [f64; MAX_ENTRIES],
@@ -179,6 +222,7 @@ impl RowSparse {
     fn of(u: &[Complex], group: usize, conj: bool) -> Self {
         let mut s = RowSparse {
             start: [0; MAX_GROUP + 1],
+            real: u[..group * group].iter().all(|x| x.im == 0.0),
             col: [0; MAX_ENTRIES],
             re: [0.0; MAX_ENTRIES],
             im: [0.0; MAX_ENTRIES],
@@ -468,54 +512,77 @@ fn apply_generic(data: &mut [Complex], u: &[Complex], positions: &[usize], m: us
 // group and applied to all cells through stride-1 inner loops the compiler
 // vectorizes *across cells*. Each cell's own operation sequence is exactly
 // the scalar kernels' (the module's arithmetic contract), so a batched cell
-// is bit-identical to a scalar replay of the same state. Zero-entry
-// decisions sit outside the cell loops: a skipped entry costs at most one
-// branch per amplitude group, never work per cell.
+// is bit-identical to a scalar replay of the same state. Zero-entry, real-
+// operand and observed-group decisions sit outside the cell loops: a skipped
+// entry or group costs at most one branch per amplitude group, never work
+// per cell.
 //
-// Every kernel runs its cell loops at a compile-time width: it dispatches
-// the runtime `width` to a `const W` monomorphization, or walks the cells in
-// `const T` tiles. With runtime trip counts the vectorizer emits
+// Every kernel runs its cell loops at a compile-time width: it walks the
+// cells in `const T` tiles, powers of two ([`pow2_tile`]) or register tiles
+// of at most 8 lanes. With runtime trip counts the vectorizer emits
 // prologue/epilogue checks around 4–16-element loops and the batched path
-// loses to the scalar kernels' fully unrolled fixed-length loops;
-// monomorphizing is what turns the cell axis into straight-line vector code
-// (one or two full-width vectors per accumulate at W = 8/16 on AVX-512).
-// Unrolling never changes arithmetic order, so const and odd-width paths
-// stay bit-identical.
+// loses to the scalar kernels' fully unrolled fixed-length loops; a const
+// tile is what turns the cell axis into straight-line vector code (one or
+// two full-width vectors per accumulate at T = 8/16 on AVX-512). Tiles read
+// their inputs into local arrays before storing any output, so no loop
+// depends on the compiler proving that two rows of one buffer are disjoint.
+// Tiling never changes arithmetic order, so every width stays bit-identical.
 
 /// Largest supported batch width (cells per block). Sized so a 4-operand
 /// gather/accumulate group (16 amplitudes × 16 cells × 4 buffers) still fits
 /// comfortably in stack arrays and L1.
 pub(crate) const MAX_BATCH_CELLS: usize = 16;
 
-/// Expands `match width` over 1..=[`MAX_BATCH_CELLS`] so each arm calls the
-/// kernel with a `const W` equal to the runtime width.
-macro_rules! dispatch_width {
-    ($width:expr => $f:ident($($args:expr),* $(,)?)) => {
-        match $width {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            3 => $f::<3>($($args),*),
-            4 => $f::<4>($($args),*),
-            5 => $f::<5>($($args),*),
-            6 => $f::<6>($($args),*),
-            7 => $f::<7>($($args),*),
-            8 => $f::<8>($($args),*),
-            9 => $f::<9>($($args),*),
-            10 => $f::<10>($($args),*),
-            11 => $f::<11>($($args),*),
-            12 => $f::<12>($($args),*),
-            13 => $f::<13>($($args),*),
-            14 => $f::<14>($($args),*),
-            15 => $f::<15>($($args),*),
-            16 => $f::<16>($($args),*),
-            _ => unreachable!("batch width asserted to 1..=MAX_BATCH_CELLS"),
+/// The amplitude groups one batched call computes.
+///
+/// A density kernel call runs over ρ as a statevector of `2n` flat bits,
+/// row bit `q` at flat bit `n + q` and column bit `q` at flat bit `q`. A
+/// group's fixed bits are every flat bit outside the call's operand
+/// positions, so they fix `row ⊕ col` on every qubit outside the operands.
+/// The filter skips a group when that xor has a bit on a qubit of `free`,
+/// the qubits outside the call's observed mask. Skipped groups keep their
+/// earlier values; the module docs give the conditions under which no
+/// observed output reads them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Observed {
+    n: usize,
+    free: usize,
+}
+
+impl Observed {
+    /// Computes every group: the statevector kernels and unmasked density
+    /// calls.
+    pub(crate) const ALL: Observed = Observed { n: 0, free: 0 };
+
+    /// The filter of an `n`-qubit density call whose observed mask is
+    /// `mask` (bit `q` set for qubit `q`).
+    pub(crate) fn density(n: usize, mask: u64) -> Self {
+        let qubits = 1u64.checked_shl(n as u32).map_or(u64::MAX, |b| b - 1);
+        Observed {
+            n,
+            free: (qubits & !mask) as usize,
         }
-    };
+    }
+
+    /// Whether the filter keeps every group.
+    #[inline(always)]
+    fn keeps_all(self) -> bool {
+        self.free == 0
+    }
+
+    /// Whether the group with base index `base` (operand bits zero) is
+    /// skipped.
+    #[inline(always)]
+    fn skips(self, base: usize) -> bool {
+        ((base >> self.n) ^ base) & self.free != 0
+    }
 }
 
 /// Batched counterpart of [`apply_matrix_on_bits`]: applies one shared
 /// `2^k × 2^k` matrix to every cell of a cell-major split-complex buffer
-/// holding `width` states of `2^m` amplitudes each.
+/// holding `width` states of `2^m` amplitudes each, computing only the
+/// groups `observed` keeps.
+#[allow(clippy::too_many_arguments)] // the scalar signature plus width and filter
 pub(crate) fn batch_apply_matrix_on_bits(
     re: &mut [f64],
     im: &mut [f64],
@@ -524,6 +591,7 @@ pub(crate) fn batch_apply_matrix_on_bits(
     positions: &[usize],
     m: usize,
     conjugate: bool,
+    observed: Observed,
 ) {
     let k = positions.len();
     debug_assert_eq!(re.len(), width << m, "buffer is not width · 2^m reals");
@@ -539,48 +607,55 @@ pub(crate) fn batch_apply_matrix_on_bits(
         "batch width must be 1..={MAX_BATCH_CELLS}"
     );
     match k {
-        1 if u[..4].iter().all(|&x| !is_zero(x)) => {
-            dispatch_width!(width => batch_apply_1q(re, im, u, positions[0], conjugate))
-        }
-        1 => dispatch_width!(width => batch_apply_1q_sparse(re, im, u, positions[0], conjugate)),
-        2 => batch_apply_2q(re, im, width, u, positions[0], positions[1], conjugate),
-        _ => batch_apply_generic(re, im, width, u, positions, m, conjugate),
+        1 => batch_apply_1q(re, im, width, u, positions[0], conjugate, observed),
+        2 => batch_apply_2q(
+            re,
+            im,
+            width,
+            u,
+            positions[0],
+            positions[1],
+            conjugate,
+            observed,
+        ),
+        _ => batch_apply_generic(re, im, width, u, positions, m, conjugate, observed),
     }
 }
 
-/// Cells per register tile in the 2q and generic kernels. Tiling bounds the
-/// live accumulator set — a full-width accumulator block for a 4×4 or 16×16
-/// transform spills registers at `width` 16 — while a remainder tile narrower
-/// than the constant just runs shorter; per-cell arithmetic order is
-/// unchanged either way. The sizes are empirical on the bv-4 density
-/// workload: the 4×4 transform peaks at 4 lanes (its 4-row accumulator block
-/// plus gathers stays register-resident with room for the compiler to
-/// software-pipeline), the 16×16 superoperator transform at 8 lanes (one
-/// 512-bit vector per row, amortizing its much larger gather).
+/// Cells per register tile in the dense 2q and generic kernels. Tiling
+/// bounds the live accumulator set — a full-width accumulator block for a
+/// 4×4 or 16×16 transform spills registers at `width` 16 — while a
+/// remainder tile narrower than the constant just runs shorter; per-cell
+/// arithmetic order is unchanged either way. The sizes are empirical on the
+/// bv-4 density workload: the 4×4 transform peaks at 4 lanes (its 4-row
+/// accumulator block plus gathers stays register-resident with room for the
+/// compiler to software-pipeline), the 16×16 superoperator transform at 8
+/// lanes (one 512-bit vector per row, amortizing its much larger gather).
 const BATCH_TILE_2Q: usize = 4;
 const BATCH_TILE_GENERIC: usize = 8;
 
-/// Cells in the next tile of a sparse walk starting at cell `c0`: the
-/// largest power of two that fits. The walks keep one output row live, so
-/// registers do not bound their tiles, and a full block of
+/// Cells in the next tile starting at cell `c0`: the largest power of two
+/// that fits. The 1q kernels and the sparse walks keep at most two output
+/// rows live, so registers do not bound their tiles, and a full block of
 /// [`MAX_BATCH_CELLS`] goes as one tile; powers of two split any width into
 /// at most five tiles while monomorphizing only five tile sizes.
 #[inline(always)]
-fn sparse_tile(width: usize, c0: usize) -> usize {
+fn pow2_tile(width: usize, c0: usize) -> usize {
     1 << (width - c0).ilog2()
 }
 
-/// Expands `match tile` over the [`sparse_tile`] sizes so each arm calls
-/// the tile kernel with a `const T` equal to the runtime tile.
+/// Expands `match tile` over the [`pow2_tile`] sizes so each arm calls the
+/// tile kernel with a `const T` equal to the runtime tile (and, when given,
+/// a second const argument after it).
 macro_rules! dispatch_pow2 {
-    ($tile:expr => $f:ident($($args:expr),* $(,)?)) => {
+    ($tile:expr => $f:ident $(::<_, $flag:tt>)? ($($args:expr),* $(,)?)) => {
         match $tile {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            4 => $f::<4>($($args),*),
-            8 => $f::<8>($($args),*),
-            16 => $f::<16>($($args),*),
-            _ => unreachable!("sparse tiles are powers of two up to MAX_BATCH_CELLS"),
+            1 => $f::<1 $(, $flag)?>($($args),*),
+            2 => $f::<2 $(, $flag)?>($($args),*),
+            4 => $f::<4 $(, $flag)?>($($args),*),
+            8 => $f::<8 $(, $flag)?>($($args),*),
+            16 => $f::<16 $(, $flag)?>($($args),*),
+            _ => unreachable!("pow2 tiles are powers of two up to MAX_BATCH_CELLS"),
         }
     };
 }
@@ -603,15 +678,6 @@ macro_rules! dispatch_tile {
     };
 }
 
-/// Reborrows one cell row (`W` reals starting at `amp · W`) as a fixed-size
-/// array so the cell loops below carry no bounds checks or runtime trips.
-#[inline(always)]
-fn row_mut<const W: usize>(buf: &mut [f64], amp: usize) -> &mut [f64; W] {
-    (&mut buf[amp * W..(amp + 1) * W])
-        .try_into()
-        .expect("row of W reals")
-}
-
 /// `acc += (ar + i·ai) · g` in every one of `T` cells, each part expanded
 /// exactly as the scalar `Complex` product.
 #[inline(always)]
@@ -629,98 +695,213 @@ fn cell_mac<const T: usize>(
     }
 }
 
-/// Batched single-operand kernel with one shared matrix and no zero entry:
-/// the scalar pair loop with a `W`-cell stride-1 lane under every amplitude
-/// pair.
-fn batch_apply_1q<const W: usize>(
-    re: &mut [f64],
-    im: &mut [f64],
-    u: &[Complex],
-    q: usize,
-    conj: bool,
+/// [`cell_mac`] of one entry of a walked matrix: when `REAL` (every entry's
+/// imaginary part is `±0`) only `acc += ar · g`, whose dropped `ai · g`
+/// products are signed zeros (see the module docs).
+#[inline(always)]
+fn entry_mac<const T: usize, const REAL: bool>(
+    acc_re: &mut [f64; T],
+    acc_im: &mut [f64; T],
+    ar: f64,
+    ai: f64,
+    g_re: &[f64; T],
+    g_im: &[f64; T],
 ) {
-    let bit = 1usize << q;
-    let (u00, u01, u10, u11) = if conj {
-        (u[0].conj(), u[1].conj(), u[2].conj(), u[3].conj())
-    } else {
-        (u[0], u[1], u[2], u[3])
-    };
-    let block = (bit << 1) * W;
-    let half = bit * W;
-    for (bre, bim) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
-        let (lo_re, hi_re) = bre.split_at_mut(half);
-        let (lo_im, hi_im) = bim.split_at_mut(half);
-        for p in 0..bit {
-            let p0r = row_mut::<W>(lo_re, p);
-            let p0i = row_mut::<W>(lo_im, p);
-            let p1r = row_mut::<W>(hi_re, p);
-            let p1i = row_mut::<W>(hi_im, p);
-            for c in 0..W {
-                let (v0r, v0i) = (p0r[c], p0i[c]);
-                let (v1r, v1i) = (p1r[c], p1i[c]);
-                let mut a0r = 0.0f64;
-                let mut a0i = 0.0f64;
-                a0r += u00.re * v0r - u00.im * v0i;
-                a0i += u00.re * v0i + u00.im * v0r;
-                a0r += u01.re * v1r - u01.im * v1i;
-                a0i += u01.re * v1i + u01.im * v1r;
-                let mut a1r = 0.0f64;
-                let mut a1i = 0.0f64;
-                a1r += u10.re * v0r - u10.im * v0i;
-                a1i += u10.re * v0i + u10.im * v0r;
-                a1r += u11.re * v1r - u11.im * v1i;
-                a1i += u11.re * v1i + u11.im * v1r;
-                p0r[c] = a0r;
-                p0i[c] = a0i;
-                p1r[c] = a1r;
-                p1i[c] = a1i;
-            }
+    if REAL {
+        for c in 0..T {
+            acc_re[c] += ar * g_re[c];
+            acc_im[c] += ar * g_im[c];
         }
+    } else {
+        cell_mac(acc_re, acc_im, ar, ai, g_re, g_im);
     }
 }
 
-/// [`batch_apply_1q`] for a matrix with a zero entry (rz, x, damping Kraus
-/// operators): under every amplitude pair, each nonzero entry's product
-/// runs as its own `W`-cell loop, in the row's column order.
-fn batch_apply_1q_sparse<const W: usize>(
+/// `acc += e · g` in every one of `T` cells with a per-cell entry `e`, each
+/// part expanded exactly as the scalar `Complex` product.
+#[inline(always)]
+fn lane_mac<const T: usize>(
+    acc_re: &mut [f64; T],
+    acc_im: &mut [f64; T],
+    e_re: &[f64; T],
+    e_im: &[f64; T],
+    g_re: &[f64; T],
+    g_im: &[f64; T],
+) {
+    for c in 0..T {
+        acc_re[c] += e_re[c] * g_re[c] - e_im[c] * g_im[c];
+        acc_im[c] += e_re[c] * g_im[c] + e_im[c] * g_re[c];
+    }
+}
+
+/// Runs `$body` on cells `$c0..$c0 + T` of every amplitude pair of a
+/// single-operand pass on flat bit `$q` that `$observed` keeps, with
+/// `$r0, $i0, $r1, $i1` bound to the real and imaginary lanes of the
+/// pair's low and high amplitude. Blocks are walked as
+/// `chunks_exact_mut(2·bit)` rows split at `bit`, as the scalar kernel
+/// does. A call that keeps every group runs a copy of the walk without the
+/// per-pair test, which costs the lightest 1q loops about a tenth. A macro
+/// rather than a closure: the compiler declined to inline the per-pair
+/// closure at some tile sizes.
+macro_rules! for_each_pair {
+    (
+        $re:expr, $im:expr, $width:expr, $c0:expr, $q:expr, $observed:expr,
+        |$r0:ident, $i0:ident, $r1:ident, $i1:ident| $body:block
+    ) => {{
+        let (width, c0, q, observed): (usize, usize, usize, Observed) =
+            ($width, $c0, $q, $observed);
+        let bit = 1usize << q;
+        let block = (bit << 1) * width;
+        macro_rules! walk {
+            ($test:expr) => {
+                for (b, (bre, bim)) in $re
+                    .chunks_exact_mut(block)
+                    .zip($im.chunks_exact_mut(block))
+                    .enumerate()
+                {
+                    let (lo_re, hi_re) = bre.split_at_mut(bit * width);
+                    let (lo_im, hi_im) = bim.split_at_mut(bit * width);
+                    for p in 0..bit {
+                        if $test && observed.skips((b << (q + 1)) | p) {
+                            continue;
+                        }
+                        let at = p * width + c0;
+                        let $r0 = tile_mut(lo_re, at);
+                        let $i0 = tile_mut(lo_im, at);
+                        let $r1 = tile_mut(hi_re, at);
+                        let $i1 = tile_mut(hi_im, at);
+                        $body
+                    }
+                }
+            };
+        }
+        if observed.keeps_all() {
+            walk!(false);
+        } else {
+            walk!(true);
+        }
+    }};
+}
+
+/// Reborrows the `T` lanes starting at `at` as a fixed-size array.
+#[inline(always)]
+fn tile_mut<const T: usize>(buf: &mut [f64], at: usize) -> &mut [f64; T] {
+    (&mut buf[at..at + T]).try_into().expect("tile of T lanes")
+}
+
+/// Batched single-operand kernel with one shared matrix. The cells split
+/// into [`pow2_tile`]s and each tile walks every amplitude pair: a matrix
+/// without zero entries through [`batch_1q_tile`] with its entries
+/// broadcast across the lanes, one with a zero entry through
+/// [`batch_1q_sparse_tile`].
+fn batch_apply_1q(
     re: &mut [f64],
     im: &mut [f64],
+    width: usize,
     u: &[Complex],
     q: usize,
     conj: bool,
+    observed: Observed,
 ) {
-    let bit = 1usize << q;
     let entries: [Complex; 4] = std::array::from_fn(|e| if conj { u[e].conj() } else { u[e] });
+    let dense = entries.iter().all(|&x| !is_zero(x));
+    let real = entries.iter().all(|x| x.im == 0.0);
+    let mut c0 = 0usize;
+    while c0 < width {
+        let tile = pow2_tile(width, c0);
+        if dense {
+            dispatch_pow2!(tile => batch_1q_shared(re, im, width, c0, &entries, q, observed));
+        } else if real {
+            dispatch_pow2!(
+                tile => batch_1q_sparse_tile::<_, true>(re, im, width, c0, &entries, q, observed)
+            );
+        } else {
+            dispatch_pow2!(
+                tile => batch_1q_sparse_tile::<_, false>(re, im, width, c0, &entries, q, observed)
+            );
+        }
+        c0 += tile;
+    }
+}
+
+/// One tile of [`batch_apply_1q`] with a matrix without zero entries: its
+/// entries broadcast across the tile's lanes.
+#[inline(never)] // each tile's pair loop compiles on its own, not inside the dispatcher
+fn batch_1q_shared<const T: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    entries: &[Complex; 4],
+    q: usize,
+    observed: Observed,
+) {
+    let e_re = entries.map(|x| [x.re; T]);
+    let e_im = entries.map(|x| [x.im; T]);
+    batch_1q_tile(re, im, width, c0, q, &e_re, &e_im, observed);
+}
+
+/// The scalar pair loop over cells `c0..c0 + T`, with matrix entry `e` of
+/// lane `c` at `e_re[e][c]`, `e_im[e][c]`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn batch_1q_tile<const T: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    q: usize,
+    e_re: &[[f64; T]; 4],
+    e_im: &[[f64; T]; 4],
+    observed: Observed,
+) {
+    for_each_pair!(re, im, width, c0, q, observed, |r0, i0, r1, i1| {
+        let (v0r, v0i, v1r, v1i) = (*r0, *i0, *r1, *i1);
+        let (mut a0r, mut a0i) = ([0.0f64; T], [0.0f64; T]);
+        let (mut a1r, mut a1i) = ([0.0f64; T], [0.0f64; T]);
+        lane_mac(&mut a0r, &mut a0i, &e_re[0], &e_im[0], &v0r, &v0i);
+        lane_mac(&mut a0r, &mut a0i, &e_re[1], &e_im[1], &v1r, &v1i);
+        lane_mac(&mut a1r, &mut a1i, &e_re[2], &e_im[2], &v0r, &v0i);
+        lane_mac(&mut a1r, &mut a1i, &e_re[3], &e_im[3], &v1r, &v1i);
+        (*r0, *i0, *r1, *i1) = (a0r, a0i, a1r, a1i);
+    });
+}
+
+/// One tile of [`batch_apply_1q`] for a matrix with a zero entry (rz, x,
+/// damping Kraus operators): under every amplitude pair, each nonzero
+/// entry's product runs as its own `T`-cell loop, in the row's column order.
+#[inline(never)] // each tile's pair loop compiles on its own, not inside the dispatcher
+fn batch_1q_sparse_tile<const T: usize, const REAL: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    entries: &[Complex; 4],
+    q: usize,
+    observed: Observed,
+) {
     let nonzero = entries.map(|x| !is_zero(x));
-    let block = (bit << 1) * W;
-    let half = bit * W;
-    for (bre, bim) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
-        let (lo_re, hi_re) = bre.split_at_mut(half);
-        let (lo_im, hi_im) = bim.split_at_mut(half);
-        for p in 0..bit {
-            let p0r = row_mut::<W>(lo_re, p);
-            let p0i = row_mut::<W>(lo_im, p);
-            let p1r = row_mut::<W>(hi_re, p);
-            let p1i = row_mut::<W>(hi_im, p);
-            let v = [(*p0r, *p0i), (*p1r, *p1i)];
-            let mut out = [([0.0f64; W], [0.0f64; W]); 2];
-            for (row, (o_re, o_im)) in out.iter_mut().enumerate() {
-                for (col, (v_re, v_im)) in v.iter().enumerate() {
-                    let e = row * 2 + col;
-                    if nonzero[e] {
-                        cell_mac(o_re, o_im, entries[e].re, entries[e].im, v_re, v_im);
-                    }
+    for_each_pair!(re, im, width, c0, q, observed, |r0, i0, r1, i1| {
+        let v = [(*r0, *i0), (*r1, *i1)];
+        let mut out = [([0.0f64; T], [0.0f64; T]); 2];
+        for (row, (o_re, o_im)) in out.iter_mut().enumerate() {
+            for (col, (v_re, v_im)) in v.iter().enumerate() {
+                let e = row * 2 + col;
+                if nonzero[e] {
+                    let x = entries[e];
+                    entry_mac::<T, REAL>(o_re, o_im, x.re, x.im, v_re, v_im);
                 }
             }
-            (*p0r, *p0i) = out[0];
-            (*p1r, *p1i) = out[1];
         }
-    }
+        (*r0, *i0) = out[0];
+        (*r1, *i1) = out[1];
+    });
 }
 
 /// Batched single-operand kernel with one matrix **per cell** (the grid's
 /// per-cell injector). `u_re`/`u_im` hold the four matrix entries in
 /// element-major layout: entry `e` of cell `c` at `e * width + c`.
+#[allow(clippy::too_many_arguments)] // the batched kernel signature plus filter
 pub(crate) fn batch_apply_1q_per_cell(
     re: &mut [f64],
     im: &mut [f64],
@@ -729,6 +910,7 @@ pub(crate) fn batch_apply_1q_per_cell(
     u_im: &[f64],
     q: usize,
     conjugate: bool,
+    observed: Observed,
 ) {
     debug_assert_eq!(u_re.len(), 4 * width);
     debug_assert_eq!(u_im.len(), 4 * width);
@@ -736,61 +918,43 @@ pub(crate) fn batch_apply_1q_per_cell(
         (1..=MAX_BATCH_CELLS).contains(&width),
         "batch width must be 1..={MAX_BATCH_CELLS}"
     );
-    dispatch_width!(width => batch_apply_1q_per_cell_w(re, im, u_re, u_im, q, conjugate));
+    let mut c0 = 0usize;
+    while c0 < width {
+        let tile = pow2_tile(width, c0);
+        dispatch_pow2!(
+            tile => batch_1q_per_cell_tile(re, im, width, c0, u_re, u_im, q, conjugate, observed)
+        );
+        c0 += tile;
+    }
 }
 
-fn batch_apply_1q_per_cell_w<const W: usize>(
+/// One tile of [`batch_apply_1q_per_cell`]: lane `c` takes cell `c0 + c`'s
+/// entries.
+#[inline(never)] // each tile's pair loop compiles on its own, not inside the dispatcher
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn batch_1q_per_cell_tile<const T: usize>(
     re: &mut [f64],
     im: &mut [f64],
+    width: usize,
+    c0: usize,
     u_re: &[f64],
     u_im: &[f64],
     q: usize,
     conjugate: bool,
+    observed: Observed,
 ) {
-    let bit = 1usize << q;
-    let block = (bit << 1) * W;
-    let half = bit * W;
     // Conjugate the entries once up front. Negation by `-1.0 ·` is exact, so
     // this is bit-identical to the scalar path's per-use `u[i].conj()`.
     let s = if conjugate { -1.0f64 } else { 1.0f64 };
-    let mut e_re = [[0.0f64; W]; 4];
-    let mut e_im = [[0.0f64; W]; 4];
+    let mut e_re = [[0.0f64; T]; 4];
+    let mut e_im = [[0.0f64; T]; 4];
     for e in 0..4 {
-        for c in 0..W {
-            e_re[e][c] = u_re[e * W + c];
-            e_im[e][c] = s * u_im[e * W + c];
+        for c in 0..T {
+            e_re[e][c] = u_re[e * width + c0 + c];
+            e_im[e][c] = s * u_im[e * width + c0 + c];
         }
     }
-    for (bre, bim) in re.chunks_exact_mut(block).zip(im.chunks_exact_mut(block)) {
-        let (lo_re, hi_re) = bre.split_at_mut(half);
-        let (lo_im, hi_im) = bim.split_at_mut(half);
-        for p in 0..bit {
-            let p0r = row_mut::<W>(lo_re, p);
-            let p0i = row_mut::<W>(lo_im, p);
-            let p1r = row_mut::<W>(hi_re, p);
-            let p1i = row_mut::<W>(hi_im, p);
-            for c in 0..W {
-                let (v0r, v0i) = (p0r[c], p0i[c]);
-                let (v1r, v1i) = (p1r[c], p1i[c]);
-                let mut a0r = 0.0f64;
-                let mut a0i = 0.0f64;
-                a0r += e_re[0][c] * v0r - e_im[0][c] * v0i;
-                a0i += e_re[0][c] * v0i + e_im[0][c] * v0r;
-                a0r += e_re[1][c] * v1r - e_im[1][c] * v1i;
-                a0i += e_re[1][c] * v1i + e_im[1][c] * v1r;
-                let mut a1r = 0.0f64;
-                let mut a1i = 0.0f64;
-                a1r += e_re[2][c] * v0r - e_im[2][c] * v0i;
-                a1i += e_re[2][c] * v0i + e_im[2][c] * v0r;
-                a1r += e_re[3][c] * v1r - e_im[3][c] * v1i;
-                a1i += e_re[3][c] * v1i + e_im[3][c] * v1r;
-                p0r[c] = a0r;
-                p0i[c] = a0i;
-                p1r[c] = a1r;
-                p1i[c] = a1i;
-            }
-        }
-    }
+    batch_1q_tile(re, im, width, c0, q, &e_re, &e_im, observed);
 }
 
 /// Batched two-operand kernel: the scalar 4-amplitude gather/transform/
@@ -799,6 +963,7 @@ fn batch_apply_1q_per_cell_w<const W: usize>(
 /// have fewer than four nonzero entries each walks its [`PaddedRows`] in
 /// [`batch_2q_padded_tile`]s; the full transform is walked in
 /// [`BATCH_TILE_2Q`]-cell register tiles.
+#[allow(clippy::too_many_arguments)] // the batched kernel signature plus filter
 fn batch_apply_2q(
     re: &mut [f64],
     im: &mut [f64],
@@ -807,29 +972,56 @@ fn batch_apply_2q(
     p_hi: usize,
     p_lo: usize,
     conj: bool,
+    observed: Observed,
 ) {
     let quad = Quad::new(p_hi, p_lo);
     let rows = PaddedRows::of(u, conj);
-    let rest = (re.len() / width) >> 2;
     if rows.k < 4 {
-        for r in 0..rest {
-            let amps = quad.amps(r);
-            let mut c0 = 0usize;
-            while c0 < width {
-                let tile = sparse_tile(width, c0);
-                dispatch_pow2!(tile => batch_2q_padded_tile(re, im, width, c0, &amps, &rows));
-                c0 += tile;
-            }
+        if rows.real {
+            batch_2q_walk::<true>(re, im, width, &quad, &rows, observed);
+        } else {
+            batch_2q_walk::<false>(re, im, width, &quad, &rows, observed);
         }
         return;
     }
     let (ut_re, ut_im) = transposed::<16>(u, 4, conj);
+    let rest = (re.len() / width) >> 2;
     for r in 0..rest {
         let amps = quad.amps(r);
+        if observed.skips(amps[0]) {
+            continue;
+        }
         let mut c0 = 0usize;
         while c0 < width {
             let tile = (width - c0).min(BATCH_TILE_2Q);
             dispatch_tile!(tile => batch_2q_tile(re, im, width, c0, &amps, &ut_re, &ut_im));
+            c0 += tile;
+        }
+    }
+}
+
+/// [`batch_apply_2q`]'s [`PaddedRows`] walk, `REAL` when every entry's
+/// imaginary part is `±0`.
+fn batch_2q_walk<const REAL: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    quad: &Quad,
+    rows: &PaddedRows,
+    observed: Observed,
+) {
+    let rest = (re.len() / width) >> 2;
+    for r in 0..rest {
+        let amps = quad.amps(r);
+        if observed.skips(amps[0]) {
+            continue;
+        }
+        let mut c0 = 0usize;
+        while c0 < width {
+            let tile = pow2_tile(width, c0);
+            dispatch_pow2!(
+                tile => batch_2q_padded_tile::<_, REAL>(re, im, width, c0, &amps, rows)
+            );
             c0 += tile;
         }
     }
@@ -874,7 +1066,7 @@ fn batch_2q_tile<const T: usize>(
 /// One register tile of [`batch_apply_2q`]'s [`PaddedRows`] walk: cells
 /// `c0..c0 + T` of a gathered 4-amplitude group, one output row at a time.
 #[inline(always)]
-fn batch_2q_padded_tile<const T: usize>(
+fn batch_2q_padded_tile<const T: usize, const REAL: bool>(
     re: &mut [f64],
     im: &mut [f64],
     width: usize,
@@ -894,7 +1086,7 @@ fn batch_2q_padded_tile<const T: usize>(
         let mut o_im = [0.0f64; T];
         for j in 0..rows.k {
             let col = rows.col[row][j];
-            cell_mac(
+            entry_mac::<T, REAL>(
                 &mut o_re,
                 &mut o_im,
                 rows.re[row][j],
@@ -912,6 +1104,7 @@ fn batch_2q_padded_tile<const T: usize>(
 /// Batched generic `k ≤ 4` kernel (Toffoli, channel superoperators). A
 /// dense matrix is walked in [`BATCH_TILE_GENERIC`]-cell register tiles;
 /// one with a zero entry walks a [`RowSparse`] list in [`batch_sparse_tile`]s.
+#[allow(clippy::too_many_arguments)] // the batched kernel signature plus filter
 fn batch_apply_generic(
     re: &mut [f64],
     im: &mut [f64],
@@ -920,6 +1113,7 @@ fn batch_apply_generic(
     positions: &[usize],
     m: usize,
     conj: bool,
+    observed: Observed,
 ) {
     let k = positions.len();
     let group = 1usize << k;
@@ -929,16 +1123,10 @@ fn batch_apply_generic(
 
     if u.iter().any(|&x| is_zero(x)) {
         let sparse = RowSparse::of(u, group, conj);
-        for r in 0..rest {
-            let idx = deposit(r, holes);
-            let mut c0 = 0usize;
-            while c0 < width {
-                let tile = sparse_tile(width, c0);
-                dispatch_pow2!(
-                    tile => batch_sparse_tile(re, im, width, c0, idx, &pos, group, &sparse)
-                );
-                c0 += tile;
-            }
+        if sparse.real {
+            batch_generic_walk::<true>(re, im, width, holes, &pos, group, &sparse, observed);
+        } else {
+            batch_generic_walk::<false>(re, im, width, holes, &pos, group, &sparse, observed);
         }
         return;
     }
@@ -946,11 +1134,44 @@ fn batch_apply_generic(
     let (ut_re, ut_im) = transposed::<MAX_ENTRIES>(u, group, conj);
     for r in 0..rest {
         let idx = deposit(r, holes);
+        if observed.skips(idx) {
+            continue;
+        }
         let mut c0 = 0usize;
         while c0 < width {
             let tile = (width - c0).min(BATCH_TILE_GENERIC);
             dispatch_tile!(
                 tile => batch_generic_tile(re, im, width, c0, idx, &pos, group, &ut_re, &ut_im)
+            );
+            c0 += tile;
+        }
+    }
+}
+
+/// [`batch_apply_generic`]'s [`RowSparse`] walk, `REAL` when every entry's
+/// imaginary part is `±0`.
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn batch_generic_walk<const REAL: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    holes: &[usize],
+    pos: &[usize; MAX_GROUP],
+    group: usize,
+    sparse: &RowSparse,
+    observed: Observed,
+) {
+    let rest = (re.len() / width) >> holes.len();
+    for r in 0..rest {
+        let idx = deposit(r, holes);
+        if observed.skips(idx) {
+            continue;
+        }
+        let mut c0 = 0usize;
+        while c0 < width {
+            let tile = pow2_tile(width, c0);
+            dispatch_pow2!(
+                tile => batch_sparse_tile::<_, REAL>(re, im, width, c0, idx, pos, group, sparse)
             );
             c0 += tile;
         }
@@ -1014,7 +1235,7 @@ fn batch_generic_tile<const T: usize>(
 /// row at a time over its nonzero entries.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
-fn batch_sparse_tile<const T: usize>(
+fn batch_sparse_tile<const T: usize, const REAL: bool>(
     re: &mut [f64],
     im: &mut [f64],
     width: usize,
@@ -1036,7 +1257,7 @@ fn batch_sparse_tile<const T: usize>(
         let mut o_im = [0.0f64; T];
         for e in sparse.row(row) {
             let col = sparse.col(e);
-            cell_mac(
+            entry_mac::<T, REAL>(
                 &mut o_re,
                 &mut o_im,
                 sparse.re[e],
@@ -1225,7 +1446,7 @@ mod tests {
                 vec![4, 2, 0],
             ),
         ];
-        for width in [1usize, 3, 8, MAX_BATCH_CELLS] {
+        for width in [1usize, 3, 8, 15, MAX_BATCH_CELLS] {
             let mut next = rng(0xA5A5_1234_5678_9ABC ^ width as u64);
             let states: Vec<Vec<Complex>> = (0..width)
                 .map(|_| (0..1 << m).map(|_| Complex::new(next(), next())).collect())
@@ -1245,6 +1466,7 @@ mod tests {
                         positions,
                         m,
                         conj,
+                        Observed::ALL,
                     );
                     assert_cell_bitwise(
                         &re,
@@ -1263,7 +1485,7 @@ mod tests {
     #[test]
     fn batched_per_cell_matrix_matches_scalar_bitwise() {
         let m = 4usize;
-        for width in [1usize, 5, MAX_BATCH_CELLS] {
+        for width in [1usize, 5, 8, 15, MAX_BATCH_CELLS] {
             let mut next = rng(0xDEAD_BEEF_0BAD_F00D ^ width as u64);
             let states: Vec<Vec<Complex>> = (0..width)
                 .map(|_| (0..1 << m).map(|_| Complex::new(next(), next())).collect())
@@ -1286,7 +1508,16 @@ mod tests {
                             u_im[e * width + c] = z.im;
                         }
                     }
-                    batch_apply_1q_per_cell(&mut re, &mut im, width, &u_re, &u_im, q, conj);
+                    batch_apply_1q_per_cell(
+                        &mut re,
+                        &mut im,
+                        width,
+                        &u_re,
+                        &u_im,
+                        q,
+                        conj,
+                        Observed::ALL,
+                    );
                     assert_cell_bitwise(
                         &re,
                         &im,

@@ -55,7 +55,9 @@ pub mod statevector;
 pub mod unitary;
 pub mod workspace;
 
-pub use batch::{BatchWorkspace, BatchedDensity, BatchedStatevector, MAX_BATCH_CELLS};
+pub use batch::{
+    BatchWorkspace, BatchedDensity, BatchedStatevector, ObservedMask, MAX_BATCH_CELLS,
+};
 pub use circuit::{Instruction, Op, QuantumCircuit};
 pub use counts::{Counts, ProbDist};
 pub use cursor::{CircuitCursor, EvolvableState};

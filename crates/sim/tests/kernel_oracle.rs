@@ -12,17 +12,25 @@
 //! (which reroutes it through the wider specialized/generic kernel paths)
 //! must not change a single bit of the state.
 //!
-//! The kernels skip matrix entries that are exactly zero. The last two
-//! properties check that this is exact: every entry point, bit for bit,
-//! against a test-local reference that runs the full dense loop — every
-//! entry, zero or not, accumulated from `+0.0` in column order — on
-//! operands built to stress the signed-zero argument of `kernel.rs`.
+//! The kernels skip matrix entries that are exactly zero. The
+//! zero-skipping properties check that this is exact: every entry point,
+//! bit for bit, against a test-local reference that runs the full dense
+//! loop — every entry, zero or not, accumulated from `+0.0` in column
+//! order — on operands built to stress the signed-zero argument of
+//! `kernel.rs`.
+//!
+//! The batched kernels also drop the imaginary products of operands whose
+//! imaginary parts are all `±0`, and skip the amplitude groups an observed
+//! mask leaves out. The last two properties check both against the same
+//! reference: real and complex operands through every batched entry point
+//! at widths 1, 3, 8, 15 and 16, and random suffixes replayed with the
+//! masks of `ObservedMask::backward_from_diagonal` and with full masks.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
 use qufi_sim::{
     BatchWorkspace, BatchedDensity, BatchedStatevector, DensityMatrix, EvolutionWorkspace, Gate,
-    Statevector,
+    ObservedMask, Statevector,
 };
 
 /// Embeds a `2^k × 2^k` operator over `qubits` of an `n`-qubit register
@@ -392,6 +400,21 @@ impl Stream {
         m
     }
 
+    /// A [`Stream::matrix`], half the time with every imaginary part
+    /// replaced by a signed zero: a real operand, which the batched walks
+    /// multiply without the imaginary products.
+    fn operand(&mut self, dim: usize) -> CMatrix {
+        let mut m = self.matrix(dim);
+        if self.below(2) == 0 {
+            for row in 0..dim {
+                for col in 0..dim {
+                    m[(row, col)] = Complex::new(m[(row, col)].re, self.signed_zero());
+                }
+            }
+        }
+        m
+    }
+
     /// A random permutation of `0..n` (Fisher–Yates).
     fn permutation(&mut self, n: usize) -> Vec<usize> {
         let mut p: Vec<usize> = (0..n).collect();
@@ -512,6 +535,26 @@ impl DensityOp {
                     DensityOp::Kraus(kraus, qubits)
                 }
             }
+        }
+    }
+
+    /// A unitary-shaped operand or a superoperator-shaped one on one or
+    /// two qubits, real or complex ([`Stream::operand`]). Neither needs to
+    /// be physical: the properties compare raw diagonals, not
+    /// probabilities.
+    fn draw_operand(s: &mut Stream, n: usize) -> Self {
+        let k = 1 + s.below(2);
+        let qubits = s.operands(k, n);
+        if s.below(2) == 0 {
+            DensityOp::Unitary(s.operand(1 << k), qubits)
+        } else {
+            DensityOp::Superop(s.operand(1 << (2 * k)), qubits)
+        }
+    }
+
+    fn qubits(&self) -> &[usize] {
+        match self {
+            DensityOp::Unitary(_, qs) | DensityOp::Superop(_, qs) | DensityOp::Kraus(_, qs) => qs,
         }
     }
 
@@ -648,6 +691,166 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Real-operand walks and observed masks are bitwise exact
+// ---------------------------------------------------------------------------
+
+/// Batch widths of the real-operand and observed-mask properties: ragged,
+/// a partial paper block (8), one short of full (15), and full.
+const WIDTHS: [usize; 5] = [1, 3, 8, 15, 16];
+
+/// A batched cell's raw diagonal against a reference density buffer's.
+fn assert_diagonal(got: &[f64], want: &[Complex], what: &str) {
+    let dim = got.len();
+    for (d, g) in got.iter().enumerate() {
+        let w = want[d * dim + d].re;
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{what}: diagonal {d}: batched {g} vs reference {w}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every batched entry point — shared and per-cell statevector
+    /// matrices, density unitaries, per-cell injectors, superoperators and
+    /// Kraus channels — on a mix of real operands (every imaginary part
+    /// `+0` or `−0`) and complex ones, against the dense reference after
+    /// every operation.
+    #[test]
+    fn real_operand_walks_are_bitwise_exact(seed in 0u64..u64::MAX) {
+        let mut s = Stream::new(seed);
+        let amps: Vec<Complex> = (0..1 << ZN).map(|_| s.amplitude()).collect();
+        let ops: Vec<(CMatrix, Vec<usize>)> = (0..4)
+            .map(|_| {
+                let k = 1 + s.below(4);
+                (s.operand(1 << k), s.operands(k, ZN))
+            })
+            .collect();
+        for width in WIDTHS {
+            let injectors: Vec<CMatrix> = (0..width).map(|_| s.operand(2)).collect();
+            let target = s.below(ZN);
+            let mut batch =
+                BatchedStatevector::broadcast(&Statevector::from_amplitudes(amps.clone()), width);
+            batch.apply_matrix_per_cell(&injectors, target);
+            let mut cells: Vec<Vec<Complex>> = injectors
+                .iter()
+                .map(|u| {
+                    let mut cell = amps.clone();
+                    dense_reference(&mut cell, u, &[target], false);
+                    cell
+                })
+                .collect();
+            for (u, qs) in &ops {
+                batch.apply_matrix(u, qs);
+                for (c, cell) in cells.iter_mut().enumerate() {
+                    dense_reference(cell, u, qs, false);
+                    assert_probs(
+                        &batch.probabilities(c),
+                        cell.iter().map(|z| z.norm_sqr()),
+                        &format!("batched statevector width {width} cell {c} {qs:?}"),
+                    );
+                }
+            }
+        }
+
+        let rho0 = DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps));
+        let mut dops: Vec<DensityOp> = (0..3).map(|_| DensityOp::draw_operand(&mut s, ZN)).collect();
+        let k = 1 + s.below(2);
+        let kraus: Vec<CMatrix> = (0..1 + s.below(3)).map(|_| s.operand(1 << k)).collect();
+        dops.insert(s.below(4), DensityOp::Kraus(kraus, s.operands(k, ZN)));
+        let mut bws = BatchWorkspace::new();
+        for width in WIDTHS {
+            let injectors: Vec<CMatrix> = (0..width).map(|_| s.operand(2)).collect();
+            let target = s.below(ZN);
+            let mut batch = BatchedDensity::broadcast(&rho0, width);
+            batch.apply_unitary_per_cell(&injectors, target);
+            let mut cells: Vec<Vec<Complex>> = injectors
+                .iter()
+                .map(|u| {
+                    let mut cell = raw_density(&rho0);
+                    reference_unitary(&mut cell, ZN, u, &[target]);
+                    cell
+                })
+                .collect();
+            for (c, cell) in cells.iter().enumerate() {
+                assert_diagonal(&batch.diagonal(c), cell, &format!("injector width {width} cell {c}"));
+            }
+            for (i, op) in dops.iter().enumerate() {
+                match op {
+                    DensityOp::Unitary(u, qs) => batch.apply_unitary(u, qs),
+                    DensityOp::Superop(sup, qs) => batch.apply_superoperator(sup, qs),
+                    DensityOp::Kraus(kraus, qs) => batch.apply_kraus_with(kraus, qs, &mut bws),
+                }
+                for (c, cell) in cells.iter_mut().enumerate() {
+                    op.reference(cell, ZN);
+                    assert_diagonal(
+                        &batch.diagonal(c),
+                        cell,
+                        &format!("batched density width {width} cell {c} op {i}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// A random suffix on 3–5 qubits — a per-cell injector, then one- and
+    /// two-qubit unitaries and superoperators, real or complex — replayed
+    /// once with the masks `ObservedMask::backward_from_diagonal` gives it
+    /// and once with full masks: every cell's diagonal must match the full
+    /// replay's, and both the dense reference's, bit for bit.
+    #[test]
+    fn observed_masks_keep_the_diagonal_bitwise(seed in 0u64..u64::MAX) {
+        let mut s = Stream::new(seed);
+        let n = 3 + s.below(3);
+        let width = WIDTHS[s.below(WIDTHS.len())];
+        let amps: Vec<Complex> = (0..1 << n).map(|_| s.amplitude()).collect();
+        let rho0 = DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps));
+        let injectors: Vec<CMatrix> = (0..width).map(|_| s.operand(2)).collect();
+        let target = [s.below(n)];
+        let ops: Vec<DensityOp> = (0..1 + s.below(8)).map(|_| DensityOp::draw_operand(&mut s, n)).collect();
+        let masks = ObservedMask::backward_from_diagonal(
+            std::iter::once(&target[..]).chain(ops.iter().map(DensityOp::qubits)).collect::<Vec<_>>(),
+        );
+        prop_assert_eq!(masks.len(), ops.len() + 1);
+
+        let mut masked = BatchedDensity::broadcast(&rho0, width);
+        let mut full = masked.clone();
+        masked.apply_unitary_per_cell_masked(&injectors, target[0], masks[0]);
+        full.apply_unitary_per_cell(&injectors, target[0]);
+        for (op, &mask) in ops.iter().zip(&masks[1..]) {
+            match op {
+                DensityOp::Unitary(u, qs) => {
+                    masked.apply_unitary_masked(u, qs, mask);
+                    full.apply_unitary(u, qs);
+                }
+                DensityOp::Superop(sup, qs) => {
+                    masked.apply_superoperator_masked(sup, qs, mask);
+                    full.apply_superoperator(sup, qs);
+                }
+                DensityOp::Kraus(..) => unreachable!("draw_operand draws no Kraus channel"),
+            }
+        }
+        let (groups, skipped) = masked.group_counts();
+        prop_assert_eq!(full.group_counts(), (groups, 0));
+        prop_assert!(skipped > 0, "the last operation's mask leaves a qubit out");
+
+        for (c, u) in injectors.iter().enumerate() {
+            let mut cell = raw_density(&rho0);
+            reference_unitary(&mut cell, n, u, &target);
+            for op in &ops {
+                op.reference(&mut cell, n);
+            }
+            let what = format!("{n} qubits, width {width}, cell {c}");
+            assert_diagonal(&full.diagonal(c), &cell, &format!("full masks: {what}"));
+            assert_diagonal(&masked.diagonal(c), &cell, &format!("backward masks: {what}"));
         }
     }
 }
