@@ -6,7 +6,7 @@ use qufi_algos::bernstein_vazirani;
 use qufi_core::campaign::{golden_outputs, run_point_sweep, run_point_sweep_naive};
 use qufi_core::engine::SweepExecutor;
 use qufi_core::executor::{Executor, NoisyExecutor};
-use qufi_core::fault::{enumerate_injection_points, FaultGrid};
+use qufi_core::fault::{enumerate_injection_points, FaultGrid, FaultParams};
 use qufi_math::CMatrix;
 use qufi_noise::{simulate, BackendCalibration, KrausChannel};
 use qufi_sim::{BatchedDensity, DensityMatrix, Gate, Statevector};
@@ -293,14 +293,13 @@ fn bench_replay_grid(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched cell-major replay vs the scalar per-cell path on the same
-/// prepared bv-4/jakarta point — the BENCHMARKS.md "batched grid replay"
-/// numbers. The width is pinned via `QUFI_BATCH_CELLS` around each case;
-/// `scalar` is the retained per-cell path on the identical prepared
-/// snapshot, so the ratio isolates batching itself. Exports from both
+/// Block grid replay vs a per-cell `replay` loop on the same prepared
+/// bv-4/jakarta point — the BENCHMARKS.md "batched grid replay" numbers.
+/// `per_cell` replays every cell through the scalar path on the identical
+/// prepared snapshot, so the ratio isolates the cell-major blocks. Both
 /// paths are bit-identical; only the wall clock moves.
-fn bench_replay_grid_batched(c: &mut Criterion) {
-    let mut group = c.benchmark_group("replay_grid_batched");
+fn bench_replay_grid_vs_per_cell(c: &mut Criterion) {
+    let mut group = c.benchmark_group("replay_grid_vs_per_cell");
     group.sample_size(10);
     let w = bernstein_vazirani(0b101, 3);
     let ex = NoisyExecutor::new(BackendCalibration::jakarta());
@@ -311,16 +310,17 @@ fn bench_replay_grid_batched(c: &mut Criterion) {
         ("coarse", FaultGrid::coarse()),
         ("paper312", FaultGrid::paper()),
     ] {
-        group.bench_function(format!("bv4_{label}_scalar_t1"), |b| {
+        group.bench_function(format!("bv4_{label}_per_cell_t1"), |b| {
+            b.iter(|| {
+                grid.iter()
+                    .map(|(theta, phi)| prepared.replay(FaultParams::shift(theta, phi)))
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("per-cell replay")
+            })
+        });
+        group.bench_function(format!("bv4_{label}_grid_t1"), |b| {
             b.iter(|| prepared.replay_grid(&grid, 1).expect("grid replay"))
         });
-        for width in [4usize, 8, 16] {
-            std::env::set_var("QUFI_BATCH_CELLS", width.to_string());
-            group.bench_function(format!("bv4_{label}_w{width}_t1"), |b| {
-                b.iter(|| prepared.replay_grid_batched(&grid, 1).expect("grid replay"))
-            });
-        }
-        std::env::remove_var("QUFI_BATCH_CELLS");
     }
     group.finish();
 }
@@ -358,6 +358,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_statevector, bench_density, bench_kernels, bench_pipeline, bench_sweep_engine,
-        bench_replay_grid, bench_replay_grid_batched, bench_obs_overhead
+        bench_replay_grid, bench_replay_grid_vs_per_cell, bench_obs_overhead
 }
 criterion_main!(benches);

@@ -322,7 +322,7 @@ pub fn fig7_trajectory_extension(
             let points = enumerate_injection_points(&w.circuit);
             let point = points[points.len() / 2];
             let prepared = ex.prepare(&w.circuit, point).expect("prepare");
-            let cells = prepared.replay_grid_batched(grid, 1).expect("replay grid");
+            let cells = prepared.replay_grid(grid, 1).expect("replay grid");
             let qvfs: Vec<f64> = cells
                 .iter()
                 .map(|dist| qvf_from_dist(dist, &w.correct_outputs))

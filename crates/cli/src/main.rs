@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! qufi run <manifest.toml> [--out DIR] [--threads N] [--budget N] [--quiet|--verbose]
-//!                          [--no-metrics] [--no-batch] [--trace] [--dry-run]
+//!                          [--no-metrics] [--trace] [--dry-run]
 //! qufi resume <campaign-dir> [--threads N] [--budget N] [--quiet|--verbose]
-//!                            [--no-metrics] [--no-batch] [--trace]
+//!                            [--no-metrics] [--trace]
 //! qufi export <campaign-dir>
 //! qufi stats <campaign-dir> [--top N]
 //! qufi list {workloads|backends|grids|runs [DIR]}
@@ -33,9 +33,9 @@ qufi — QuFI campaign orchestration
 
 USAGE:
     qufi run <manifest.toml> [--out DIR] [--threads N] [--budget N] [--quiet|--verbose]
-                             [--no-metrics] [--no-batch] [--trace] [--dry-run]
+                             [--no-metrics] [--trace] [--dry-run]
     qufi resume <campaign-dir> [--threads N] [--budget N] [--quiet|--verbose]
-                               [--no-metrics] [--no-batch] [--trace]
+                               [--no-metrics] [--trace]
     qufi export <campaign-dir>
     qufi stats <campaign-dir> [--top N]
     qufi list {workloads|backends|grids|runs [DIR]}
@@ -76,9 +76,6 @@ OPTIONS:
     --quiet        Errors only on stderr
     --verbose      Progress on stderr even when it is not a terminal
     --no-metrics   Skip telemetry recording and its artifacts
-    --no-batch     Replay grid cells one at a time instead of in batched
-                   cell-major blocks (results are bit-identical either way;
-                   sets QUFI_BATCH_CELLS=1 for this process)
     --trace        Also write a trace.jsonl span log (implies metrics)
     --top N        (stats only) Slowest points to show (default: 10)
     --dry-run      (run only) Print the resolved job × point × config task
@@ -146,7 +143,6 @@ struct CommonFlags {
     dry_run: bool,
     verbose: bool,
     no_metrics: bool,
-    no_batch: bool,
     top: Option<usize>,
     shards: Option<usize>,
     costs: Option<PathBuf>,
@@ -167,7 +163,6 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
         dry_run: false,
         verbose: false,
         no_metrics: false,
-        no_batch: false,
         top: None,
         shards: None,
         costs: None,
@@ -193,7 +188,6 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
             "--quiet" | "-q" => flags.opts.quiet = true,
             "--verbose" | "-v" => flags.verbose = true,
             "--no-metrics" => flags.no_metrics = true,
-            "--no-batch" => flags.no_batch = true,
             "--trace" => flags.opts.trace = true,
             "--top" => flags.top = Some(parse_number(&take_value(&mut iter, "--top")?)?),
             "--shards" => flags.shards = Some(parse_number(&take_value(&mut iter, "--shards")?)?),
@@ -225,12 +219,6 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
     // Telemetry is on by default for run/resume; --no-metrics opts out
     // (a --trace next to it still wins, since a trace needs the recorder).
     flags.opts.metrics = !flags.no_metrics;
-    // Batched grid replay is on by default; --no-batch pins the width to 1
-    // (the engine's scalar path). Exports are bit-identical either way —
-    // this is an escape hatch for debugging and A/B timing, not semantics.
-    if flags.no_batch {
-        std::env::set_var("QUFI_BATCH_CELLS", "1");
-    }
     // The log sink is process-wide: every command's warnings (e.g. a
     // torn-checkpoint salvage during list/export) obey the same flags.
     qufi_obs::log::set_verbosity(if flags.opts.quiet {

@@ -57,6 +57,7 @@ use qufi_obs::json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -539,14 +540,32 @@ fn execute_unit(
     cfg: &LeaseConfig,
     opts: &WorkOptions,
 ) -> Result<(), CliError> {
+    with_heartbeat(lease, cfg, || {
+        run_and_publish(out_dir, runtime, grid, unit, opts)
+    })
+}
+
+/// Runs `body` while a heartbeat thread keeps `lease` fresh, and stops the
+/// heartbeat on every exit path. A panicking body becomes an error — a
+/// unit failure under the poison rule — instead of unwinding into the
+/// scope, which would join a heartbeat that never stops and hang the
+/// worker with its lease forever fresh.
+fn with_heartbeat(
+    lease: &Lease,
+    cfg: &LeaseConfig,
+    body: impl FnOnce() -> Result<(), CliError>,
+) -> Result<(), CliError> {
     let stop = AtomicBool::new(false);
-    let result = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         scope.spawn(|| heartbeat_loop(lease, cfg, &stop));
-        let r = run_and_publish(out_dir, runtime, grid, unit, opts);
+        let result = panic::catch_unwind(AssertUnwindSafe(body));
         stop.store(true, Ordering::SeqCst);
-        r
-    });
-    result
+        result.unwrap_or_else(|payload| {
+            let message =
+                qufi_serve::panic_message(&*payload).unwrap_or_else(|| "unit panicked".to_string());
+            Err(CliError::shard(format!("panic: {message}")))
+        })
+    })
 }
 
 /// Refreshes the lease on the heartbeat cadence until told to stop.
@@ -1008,6 +1027,34 @@ mod tests {
         let report = plan_campaign(&m, &dir, 2, None).unwrap();
         assert_eq!(report.cost_source, "measured");
         assert!(report.plan.units.iter().all(|u| u.cost >= 1));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn panicking_unit_stops_its_heartbeat_and_fails() {
+        let dir = temp_dir("panic");
+        let units = dir.join(UNITS_DIR);
+        fs::create_dir_all(&units).unwrap();
+        let cfg = LeaseConfig {
+            worker: "w".into(),
+            timeout: Duration::from_millis(40),
+        };
+        let Claim::Acquired(lease) = lease::try_claim(&units, "u", &cfg).unwrap() else {
+            panic!("fresh unit must be claimable");
+        };
+        // A heartbeat left running would keep the scope from returning:
+        // wait with a timeout so that failure mode fails the test instead
+        // of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = with_heartbeat(&lease, &cfg, || panic!("synthetic unit panic"));
+            let _ = tx.send(result.map_err(|e| e.to_string()));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a panicking unit hung its worker");
+        let err = result.expect_err("a panicking unit must fail");
+        assert!(err.contains("synthetic unit panic"), "{err}");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -147,17 +147,19 @@ fn check_metrics_consistency(manifest: &Manifest, dir: &Path, tag: &str) {
     let costs = qufi_cli::obs_artifacts::load_costs(dir).unwrap().unwrap();
     let grid_len = manifest.grid.to_grid().unwrap().len() as u64;
 
-    let points_run = snap
-        .counters
-        .get("campaign.points_run")
-        .copied()
-        .unwrap_or(0);
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let points_run = counter("campaign.points_run");
     assert!(points_run > 0, "{tag}: campaign ran no points");
-    let cells = snap.counters.get("replay.cells").copied().unwrap_or(0);
+    let cells = counter("replay.cells");
     assert_eq!(
         cells,
         points_run * grid_len,
         "{tag}: replay.cells must equal points × grid configurations"
+    );
+    assert_eq!(
+        counter("replay.batch.cells") + counter("replay.batch.scalar_fallback"),
+        cells,
+        "{tag}: every cell replays once, in a cell-major block or on its own"
     );
     assert_eq!(
         costs.len() as u64,
@@ -284,55 +286,6 @@ fn exports_are_byte_identical_with_metrics_on_off_and_any_thread_count() {
                 v.threads
             );
         }
-    }
-}
-
-/// The batched grid replay is a pure performance feature: every exported
-/// byte must be identical with batching off (`--no-batch`, i.e.
-/// `QUFI_BATCH_CELLS=1`) and on at any width, at any thread count. The
-/// metrics consistency checks (`replay.cells` = points × grid) must hold
-/// on both paths. Note the committed-golden check above already runs the
-/// batched default; this pins the width axis explicitly.
-#[test]
-fn exports_are_byte_identical_with_batching_on_and_off() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
-    for (tag, text) in [("noisy", NOISY), ("hardware", HARDWARE)] {
-        let manifest = Manifest::from_toml(text).unwrap();
-        std::env::set_var("QUFI_BATCH_CELLS", "1");
-        let reference = run_variant(
-            &manifest,
-            &format!("{tag}-nobatch"),
-            &Variant {
-                metrics: true,
-                trace: false,
-                threads: 1,
-            },
-        );
-        for (width, threads) in [("4", 1usize), ("8", 4), ("16", 2)] {
-            std::env::set_var("QUFI_BATCH_CELLS", width);
-            let other = run_variant(
-                &manifest,
-                &format!("{tag}-w{width}"),
-                &Variant {
-                    metrics: true,
-                    trace: false,
-                    threads,
-                },
-            );
-            assert_eq!(
-                reference.keys().collect::<Vec<_>>(),
-                other.keys().collect::<Vec<_>>(),
-                "{tag}: artifact set changed under batch width {width}"
-            );
-            for (path, bytes) in &reference {
-                assert_eq!(
-                    bytes, &other[path],
-                    "{tag}: {path} differs between --no-batch and batch \
-                     width {width} at {threads} thread(s)"
-                );
-            }
-        }
-        std::env::remove_var("QUFI_BATCH_CELLS");
     }
 }
 

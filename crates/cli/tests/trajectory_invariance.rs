@@ -1,9 +1,8 @@
 //! Trajectory-backend determinism, end to end: a `executor = "trajectory"`
 //! manifest must export byte-identical JSON/CSV artifacts across
 //!
-//! * `--threads 1/2/4` (the point-worker × grid split),
-//! * interrupt + resume cycles (checkpoint replay), and
-//! * shot-chunking (`QUFI_TRAJ_SHOT_THREADS` worker counts).
+//! * `--threads 1/2/4` (the point-worker × grid split), and
+//! * interrupt + resume cycles (checkpoint replay).
 //!
 //! Per-shot seeds derive from (campaign seed, job, point, fault angles,
 //! shot index), and shot blocks fold in fixed order, so no schedule can
@@ -152,25 +151,4 @@ fn trajectory_exports_survive_interrupt_and_resume() {
     let resumed = tree(&dir.join("results"));
     assert_same_tree(&reference, &resumed, "interrupt + resume");
     let _ = fs::remove_dir_all(dir);
-}
-
-#[test]
-fn trajectory_exports_are_shot_chunking_invariant() {
-    // The shot-worker count is read per replay; it only changes how the
-    // fixed shot blocks are scheduled, never what they sum to. (Any
-    // concurrent reader of this env var is likewise chunking-invariant,
-    // so the cross-test race is benign by construction.)
-    let manifest = Manifest::from_toml(TRAJECTORY).unwrap();
-    std::env::set_var("QUFI_TRAJ_SHOT_THREADS", "1");
-    let reference = run_complete(&manifest, "shots-serial", &quiet());
-    for workers in ["2", "5"] {
-        std::env::set_var("QUFI_TRAJ_SHOT_THREADS", workers);
-        let other = run_complete(&manifest, &format!("shots-w{workers}"), &quiet());
-        assert_same_tree(
-            &reference,
-            &other,
-            &format!("QUFI_TRAJ_SHOT_THREADS={workers}"),
-        );
-    }
-    std::env::remove_var("QUFI_TRAJ_SHOT_THREADS");
 }

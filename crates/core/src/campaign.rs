@@ -22,7 +22,6 @@ use qufi_sim::QuantumCircuit;
 
 /// One executed injection and its measured QVF.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InjectionRecord {
     /// Where the fault struck.
     pub point: InjectionPoint,
@@ -283,13 +282,11 @@ pub fn run_point_sweep<E: SweepExecutor + ?Sized>(
 }
 
 /// [`run_point_sweep`] with the grid fanned across `grid_threads` worker
-/// threads through the batched block engine
-/// ([`crate::engine::PreparedSweep::replay_grid_batched`]): the point is
-/// still prepared once; the 312 replays evolve in cell-major blocks (or
-/// fall back to per-cell replay where batching does not apply). Records
-/// are identical — bit-for-bit, including sampling scenarios — for every
-/// `grid_threads` value and every batch width, `QUFI_BATCH_CELLS=1`
-/// (the CLI's `--no-batch`) included.
+/// threads by [`crate::engine::PreparedSweep::replay_grid`]: the point is
+/// still prepared once; the 312 replays evolve in cell-major blocks of up
+/// to 16 cells, and a one-cell block (or a trajectory cell) replays on
+/// its own. Records are identical — bit-for-bit, including sampling
+/// scenarios — to per-cell replays, for every `grid_threads` value.
 ///
 /// # Errors
 ///
@@ -306,7 +303,7 @@ pub fn run_point_sweep_parallel<E: SweepExecutor + ?Sized>(
     let prepared = executor.prepare(qc, point)?;
     let prepare_ns = prepare_span.finish();
     let replay_span = qufi_obs::span("point.replay_ns");
-    let dists = prepared.replay_grid_batched(grid, grid_threads)?;
+    let dists = prepared.replay_grid(grid, grid_threads)?;
     let replay_ns = replay_span.finish();
     qufi_obs::record_cost(
         point.op_index,

@@ -16,7 +16,6 @@ use qufi_transpile::Transpiler;
 
 /// One executed double injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DoubleInjectionRecord {
     /// First (stronger) fault location.
     pub point: InjectionPoint,

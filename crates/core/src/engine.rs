@@ -38,12 +38,11 @@ use crate::fault::{
 use crate::mapping::{
     extract_splice_sites, mark_double_injection_site, mark_injection_site, SpliceSite,
 };
-use parking_lot::Mutex;
 use qufi_math::CMatrix;
 use qufi_noise::readout::apply_readout_errors;
 use qufi_noise::simulate::{NoisePlan, NoisyCursor};
 use qufi_noise::trajectory::{
-    finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor, SHOT_BLOCK,
+    finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
@@ -102,40 +101,12 @@ impl<E: SweepExecutor + ?Sized> SweepExecutor for &E {
     }
 }
 
-/// Per-thread reusable buffers for replaying against a parked snapshot:
-/// the simulator state a replay evolves in, restored from the borrowed
-/// snapshot by a buffer-reusing copy instead of a fresh clone per replay.
-///
-/// A scratch carries no results between replays — only capacity — so one
-/// scratch per worker thread is the entire threading discipline, and a
-/// replay through a reused scratch is bit-identical to one through a fresh
-/// scratch.
-#[derive(Default)]
-pub struct ReplayScratch {
-    /// Density-matrix buffer for the noisy/hardware replay paths.
-    pub(crate) rho: Option<DensityMatrix>,
-    /// Statevector buffer for the ideal replay path.
-    pub(crate) sv: Option<Statevector>,
-    /// Statevector buffer for the trajectory replay path (one shot's
-    /// evolving state).
-    pub(crate) traj_sv: Option<Statevector>,
-    /// Kraus branch-sampling workspace for the trajectory replay path.
-    pub(crate) traj_ws: TrajWorkspace,
-}
-
-impl ReplayScratch {
-    /// An empty scratch; buffers are allocated on first replay.
-    pub fn new() -> Self {
-        ReplayScratch::default()
-    }
-}
-
 /// A parked single-fault sweep: replay any `(θ, φ)` against the snapshot.
 ///
 /// Implementations are `Sync`: replays only *borrow* the parked snapshot
-/// (each one copies it into caller-owned [`ReplayScratch`] buffers), so any
-/// number of threads may replay concurrently against one prepared sweep —
-/// the foundation of [`PreparedSweep::replay_grid`].
+/// (each one evolves its own copy), so any number of threads may replay
+/// concurrently against one prepared sweep — the foundation of
+/// [`PreparedSweep::replay_grid`].
 pub trait PreparedSweep: Sync {
     /// Fast path: fork the parked prefix state and finish the suffix with
     /// the injector spliced in.
@@ -143,24 +114,7 @@ pub trait PreparedSweep: Sync {
     /// # Errors
     ///
     /// Simulation failures.
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.replay_with(fault, &mut ReplayScratch::new())
-    }
-
-    /// [`PreparedSweep::replay`] through caller-owned scratch buffers: the
-    /// parked snapshot is copied into the scratch state (reusing its
-    /// allocation) and the suffix evolves there, so a replay loop performs
-    /// zero steady-state allocations for state buffers. Bit-identical to
-    /// [`PreparedSweep::replay`].
-    ///
-    /// # Errors
-    ///
-    /// Simulation failures.
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError>;
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError>;
 
     /// Oracle path: rebuild, re-transpile and re-simulate the entire
     /// faulty circuit from scratch — the pre-engine per-configuration
@@ -172,55 +126,33 @@ pub trait PreparedSweep: Sync {
     /// Simulation and transpilation failures.
     fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError>;
 
-    /// Replays the entire `(θ, φ)` grid, chunked deterministically across
-    /// `threads` worker threads, returning one distribution per cell **in
-    /// grid order** ([`FaultGrid::iter`] order).
+    /// Replays the entire `(θ, φ)` grid across `threads` worker threads,
+    /// returning one distribution per cell **in grid order**
+    /// ([`FaultGrid::iter`] order).
     ///
-    /// Determinism contract: cells are assigned to workers by contiguous
-    /// index ranges fixed by `grid.len()` and `threads` alone, each worker
-    /// replays through its own [`ReplayScratch`], and every replay depends
-    /// only on `(self, fault)` — so the returned cells are bit-identical
-    /// for every thread count and scheduling order, including `threads =
-    /// 1`. Sampling scenarios keep this property because their seeds
-    /// derive from the fault angles, never from replay order.
+    /// Cells are grouped by θ and cut into blocks of up to 16 cells (fewer
+    /// when a block would exceed the amplitude budget). A block of
+    /// two or more cells evolves in lockstep through the cell-major
+    /// kernels of [`qufi_sim::batch`], so each suffix gate's index
+    /// arithmetic is computed once per block, its inner loops run stride-1
+    /// across cells, and θ-identical cells share one `sin/cos(θ/2)`
+    /// evaluation of the injector. A one-cell block takes the scalar
+    /// [`PreparedSweep::replay`] path. Trajectory sweeps have no
+    /// cell-major engine: every block holds one cell.
     ///
-    /// # Errors
-    ///
-    /// Any replay failure fails the whole grid (remaining workers cancel);
-    /// the reported error is from the lowest-indexed chunk that failed
-    /// before cancellation took effect.
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        replay_grid_chunked(self, grid, threads)
-    }
-
-    /// Batched counterpart of [`PreparedSweep::replay_grid`]: evolves whole
-    /// blocks of grid cells in lockstep through the cell-major kernels of
-    /// [`qufi_sim::batch`], so each suffix gate's index arithmetic is
-    /// computed once per block and its inner loops run stride-1 across
-    /// cells. Cells are grouped by θ first, letting every θ-identical run
-    /// share one `sin/cos(θ/2)` evaluation of the injector.
-    ///
-    /// **Bit-identical** to [`PreparedSweep::replay_grid`] for every batch
-    /// width and thread count: a batched cell goes through exactly the
-    /// scalar per-cell operation sequence, and grouping only reorders which
-    /// cells evolve together — never the arithmetic inside one cell.
-    ///
-    /// The width is read from `QUFI_BATCH_CELLS` per call (default 16,
-    /// clamped to `1..=`[`qufi_sim::MAX_BATCH_CELLS`]). Width 1 — the CLI's
-    /// `--no-batch` — grids too small to batch, multi-site sweeps, and
-    /// scenarios without a batched path (trajectory) all take the scalar
-    /// per-cell fan-out instead.
+    /// Determinism contract: a cell goes through exactly the operation
+    /// sequence of [`PreparedSweep::replay`] in either path, blocks go to
+    /// workers in contiguous ranges fixed by `grid.len()` and `threads`
+    /// alone, and every replay depends only on `(self, fault)` — so the
+    /// returned cells are bit-identical to per-cell replays for every
+    /// thread count, including `threads = 1`. Sampling scenarios keep this
+    /// property because their seeds derive from the fault angles, never
+    /// from replay order.
     ///
     /// # Errors
     ///
-    /// Same contract as [`PreparedSweep::replay_grid`].
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        replay_grid_scalar_fallback(self, grid, threads)
-    }
+    /// Same failure modes as [`PreparedSweep::replay`].
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError>;
 
     /// Gates evolved once at preparation time (the shared prefix).
     fn prefix_gates(&self) -> usize;
@@ -229,132 +161,22 @@ pub trait PreparedSweep: Sync {
     fn suffix_gates(&self) -> usize;
 }
 
-/// The deterministic fan-out behind [`PreparedSweep::replay_grid`].
-fn replay_grid_chunked<S: PreparedSweep + ?Sized>(
-    sweep: &S,
-    grid: &FaultGrid,
-    threads: usize,
-) -> Result<Vec<ProbDist>, ExecError> {
-    let cells: Vec<FaultParams> = grid
-        .iter()
-        .map(|(theta, phi)| FaultParams::shift(theta, phi))
-        .collect();
-    if cells.is_empty() {
-        return Ok(Vec::new());
-    }
-    // One span per grid, one counter add per chunk: the per-cell loop
-    // below stays telemetry-free.
-    let _grid_span = qufi_obs::span("replay.grid_ns");
-    let workers = threads.max(1).min(cells.len());
-    if workers == 1 {
-        let mut scratch = ReplayScratch::new();
-        let dists: Result<Vec<ProbDist>, ExecError> = cells
-            .iter()
-            .map(|&fault| sweep.replay_with(fault, &mut scratch))
-            .collect();
-        if dists.is_ok() {
-            qufi_obs::add("replay.cells", cells.len() as u64);
-        }
-        return dists;
-    }
-    // Contiguous chunks of fixed size: the (cell → worker) assignment is a
-    // pure function of (grid.len(), threads), never of scheduling.
-    let chunk = cells.len().div_ceil(workers);
-    let mut out: Vec<Option<ProbDist>> = vec![None; cells.len()];
-    let first_error: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (slots, faults)) in
-            out.chunks_mut(chunk).zip(cells.chunks(chunk)).enumerate()
-        {
-            let first_error = &first_error;
-            let failed = &failed;
-            scope.spawn(move || {
-                let mut scratch = ReplayScratch::new();
-                let mut completed: u64 = 0;
-                for (slot, &fault) in slots.iter_mut().zip(faults) {
-                    // A failure anywhere aborts the whole grid; stop
-                    // burning replays whose results would be discarded.
-                    if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    match sweep.replay_with(fault, &mut scratch) {
-                        Ok(dist) => {
-                            *slot = Some(dist);
-                            completed += 1;
-                        }
-                        Err(e) => {
-                            failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                            let mut guard = first_error.lock();
-                            // Keep the error of the lowest-indexed chunk
-                            // among those observed before cancellation.
-                            if guard.as_ref().is_none_or(|(i, _)| chunk_idx < *i) {
-                                *guard = Some((chunk_idx, e));
-                            }
-                            break;
-                        }
-                    }
-                }
-                qufi_obs::add("replay.cells", completed);
-                // Merge before the closure returns: the scope's exit
-                // synchronizes with closure completion, not with TLS
-                // destructors, so relying on the sink's at-exit Drop
-                // would race the caller's snapshot.
-                qufi_obs::flush();
-            });
-        }
-    });
-    if let Some((_, e)) = first_error.into_inner() {
-        return Err(e);
-    }
-    Ok(out
-        .into_iter()
-        .map(|slot| slot.expect("every cell was replayed"))
-        .collect())
-}
+/// Grid cells evolved per cell-major block. 16 keeps the single-operand
+/// kernels (the bulk of a transpiled suffix) on their widest tile; the
+/// 2q/generic kernels tile the cell axis internally, so a wide block never
+/// hurts them.
+const BLOCK_CELLS: usize = 16;
+const _: () = assert!(BLOCK_CELLS <= qufi_sim::MAX_BATCH_CELLS);
 
-/// Default number of grid cells evolved per batched block. 16 keeps the
-/// single-operand kernels (the bulk of a transpiled suffix) on their widest,
-/// fastest monomorphization; the 2q/generic kernels tile the cell axis
-/// internally, so a wide block never hurts them.
-const DEFAULT_BATCH_CELLS: usize = 16;
-
-/// Ceiling on `flat state length × batch width`: a batched block holds at
-/// most this many split-complex amplitudes (~64 MiB), shrinking the width
-/// for wide registers instead of ballooning memory.
+/// Ceiling on `flat state length × block width`: a block holds at most
+/// this many split-complex amplitudes (~64 MiB), shrinking the width for
+/// wide registers instead of ballooning memory.
 const MAX_BATCH_AMPS: usize = 1 << 22;
 
-/// Batch width for [`PreparedSweep::replay_grid_batched`], read per call
-/// so the CLI and tests can vary it (`QUFI_BATCH_CELLS`, clamped to
-/// `1..=`[`qufi_sim::MAX_BATCH_CELLS`]). Width 1 disables batching.
-fn batch_width() -> usize {
-    std::env::var("QUFI_BATCH_CELLS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|w| w.clamp(1, qufi_sim::MAX_BATCH_CELLS))
-        .unwrap_or(DEFAULT_BATCH_CELLS)
-}
-
-/// The effective width for a grid over states of `flat_len` amplitudes:
-/// the configured width, shrunk to the grid size and the amplitude
-/// budget. `None` means batching is off or pointless (width ≤ 1) — take
-/// the scalar path.
-fn effective_batch_width(flat_len: usize, grid_len: usize) -> Option<usize> {
-    let w = batch_width()
-        .min(grid_len)
-        .min(MAX_BATCH_AMPS / flat_len.max(1));
-    (w > 1).then_some(w)
-}
-
-/// The scalar fallback behind [`PreparedSweep::replay_grid_batched`]:
-/// counts the cells that bypassed batching, then runs the per-cell path.
-fn replay_grid_scalar_fallback<S: PreparedSweep + ?Sized>(
-    sweep: &S,
-    grid: &FaultGrid,
-    threads: usize,
-) -> Result<Vec<ProbDist>, ExecError> {
-    qufi_obs::add("replay.batch.scalar_fallback", grid.len() as u64);
-    sweep.replay_grid(grid, threads)
+/// Block width for states of `flat_len` amplitudes: [`BLOCK_CELLS`],
+/// shrunk to the amplitude budget but never below one cell.
+fn block_width(flat_len: usize) -> usize {
+    (MAX_BATCH_AMPS / flat_len.max(1)).clamp(1, BLOCK_CELLS)
 }
 
 /// One injector matrix per cell of a θ-sorted block, hoisting the
@@ -379,52 +201,56 @@ fn injector_matrices(faults: &[FaultParams]) -> Vec<CMatrix> {
     mats
 }
 
-/// The deterministic fan-out behind the batched grid replays: cells are
-/// stably sorted by θ bit pattern (θ-identical cells share one trig
-/// evaluation and blocks stay maximally uniform), chunked into
+/// The deterministic fan-out behind every [`PreparedSweep::replay_grid`]:
+/// cells are stably sorted by θ bit pattern (θ-identical cells share one
+/// trig evaluation and blocks stay maximally uniform), chunked into
 /// `width`-sized blocks — the ragged tail simply forms a narrower block —
-/// and blocks are handed to workers in contiguous ranges. Results scatter
-/// back to **grid order** by original cell index; the sort is invisible in
-/// the output because every replay depends only on `(self, fault)`.
+/// and blocks are handed to workers in contiguous ranges. A one-cell block
+/// goes through `replay_cell`, every wider one through `replay_block`.
+/// Results scatter back to **grid order** by original cell index; the sort
+/// is invisible in the output because every replay depends only on
+/// `(sweep, fault)`.
 ///
-/// Block replays are infallible (the fallible work — transpilation,
-/// planning, prefix evolution — happened at prepare time), so unlike
-/// [`replay_grid_chunked`] there is no cancellation protocol.
-fn replay_grid_batched_blocks<F>(
+/// Replays are infallible (the fallible work — transpilation, planning,
+/// prefix evolution — happened at prepare time), so there is no
+/// cancellation protocol. The `replay.batch.*` counters count cell-major
+/// blocks only; one-cell blocks count as `replay.batch.scalar_fallback`.
+fn replay_grid_blocks(
     grid: &FaultGrid,
     threads: usize,
     width: usize,
-    replay_block: F,
-) -> Vec<ProbDist>
-where
-    F: Fn(&[FaultParams]) -> Vec<ProbDist> + Sync,
-{
+    replay_cell: impl Fn(FaultParams) -> ProbDist + Sync,
+    replay_block: impl Fn(&[FaultParams]) -> Vec<ProbDist> + Sync,
+) -> Vec<ProbDist> {
     let mut sorted: Vec<(usize, FaultParams)> = grid
         .iter()
         .map(|(theta, phi)| FaultParams::shift(theta, phi))
         .enumerate()
         .collect();
+    if sorted.is_empty() {
+        return Vec::new();
+    }
     sorted.sort_by_key(|(_, f)| f.theta.to_bits());
     let _grid_span = qufi_obs::span("replay.grid_ns");
-    let theta_groups = 1 + sorted
-        .windows(2)
-        .filter(|w| w[0].1.theta.to_bits() != w[1].1.theta.to_bits())
-        .count();
     let block_count = sorted.len().div_ceil(width);
+    let block = |b: usize| &sorted[b * width..((b + 1) * width).min(sorted.len())];
     let run_blocks = |blocks: std::ops::Range<usize>| -> Vec<(usize, ProbDist)> {
         let mut results = Vec::with_capacity(blocks.len() * width);
         let mut faults = Vec::with_capacity(width);
         for b in blocks {
-            let cells = &sorted[b * width..((b + 1) * width).min(sorted.len())];
+            let cells = block(b);
             faults.clear();
             faults.extend(cells.iter().map(|&(_, f)| f));
-            let dists = replay_block(&faults);
+            let dists = match faults[..] {
+                [fault] => vec![replay_cell(fault)],
+                _ => replay_block(&faults),
+            };
             debug_assert_eq!(dists.len(), cells.len());
             results.extend(cells.iter().map(|&(i, _)| i).zip(dists));
         }
         results
     };
-    let workers = threads.max(1).min(block_count);
+    let workers = threads.clamp(1, block_count);
     let mut out: Vec<Option<ProbDist>> = vec![None; sorted.len()];
     if workers == 1 {
         for (i, dist) in run_blocks(0..block_count) {
@@ -448,7 +274,7 @@ where
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("batched replay worker panicked"))
+                .map(|h| h.join().expect("grid replay worker panicked"))
                 .collect::<Vec<_>>()
         });
         for part in parts {
@@ -457,10 +283,23 @@ where
             }
         }
     }
+    // One-cell blocks are all of them (width 1) or only the ragged tail,
+    // so the cell-major cells are a prefix of the sorted order.
+    let scalar_cells = (0..block_count).filter(|&b| block(b).len() == 1).count();
+    let batched = &sorted[..sorted.len() - scalar_cells];
     qufi_obs::add("replay.cells", sorted.len() as u64);
-    qufi_obs::add("replay.batch.cells", sorted.len() as u64);
-    qufi_obs::add("replay.batch.blocks", block_count as u64);
-    qufi_obs::add("replay.batch.theta_groups", theta_groups as u64);
+    if !batched.is_empty() {
+        let theta_groups = 1 + batched
+            .windows(2)
+            .filter(|w| w[0].1.theta.to_bits() != w[1].1.theta.to_bits())
+            .count();
+        qufi_obs::add("replay.batch.cells", batched.len() as u64);
+        qufi_obs::add("replay.batch.blocks", (block_count - scalar_cells) as u64);
+        qufi_obs::add("replay.batch.theta_groups", theta_groups as u64);
+    }
+    if scalar_cells > 0 {
+        qufi_obs::add("replay.batch.scalar_fallback", scalar_cells as u64);
+    }
     out.into_iter()
         .map(|slot| slot.expect("every cell was replayed"))
         .collect()
@@ -510,7 +349,7 @@ fn gates_in(qc: &QuantumCircuit, range: std::ops::Range<usize>) -> usize {
 
 /// Applies instructions `[from, upto)` of `qc` to a borrowed state — the
 /// cursor-advance loop without cursor ownership, so replays can evolve a
-/// scratch state restored from a parked snapshot. Bit-identical to
+/// copy of a parked snapshot. Bit-identical to
 /// [`CircuitCursor::advance_to`] by construction (same loop).
 fn advance_state<S: EvolvableState>(state: &mut S, qc: &QuantumCircuit, from: usize, upto: usize) {
     for op in &qc.ops()[from..upto] {
@@ -552,23 +391,15 @@ impl IdealPrepared {
         })
     }
 
-    fn replay_faults(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
-        // Borrow the parked snapshot: restore it into the scratch
-        // statevector (reusing its buffer) instead of cloning per replay.
-        let sv = match scratch.sv.as_mut() {
-            Some(sv) => {
-                sv.copy_from(self.prefix.state());
-                sv
-            }
-            None => scratch.sv.insert(self.prefix.state().clone()),
-        };
+    fn replay_faults(&self, faults: &[FaultParams]) -> ProbDist {
+        let mut sv = self.prefix.state().clone();
         let mut pos = self.prefix.position();
         for (site, fault) in self.sites.iter().zip(faults) {
-            advance_state(sv, &self.circuit, pos, site.index);
+            advance_state(&mut sv, &self.circuit, pos, site.index);
             pos = site.index;
             sv.apply_gate(fault.injector_gate(), &[site.qubit]);
         }
-        advance_state(sv, &self.circuit, pos, self.circuit.size());
+        advance_state(&mut sv, &self.circuit, pos, self.circuit.size());
         sv.measurement_distribution(&self.circuit)
     }
 
@@ -594,32 +425,28 @@ impl IdealPrepared {
 }
 
 impl PreparedSweep for IdealPrepared {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.replay_faults(&[fault], scratch))
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        Ok(self.replay_faults(&[fault]))
     }
 
     fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
         self.replay_faults_naive(&[fault])
     }
 
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
         let batchable = self.sites.len() == 1 && self.prefix.position() == self.sites[0].index;
-        match effective_batch_width(self.prefix.state().amplitudes().len(), grid.len()) {
-            Some(width) if batchable => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.replay_block(faults)
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
+        let width = if batchable {
+            block_width(self.prefix.state().amplitudes().len())
+        } else {
+            1
+        };
+        Ok(replay_grid_blocks(
+            grid,
+            threads,
+            width,
+            |fault| self.replay_faults(&[fault]),
+            |faults| self.replay_block(faults),
+        ))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -634,7 +461,7 @@ impl PreparedSweep for IdealPrepared {
 impl PreparedDoubleSweep for IdealPrepared {
     fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
         check_fault_order(first, second)?;
-        Ok(self.replay_faults(&[first, second], &mut ReplayScratch::new()))
+        Ok(self.replay_faults(&[first, second]))
     }
 
     fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
@@ -778,25 +605,16 @@ impl PhysicalSweep {
         Ok(sweep)
     }
 
-    /// Fast path: borrow the parked state into the scratch density matrix,
-    /// splice the injectors, finish the suffix through the compiled plan.
-    fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
-        let rho = match scratch.rho.take() {
-            Some(mut rho) => {
-                rho.copy_from(&self.prefix);
-                rho
-            }
-            None => self.prefix.clone(),
-        };
-        let mut cur = NoisyCursor::resume(rho, &self.model, self.prefix_pos);
+    /// Fast path: fork the parked state, splice the injectors, finish the
+    /// suffix through the compiled plan.
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
+        let mut cur = NoisyCursor::resume(self.prefix.clone(), &self.model, self.prefix_pos);
         for (site, fault) in self.sites.iter().zip(faults) {
             cur.advance_planned(&self.plan, site.index);
             cur.apply_planned_injector(&self.plan, fault.injector_gate(), site.qubit);
         }
         cur.advance_planned(&self.plan, self.physical.size());
-        let dist = cur.finish_dist(&self.physical);
-        scratch.rho = Some(cur.into_state());
-        dist
+        cur.finish_dist(&self.physical)
     }
 
     /// Oracle path: the full pre-engine pipeline — re-transpile the marked
@@ -835,10 +653,14 @@ impl PhysicalSweep {
         self.sites.len() == 1 && self.prefix_pos == self.sites[0].index
     }
 
-    /// Flat amplitude count of one cell's ρ — the batched width budget is
-    /// expressed in these.
-    fn flat_len(&self) -> usize {
-        self.prefix.dim() * self.prefix.dim()
+    /// Grid block width: the amplitude budget over one cell's flat ρ, or
+    /// one cell when the point is not [`batchable`](PhysicalSweep::batchable).
+    fn block_width(&self) -> usize {
+        if self.batchable() {
+            block_width(self.prefix.dim() * self.prefix.dim())
+        } else {
+            1
+        }
     }
 
     /// The batched suffix of a [`batchable`](PhysicalSweep::batchable)
@@ -902,12 +724,8 @@ struct NoisyPrepared<'a> {
 }
 
 impl PreparedSweep for NoisyPrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault], scratch))
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        Ok(self.sweep.replay(&[fault]))
     }
 
     fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
@@ -915,19 +733,14 @@ impl PreparedSweep for NoisyPrepared<'_> {
             .replay_naive(self.executor.transpiler(), &[fault])
     }
 
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        match effective_batch_width(self.sweep.flat_len(), grid.len()) {
-            Some(width) if self.sweep.batchable() => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.sweep.replay_block(faults)
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
+        Ok(replay_grid_blocks(
+            grid,
+            threads,
+            self.sweep.block_width(),
+            |fault| self.sweep.replay(&[fault]),
+            |faults| self.sweep.replay_block(faults),
+        ))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -942,9 +755,7 @@ impl PreparedSweep for NoisyPrepared<'_> {
 impl PreparedDoubleSweep for NoisyPrepared<'_> {
     fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
         check_fault_order(first, second)?;
-        Ok(self
-            .sweep
-            .replay(&[first, second], &mut ReplayScratch::new()))
+        Ok(self.sweep.replay(&[first, second]))
     }
 
     fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
@@ -1092,12 +903,8 @@ impl HardwarePrepared<'_> {
 }
 
 impl PreparedSweep for HardwarePrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sample(self.sweep.replay(&[fault], scratch), &[fault]))
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        Ok(self.sample(self.sweep.replay(&[fault]), &[fault]))
     }
 
     fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
@@ -1107,26 +914,23 @@ impl PreparedSweep for HardwarePrepared<'_> {
         Ok(self.sample(exact, &[fault]))
     }
 
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        match effective_batch_width(self.sweep.flat_len(), grid.len()) {
-            // Sampling seeds derive from the fault angles, so drawing the
-            // finite-shot view per cell of a batched block changes nothing.
-            Some(width) if self.sweep.batchable() => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.sweep
-                        .replay_block(faults)
-                        .into_iter()
-                        .zip(faults)
-                        .map(|(exact, &fault)| self.sample(exact, &[fault]))
-                        .collect()
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
+        // Sampling seeds derive from the fault angles, so drawing the
+        // finite-shot view per cell of a block changes nothing.
+        Ok(replay_grid_blocks(
+            grid,
+            threads,
+            self.sweep.block_width(),
+            |fault| self.sample(self.sweep.replay(&[fault]), &[fault]),
+            |faults| {
+                self.sweep
+                    .replay_block(faults)
+                    .into_iter()
+                    .zip(faults)
+                    .map(|(exact, &fault)| self.sample(exact, &[fault]))
+                    .collect()
+            },
+        ))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -1142,10 +946,7 @@ impl PreparedDoubleSweep for HardwarePrepared<'_> {
     fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
         check_fault_order(first, second)?;
         let faults = [first, second];
-        Ok(self.sample(
-            self.sweep.replay(&faults, &mut ReplayScratch::new()),
-            &faults,
-        ))
+        Ok(self.sample(self.sweep.replay(&faults), &faults))
     }
 
     fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
@@ -1197,11 +998,10 @@ impl SweepExecutor for HardwareExecutor {
 /// and no valid angle has the all-ones (NaN) pattern.
 const PREFIX_STREAM_TAG: u64 = u64::MAX;
 
-/// Default ceiling on parked prefix-bank memory (amplitude bytes). Above
-/// it the sweep recomputes the prefix per (cell, shot) from the same seed
-/// stream — bit-identical, just slower. Override with
-/// `QUFI_TRAJ_BANK_BYTES`.
-const DEFAULT_BANK_BYTES: u64 = 256 << 20;
+/// Ceiling on parked prefix-bank memory (amplitude bytes). Above it the
+/// sweep recomputes the prefix per (cell, shot) from the same seed stream
+/// — bit-identical, just slower.
+const BANK_BYTES: u64 = 256 << 20;
 
 /// Where a replay gets shot `s`'s prefix state from.
 enum PrefixBank {
@@ -1226,30 +1026,13 @@ struct TrajectorySweep {
     /// Kraus-operator plan compiled once per point, reused per shot.
     plan: TrajPlan,
     prefix_pos: usize,
-    /// `|0…0⟩` template restored into scratch when recomputing prefixes.
+    /// `|0…0⟩` template restored into the shot state when recomputing
+    /// prefixes.
     zero: Statevector,
     bank: PrefixBank,
     /// Base for the per-shot prefix and per-(cell, shot) suffix streams.
     point_base: u64,
     shots: u64,
-}
-
-/// Worker count for the optional shot-level parallel split, read per call
-/// so tests can vary it; shots are handed out in whole accumulator blocks
-/// to keep the fold bit-identical to serial.
-fn shot_workers() -> usize {
-    std::env::var("QUFI_TRAJ_SHOT_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-fn bank_byte_limit() -> u64 {
-    std::env::var("QUFI_TRAJ_BANK_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_BANK_BYTES)
 }
 
 impl TrajectorySweep {
@@ -1365,115 +1148,50 @@ impl TrajectorySweep {
         }
     }
 
-    /// Runs shots `[start, end)` of one cell into `acc` through the given
-    /// plan (the parked one, or a freshly compiled one on the naive path).
-    #[allow(clippy::too_many_arguments)]
-    fn run_shot_range(
-        &self,
-        plan: &TrajPlan,
-        sites: &[SpliceSite],
-        faults: &[FaultParams],
-        start: u64,
-        end: u64,
-        acc: &mut ShotAccumulator,
-        sv_buf: &mut Option<Statevector>,
-        ws: &mut TrajWorkspace,
-    ) {
-        for shot in start..end {
-            let state = match sv_buf.take() {
-                Some(s) => s,
-                None => self.zero.clone(),
-            };
-            let state = self.prefix_into(state, shot, ws);
+    /// Fast path: all shots of one `(θ, φ)` cell — prefix from the bank,
+    /// suffix under the cell's seed stream — averaged, confused, and
+    /// marginalized.
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
+        qufi_obs::add("traj.shots", self.shots);
+        self.run_shots(faults)
+    }
+
+    /// Every shot of one cell through this sweep's plan and sites, in shot
+    /// order, folded by [`ShotAccumulator`]. The shot statevector and the
+    /// branch workspace are allocated once per cell and reused across its
+    /// shots.
+    fn run_shots(&self, faults: &[FaultParams]) -> ProbDist {
+        let n = self.physical.num_qubits();
+        let mut acc = ShotAccumulator::new(n, self.shots);
+        let mut ws = TrajWorkspace::new();
+        let mut state = self.zero.clone();
+        for shot in 0..self.shots {
+            state = self.prefix_into(state, shot, &mut ws);
             let mut rng = SmallRng::seed_from_u64(self.suffix_seed(faults, shot));
             let mut cursor = TrajectoryCursor::resume(state, self.prefix_pos);
-            for (site, fault) in sites.iter().zip(faults) {
-                cursor.advance_planned(plan, site.index, &mut rng, ws);
+            for (site, fault) in self.sites.iter().zip(faults) {
+                cursor.advance_planned(&self.plan, site.index, &mut rng, &mut ws);
                 cursor.apply_planned_injector(
-                    plan,
+                    &self.plan,
                     fault.injector_gate(),
                     site.qubit,
                     &mut rng,
-                    ws,
+                    &mut ws,
                 );
             }
-            cursor.advance_planned(plan, plan.size(), &mut rng, ws);
+            cursor.advance_planned(&self.plan, self.plan.size(), &mut rng, &mut ws);
             acc.add_shot(shot, cursor.state());
-            *sv_buf = Some(cursor.into_state());
-        }
-    }
-
-    /// Fast path: all shots of one `(θ, φ)` cell — prefix from the bank,
-    /// suffix under the cell's seed stream — averaged, confused, and
-    /// marginalized. `QUFI_TRAJ_SHOT_THREADS > 1` splits the shots across
-    /// scoped threads in whole accumulator blocks; the absorb-in-worker-
-    /// order merge keeps the result bit-identical to the serial fold.
-    fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
-        qufi_obs::add("traj.shots", self.shots);
-        let n = self.physical.num_qubits();
-        let mut acc = ShotAccumulator::new(n, self.shots);
-        let blocks = self.shots.div_ceil(SHOT_BLOCK);
-        let workers = (shot_workers() as u64).min(blocks).max(1);
-        if workers == 1 {
-            self.run_shot_range(
-                &self.plan,
-                &self.sites,
-                faults,
-                0,
-                self.shots,
-                &mut acc,
-                &mut scratch.traj_sv,
-                &mut scratch.traj_ws,
-            );
-        } else {
-            let per_worker_blocks = blocks.div_ceil(workers);
-            // Rounding blocks up may leave trailing workers with nothing to
-            // do (4 blocks over 3 workers → 2 + 2 + 0); drop them.
-            let workers = blocks.div_ceil(per_worker_blocks);
-            let parts = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let start = w * per_worker_blocks * SHOT_BLOCK;
-                        let end = ((w + 1) * per_worker_blocks * SHOT_BLOCK).min(self.shots);
-                        scope.spawn(move || {
-                            let mut part =
-                                ShotAccumulator::for_shot_range(n, self.shots, start, end);
-                            let mut sv_buf = None;
-                            let mut ws = TrajWorkspace::new();
-                            self.run_shot_range(
-                                &self.plan,
-                                &self.sites,
-                                faults,
-                                start,
-                                end,
-                                &mut part,
-                                &mut sv_buf,
-                                &mut ws,
-                            );
-                            qufi_obs::flush();
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shot worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for part in &parts {
-                acc.absorb(part);
-            }
+            state = cursor.into_state();
         }
         finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
     }
 
     /// Oracle-flavored path: re-transpile the marked circuit and recompile
-    /// the Kraus plan from scratch, then run every shot un-banked and
-    /// un-split. The seed streams are the same pure functions of
-    /// `(point, fault angles, shot)`, so this is **bit-identical** to
-    /// [`TrajectorySweep::replay`] — it independently re-derives
-    /// everything the prepare step amortizes (transpilation, plan, prefix
-    /// bank, scratch reuse, shot chunking).
+    /// the Kraus plan from scratch, then run every shot un-banked. The
+    /// seed streams are the same pure functions of `(point, fault angles,
+    /// shot)`, so this is **bit-identical** to [`TrajectorySweep::replay`]
+    /// — it independently re-derives everything the prepare step amortizes
+    /// (transpilation, plan, prefix bank).
     fn replay_naive(
         &self,
         transpiler: &qufi_transpile::Transpiler,
@@ -1493,9 +1211,6 @@ impl TrajectorySweep {
         let plan = TrajPlan::compile(&physical, &self.model);
         let n = physical.num_qubits();
         let prefix_pos = sites[0].index;
-        let mut acc = ShotAccumulator::new(n, self.shots);
-        let mut ws = TrajWorkspace::new();
-        let mut sv_buf = None;
         let naive = TrajectorySweep {
             marked: self.marked.clone(),
             physical,
@@ -1508,22 +1223,7 @@ impl TrajectorySweep {
             point_base: self.point_base,
             shots: self.shots,
         };
-        naive.run_shot_range(
-            &naive.plan,
-            &naive.sites,
-            faults,
-            0,
-            naive.shots,
-            &mut acc,
-            &mut sv_buf,
-            &mut ws,
-        );
-        Ok(finish_trajectory_dist(
-            acc.mean(),
-            n,
-            &naive.model,
-            &naive.physical,
-        ))
+        Ok(naive.run_shots(faults))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -1541,17 +1241,25 @@ struct TrajectoryPrepared<'a> {
 }
 
 impl PreparedSweep for TrajectoryPrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault], scratch))
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        Ok(self.sweep.replay(&[fault]))
     }
 
     fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
         self.sweep
             .replay_naive(self.executor.transpiler(), &[fault])
+    }
+
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
+        // No cell-major engine: one-cell blocks spread the grid's cells
+        // across the grid threads.
+        Ok(replay_grid_blocks(
+            grid,
+            threads,
+            1,
+            |fault| self.sweep.replay(&[fault]),
+            |_| unreachable!("width-1 grids form one-cell blocks only"),
+        ))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -1566,9 +1274,7 @@ impl PreparedSweep for TrajectoryPrepared<'_> {
 impl PreparedDoubleSweep for TrajectoryPrepared<'_> {
     fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
         check_fault_order(first, second)?;
-        Ok(self
-            .sweep
-            .replay(&[first, second], &mut ReplayScratch::new()))
+        Ok(self.sweep.replay(&[first, second]))
     }
 
     fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
@@ -1585,7 +1291,7 @@ impl SweepExecutor for TrajectoryExecutor {
         point: InjectionPoint,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
         let marked = mark_injection_site(qc, point)?;
-        let sweep = TrajectorySweep::prepare(self, marked, 1, point, None, bank_byte_limit())?;
+        let sweep = TrajectorySweep::prepare(self, marked, 1, point, None, BANK_BYTES)?;
         Ok(Box::new(TrajectoryPrepared {
             executor: self,
             sweep,
@@ -1599,8 +1305,7 @@ impl SweepExecutor for TrajectoryExecutor {
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
         let marked = mark_double_injection_site(qc, point, neighbor)?;
-        let sweep =
-            TrajectorySweep::prepare(self, marked, 2, point, Some(neighbor), bank_byte_limit())?;
+        let sweep = TrajectorySweep::prepare(self, marked, 2, point, Some(neighbor), BANK_BYTES)?;
         Ok(Box::new(TrajectoryPrepared {
             executor: self,
             sweep,
@@ -1614,6 +1319,8 @@ mod tests {
     use qufi_algos::bernstein_vazirani;
     use qufi_noise::BackendCalibration;
     use std::f64::consts::{FRAC_PI_2, PI};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn bv() -> QuantumCircuit {
         bernstein_vazirani(0b101, 3).circuit
@@ -1780,37 +1487,13 @@ mod tests {
         let recomputed = TrajectorySweep::prepare(&ex, marked, 1, point, None, 0).unwrap();
         assert!(matches!(banked.bank, PrefixBank::Banked(_)));
         assert!(matches!(recomputed.bank, PrefixBank::Recompute));
-        let mut scratch = ReplayScratch::new();
         for &fault in &faults {
             assert_bit_identical(
-                &banked.replay(&[fault], &mut scratch),
-                &recomputed.replay(&[fault], &mut scratch),
+                &banked.replay(&[fault]),
+                &recomputed.replay(&[fault]),
                 "bank mode",
             );
         }
-    }
-
-    #[test]
-    fn trajectory_shot_parallelism_is_bit_identical() {
-        // Shot workers only change scheduling: block-partial accumulators
-        // are absorbed in block order, so every worker count agrees bitwise.
-        // (Other tests may race on this env var; they assert bit-identity
-        // regardless of worker count, so the race is benign by design.)
-        let qc = bv();
-        let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 13, 256);
-        let prepared = ex.prepare(&qc, some_point()).unwrap();
-        let fault = FaultParams::shift(FRAC_PI_2, 0.3);
-        std::env::set_var("QUFI_TRAJ_SHOT_THREADS", "1");
-        let serial = prepared.replay(fault).unwrap();
-        for workers in ["2", "3", "7"] {
-            std::env::set_var("QUFI_TRAJ_SHOT_THREADS", workers);
-            assert_bit_identical(
-                &prepared.replay(fault).unwrap(),
-                &serial,
-                &format!("{workers} shot workers"),
-            );
-        }
-        std::env::remove_var("QUFI_TRAJ_SHOT_THREADS");
     }
 
     #[test]
@@ -1937,44 +1620,55 @@ mod tests {
     }
 
     #[test]
-    fn reused_scratch_is_bit_identical_to_fresh_scratch() {
-        let qc = bv();
-        let ex = NoisyExecutor::new(BackendCalibration::jakarta());
-        let prepared = ex.prepare(&qc, some_point()).unwrap();
-        let faults = [
-            FaultParams::shift(PI, 0.0),
-            FaultParams::shift(0.3, 5.9),
-            FaultParams::shift(FRAC_PI_2, FRAC_PI_2),
-        ];
-        let mut scratch = ReplayScratch::new();
-        for &fault in &faults {
-            let reused = prepared.replay_with(fault, &mut scratch).unwrap();
-            let fresh = prepared.replay(fault).unwrap();
-            assert_bit_identical(&reused, &fresh, "scratch reuse");
-        }
-        // The trajectory path keeps its own statevector + workspace in the
-        // scratch; reuse across faults must not leak state between replays.
-        let traj = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 21, 96);
-        let prepared = traj.prepare(&qc, some_point()).unwrap();
-        for &fault in &faults {
-            let reused = prepared.replay_with(fault, &mut scratch).unwrap();
-            let fresh = prepared.replay(fault).unwrap();
-            assert_bit_identical(&reused, &fresh, "trajectory scratch reuse");
+    fn one_cell_blocks_take_the_scalar_path() {
+        // Cells tagged by φ = grid index; each closure reports the block
+        // sizes it saw, so the split between the two paths is visible.
+        let phis: Vec<f64> = (0..17).map(f64::from).collect();
+        let grid = FaultGrid::custom(vec![0.5], phis.clone());
+        let cell = |f: FaultParams| ProbDist::from_probs(vec![f.phi], 0);
+        for (width, threads, want_scalar, want_blocks) in [
+            (16, 1, 1, vec![16]),
+            (16, 2, 1, vec![16]),
+            (4, 3, 1, vec![4, 4, 4, 4]),
+            (1, 4, 17, vec![]),
+        ] {
+            let scalar = AtomicUsize::new(0);
+            let blocks = Mutex::new(Vec::new());
+            let out = replay_grid_blocks(
+                &grid,
+                threads,
+                width,
+                |f| {
+                    scalar.fetch_add(1, Ordering::Relaxed);
+                    cell(f)
+                },
+                |faults| {
+                    assert!(faults.len() > 1, "a one-cell block reached the block path");
+                    blocks.lock().unwrap().push(faults.len());
+                    faults.iter().map(|&f| cell(f)).collect()
+                },
+            );
+            let got: Vec<f64> = out.iter().map(|d| d.prob(0)).collect();
+            assert_eq!(got, phis, "grid order");
+            assert_eq!(scalar.into_inner(), want_scalar, "w={width}");
+            let mut blocks = blocks.into_inner().unwrap();
+            blocks.sort_unstable();
+            assert_eq!(blocks, want_blocks, "w={width}");
         }
     }
 
     #[test]
     fn replay_grid_batched_matches_scalar_bitwise() {
-        // Bit-identity must hold for every batch width, thread count and
-        // grid shape — including a grid with θ-duplicate cells (hoisted
-        // trig run), a ragged grid (len not a multiple of the width) and a
-        // single-cell grid (which takes the scalar path). (Other tests may
-        // race on the env var; every assertion here holds for any width,
-        // so the race is benign by design.)
+        // Cell-major blocks must match per-cell replays bit for bit at
+        // every thread count and grid shape: θ-duplicate cells (hoisted
+        // trig run, one 15-cell block), a ragged grid (a 16-cell block
+        // plus a 3-cell tail) and a single-cell grid (the scalar path).
         let qc = bv();
+        let ragged: Vec<f64> = (0..19).map(|i| 0.15 * f64::from(i)).collect();
         let grids = [
             FaultGrid::coarse(),
             FaultGrid::custom(vec![0.0, 0.7, 0.7, 2.1, PI], vec![0.0, 1.3, 5.0]),
+            FaultGrid::custom(ragged, vec![2.2]),
             FaultGrid::custom(vec![FRAC_PI_2], vec![PI]),
         ];
         for prepared in [
@@ -1987,36 +1681,38 @@ mod tests {
                 .unwrap(),
         ] {
             for grid in &grids {
-                let reference = prepared.replay_grid(grid, 1).unwrap();
-                for width in ["1", "3", "8", "16"] {
-                    std::env::set_var("QUFI_BATCH_CELLS", width);
-                    for threads in [1, 2, 4] {
-                        let cells = prepared.replay_grid_batched(grid, threads).unwrap();
-                        assert_eq!(cells.len(), grid.len());
-                        for (i, (cell, want)) in cells.iter().zip(&reference).enumerate() {
-                            assert_bit_identical(
-                                cell,
-                                want,
-                                &format!("batched cell {i} w={width} t={threads}"),
-                            );
-                        }
+                let reference: Vec<ProbDist> = grid
+                    .iter()
+                    .map(|(t, p)| prepared.replay(FaultParams::shift(t, p)).unwrap())
+                    .collect();
+                for threads in [1, 2, 4] {
+                    let cells = prepared.replay_grid(grid, threads).unwrap();
+                    assert_eq!(cells.len(), grid.len());
+                    for (i, (cell, want)) in cells.iter().zip(&reference).enumerate() {
+                        assert_bit_identical(
+                            cell,
+                            want,
+                            &format!("batched cell {i} of {} at {threads}t", grid.len()),
+                        );
                     }
                 }
-                std::env::remove_var("QUFI_BATCH_CELLS");
             }
         }
     }
 
     #[test]
     fn trajectory_replay_grid_batched_falls_back_to_scalar() {
-        // The trajectory scenario has no batched path: the batched entry
-        // point must transparently produce the scalar grid result.
+        // The trajectory scenario has no cell-major engine: its grid replay
+        // must transparently produce the per-cell results.
         let qc = bv();
         let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 11, 64);
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         let grid = FaultGrid::custom(vec![0.0, PI], vec![0.3]);
-        let batched = prepared.replay_grid_batched(&grid, 2).unwrap();
-        let scalar = prepared.replay_grid(&grid, 1).unwrap();
+        let batched = prepared.replay_grid(&grid, 2).unwrap();
+        let scalar: Vec<ProbDist> = grid
+            .iter()
+            .map(|(t, p)| prepared.replay(FaultParams::shift(t, p)).unwrap())
+            .collect();
         assert_eq!(batched.len(), scalar.len());
         for (cell, want) in batched.iter().zip(&scalar) {
             assert_bit_identical(cell, want, "trajectory fallback");

@@ -15,7 +15,6 @@ use qufi_sim::{Gate, QuantumCircuit};
 /// The parameters of one injected fault: a `U(θ, φ, λ)` phase shift.
 /// The paper fixes `λ = 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultParams {
     /// θ shift — rotation toward/away from |1⟩ (the more critical axis).
     pub theta: f64,
@@ -50,7 +49,6 @@ impl FaultParams {
 /// (which must be an operand of that instruction when enumerated by
 /// [`enumerate_injection_points`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InjectionPoint {
     /// Index into the circuit's operation list.
     pub op_index: usize,

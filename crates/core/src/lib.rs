@@ -74,7 +74,7 @@ pub use campaign::{
     split_thread_budget, CampaignOptions, CampaignResult, InjectionRecord,
 };
 pub use double::{DoubleCampaignResult, DoubleInjectionRecord, DoubleOptions};
-pub use engine::{PreparedDoubleSweep, PreparedSweep, ReplayScratch, SweepExecutor};
+pub use engine::{PreparedDoubleSweep, PreparedSweep, SweepExecutor};
 pub use error::ExecError;
 pub use executor::{Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor};
 pub use fault::{

@@ -73,7 +73,6 @@ pub fn qvf_from_dist(dist: &ProbDist, golden: &[usize]) -> f64 {
 
 /// Fault-severity classes derived from QVF (paper §V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Severity {
     /// QVF < 0.45: the correct output still clearly wins — a masked fault.
     Masked,

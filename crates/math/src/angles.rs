@@ -35,7 +35,6 @@ pub fn deg(degrees: f64) -> f64 {
 /// assert_eq!(AngleGrid::qufi_phi().values().len(), 24);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AngleGrid {
     start: f64,
     end: f64,

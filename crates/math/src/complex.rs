@@ -22,7 +22,6 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 /// assert!((z.norm() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -12,7 +12,6 @@ use std::f64::consts::PI;
 
 /// The result of a ZYZ decomposition: `U = e^{iα}·RZ(φ)·RY(θ)·RZ(λ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ZyzAngles {
     /// Global phase α.
     pub alpha: f64,

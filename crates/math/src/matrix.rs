@@ -27,7 +27,6 @@ use std::f64::consts::FRAC_1_SQRT_2;
 /// assert!(xz.approx_eq(&zx.scale_real(-1.0), 1e-12));
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

@@ -15,7 +15,6 @@ use rand::Rng;
 /// Gate durations in seconds (uniform across qubits, as on IBM backends to
 /// first order).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GateTimes {
     /// Single-qubit gate (sx/x/u) duration.
     pub one_q: f64,
@@ -37,7 +36,6 @@ impl Default for GateTimes {
 
 /// Calibration of a single physical qubit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QubitCalibration {
     /// T1 in seconds.
     pub t1: f64,
@@ -65,7 +63,6 @@ pub struct QubitCalibration {
 /// assert!(!model.is_ideal());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BackendCalibration {
     /// Device name, e.g. `"ibmq_jakarta"`.
     pub name: String,

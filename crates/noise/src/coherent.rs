@@ -16,7 +16,6 @@ use qufi_sim::{Gate, QuantumCircuit};
 /// A systematic per-gate rotation error: every occurrence of a gate class
 /// is followed by a small fixed rotation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoherentError {
     /// Extra rotation about X after each `sx`/`x` pulse (radians).
     pub over_rotation_x: f64,

@@ -19,7 +19,6 @@ use std::collections::HashMap;
 
 /// Per-qubit noise parameters used to build a [`NoiseModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QubitNoiseSpec {
     /// Spin-lattice relaxation time T1, in seconds.
     pub t1: f64,

@@ -24,7 +24,6 @@ use qufi_sim::ProbDist;
 /// assert!((noisy.prob(0) - 0.05).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReadoutError {
     p01: f64,
     p10: f64,

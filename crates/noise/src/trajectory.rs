@@ -132,8 +132,8 @@ impl TrajPlan {
 
 /// Reusable scratch for branch-weight evaluation: candidate branches are
 /// applied to a copy of the state so the winner can be committed by a
-/// buffer swap instead of a recompute. One workspace per worker thread;
-/// after warmup the shot loop allocates nothing.
+/// buffer swap instead of a recompute. One workspace per shot loop;
+/// after warmup the loop allocates nothing.
 #[derive(Default)]
 pub struct TrajWorkspace {
     scratch: Option<Statevector>,

@@ -49,6 +49,7 @@ mod worker;
 
 pub use server::Server;
 pub use store::{JobRecord, JobState};
+pub use worker::panic_message;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;

@@ -19,6 +19,15 @@ const RETRY_CAP: Duration = Duration::from_secs(2);
 /// Worker restarts before the supervisor gives the slot up.
 const MAX_WORKER_RESTARTS: u32 = 5;
 
+/// The message of a `panic!` payload (a literal or a formatted string), if
+/// it carries one — for turning a caught panic into a failure record.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+}
+
 /// Sleeps `total` in small slices, bailing early when the daemon drains
 /// — a backed-off retry must not delay shutdown.
 fn interruptible_sleep(shared: &Shared, total: Duration) {
@@ -68,11 +77,8 @@ fn run_one(shared: &Shared, id: &str, manifest: &str, cancel: &Arc<AtomicBool>) 
         Ok(Ok(HandlerOutcome::Stopped)) => Finish::Stopped,
         Ok(Err(message)) => Finish::Failed(message),
         Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "handler panicked".to_string());
+            let message =
+                panic_message(&*payload).unwrap_or_else(|| "handler panicked".to_string());
             Finish::Failed(format!("panic: {message}"))
         }
     }

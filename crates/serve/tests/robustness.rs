@@ -192,8 +192,13 @@ fn flood_sheds_with_overloaded_and_health_stays_responsive() {
     let dir = cfg.dir.clone();
     let (server, mut client) = start(cfg);
     // One long job occupies the worker; then flood distinct manifests.
+    // Wait for the worker to take it first: on a loaded host the flood
+    // can otherwise finish before the worker thread wakes.
     let blocker = client.submit("name=blocker\nsleep_ms=60000").unwrap();
     let blocker_id = str_field(&blocker, "job").to_string();
+    client
+        .wait_for(&blocker_id, &["running"], Duration::from_secs(5))
+        .unwrap();
     let mut shed = 0;
     let mut admitted = Vec::new();
     for i in 0..10 {

@@ -12,7 +12,6 @@ use core::fmt;
 
 /// One operation in a circuit.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// A unitary gate applied to `qubits` (operand order matters for
     /// controlled gates).
@@ -53,7 +52,6 @@ pub type Instruction = Op;
 /// assert_eq!(qc.depth(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuantumCircuit {
     num_qubits: usize,
     num_clbits: usize,

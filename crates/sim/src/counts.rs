@@ -23,7 +23,6 @@ use rand::Rng;
 /// assert_eq!(d.most_probable().0, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbDist {
     probs: Vec<f64>,
     n_bits: usize,
@@ -266,7 +265,6 @@ impl ProbDist {
 /// assert_eq!(counts.get("0") + counts.get("1"), 1024);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counts {
     counts: Vec<u64>,
     n_bits: usize,

@@ -283,17 +283,6 @@ impl DensityMatrix {
         self.clone()
     }
 
-    /// Overwrites this state with a copy of `src`, reusing the existing
-    /// buffer when it is large enough — the allocation-free counterpart of
-    /// [`DensityMatrix::snapshot`] that replay loops use to restore a
-    /// parked prefix state into a per-thread scratch matrix.
-    pub fn copy_from(&mut self, src: &DensityMatrix) {
-        qufi_obs::add("sim.state_copies", 1);
-        self.n = src.n;
-        self.dim = src.dim;
-        self.data.clone_from(&src.data);
-    }
-
     /// Raw row-major buffer — the batched replay engine broadcasts it into
     /// a cell-major block.
     pub(crate) fn raw(&self) -> &[Complex] {

@@ -25,7 +25,6 @@ use std::f64::consts::PI;
 /// assert!(fault.matrix().is_unitary(1e-12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Gate {
     /// Identity (the `id` delay gate).
     I,

@@ -173,8 +173,8 @@ impl Statevector {
 
     /// Overwrites this state with a copy of `src`, reusing the existing
     /// amplitude buffer when it is large enough — the allocation-free
-    /// counterpart of [`Statevector::snapshot`] for replay loops that
-    /// restore a parked prefix state into per-thread scratch.
+    /// counterpart of [`Statevector::snapshot`] for shot loops that
+    /// restore a parked prefix state into one reused shot state.
     pub fn copy_from(&mut self, src: &Statevector) {
         qufi_obs::add("sim.state_copies", 1);
         self.n = src.n;

@@ -21,7 +21,6 @@ use crate::topology::CouplingMap;
 /// assert!(physs.contains(&1) || physs.contains(&5));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layout {
     /// `phys[l]` = physical qubit hosting logical qubit `l`.
     phys: Vec<usize>,

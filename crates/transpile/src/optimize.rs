@@ -13,7 +13,6 @@ use qufi_sim::{Gate, QuantumCircuit};
 
 /// How hard the optimizer works; matches Qiskit's levels in spirit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Level {
     /// No optimization.
     Level0,

@@ -22,7 +22,6 @@ use crate::error::TranspileError;
 /// assert_eq!(cm.distance(0, 6), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CouplingMap {
     n: usize,
     /// Sorted unique undirected edges `(min, max)`.
