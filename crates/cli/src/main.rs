@@ -72,7 +72,8 @@ COMMANDS:
 OPTIONS:
     --out DIR      Output directory (default: qufi-runs/<campaign name>)
     --threads N    Override the manifest's worker-thread count
-    --budget N     Stop after N injection points (graceful; resume later)
+    --budget N     Run only the first N pending points, in manifest order
+                   (graceful; resume later)
     --quiet        Errors only on stderr
     --verbose      Progress on stderr even when it is not a terminal
     --no-metrics   Skip telemetry recording and its artifacts

@@ -9,7 +9,10 @@
 //! interrupt/resume split — produces the same record values. Artifacts
 //! are generated from the checkpoint files afterwards
 //! ([`crate::export`]), which makes an interrupted-and-resumed campaign
-//! byte-identical to an uninterrupted one.
+//! byte-identical to an uninterrupted one. The pending points run as the
+//! tasks of [`qufi_core::par::run`], in manifest order: a `--budget N`
+//! pass runs exactly the first N of them, and a failing pass reports the
+//! error of its first failing point, at every thread count.
 
 use crate::checkpoint::{CheckpointStore, JobMeta};
 use crate::error::CliError;
@@ -27,8 +30,8 @@ use std::time::{Duration, Instant};
 pub struct RunOptions {
     /// Overrides the manifest's thread budget.
     pub threads: Option<usize>,
-    /// Stop (gracefully, checkpoint intact) after this many injection
-    /// points have been *executed* in this invocation — time-boxed runs
+    /// Run only the first N pending injection points, in manifest order,
+    /// then stop gracefully with the checkpoint intact — time-boxed runs
     /// and interruption tests.
     pub point_budget: Option<usize>,
     /// Suppress progress reporting on stderr. (Progress also respects the
@@ -181,104 +184,60 @@ pub fn run_campaign(
     prepare_span.finish();
     qufi_obs::add("campaign.points_resumed", points_resumed as u64);
 
-    // Fan pending (job, point) tasks across the pool.
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, InjectionPoint)>();
-    let mut total_pending = 0usize;
-    for (job_idx, job) in jobs.iter().enumerate() {
-        for &point in &job.pending {
-            tx.send((job_idx, point)).expect("queue open");
-            total_pending += 1;
-        }
-    }
-    drop(tx);
-
+    // Pending (job, point) tasks in manifest order; a budget keeps the
+    // first N of them.
+    let pending: Vec<(usize, InjectionPoint)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(job_idx, job)| job.pending.iter().map(move |&point| (job_idx, point)))
+        .collect();
     let budget = opts.point_budget.unwrap_or(usize::MAX);
-    let executed = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let first_error: Mutex<Option<CliError>> = Mutex::new(None);
-    // Two-level split of the thread budget: point workers pull (job, point)
-    // tasks from the queue; each point fans its fault grid across the
-    // leftover per-worker threads. Results are byte-identical for every
-    // split (and every budget), so this is purely a scheduling choice.
+    let tasks = &pending[..pending.len().min(budget)];
+    // Two-level split of the thread budget: point workers claim (job,
+    // point) tasks; each point fans its fault grid across the leftover
+    // per-worker threads. Results are byte-identical for every split (and
+    // every budget), so this is purely a scheduling choice.
     let (n_threads, grid_threads) =
-        qufi_core::campaign::split_thread_budget(resolve_threads(manifest, opts), total_pending);
-    if !opts.quiet && total_pending > 0 {
+        qufi_core::campaign::split_thread_budget(resolve_threads(manifest, opts), tasks.len());
+    if !opts.quiet && !tasks.is_empty() {
         qufi_obs::log::info(&format!(
             "[threads] {n_threads} point worker(s) × {grid_threads} grid thread(s) \
-             for {total_pending} pending point(s)"
+             for {} pending point(s)",
+            tasks.len()
         ));
     }
 
     let execute_span = qufi_obs::span("campaign.execute_ns");
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let jobs = &jobs;
-            let grid = &grid;
-            let store = &store;
-            let executed = &executed;
-            let stopped = &stopped;
-            let first_error = &first_error;
-            scope.spawn(move || {
-                while let Ok((job_idx, point)) = rx.recv() {
-                    if stopped.load(Ordering::SeqCst) || first_error.lock().is_some() {
-                        break;
-                    }
-                    if opts.cancel_requested() {
-                        stopped.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    // Claim budget before running so an exhausted budget
-                    // never executes (and never checkpoints) extra work.
-                    if executed.fetch_add(1, Ordering::SeqCst) >= budget {
-                        executed.fetch_sub(1, Ordering::SeqCst);
-                        stopped.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    let job = &jobs[job_idx];
-                    let _job_label = qufi_obs::job_scope(&job.meta.id);
-                    match job.runtime.run_point_split(point, grid, grid_threads) {
-                        Ok(shard) => {
-                            let guard = job.append_lock.lock();
-                            if let Err(e) = store.append_records(&job.meta.id, &shard) {
-                                first_error.lock().get_or_insert(e);
-                                break;
-                            }
-                            drop(guard);
-                            // Chaos site: abort *after* a durable append —
-                            // the crash-recovery tests' mid-campaign kill.
-                            crate::chaos::kill_point("runner.append");
-                            let done = job.done.fetch_add(1, Ordering::SeqCst) + 1;
-                            if !opts.quiet {
-                                report_progress(&job.meta, done);
-                            }
-                        }
-                        Err(e) => {
-                            first_error.lock().get_or_insert(CliError::Exec(e));
-                            break;
-                        }
-                    }
-                }
-                // Merge telemetry before the closure returns: the scope's
-                // exit synchronizes with closure completion, not with TLS
-                // destructors, so at-exit merging would race the snapshot
-                // taken after the scope.
-                qufi_obs::flush();
-            });
+    let ran = qufi_core::par::run(tasks.len(), n_threads, |i| {
+        // A canceled pass skips its remaining tasks.
+        if opts.cancel_requested() {
+            return Ok(false);
         }
-    });
+        let (job_idx, point) = tasks[i];
+        let job = &jobs[job_idx];
+        let _job_label = qufi_obs::job_scope(&job.meta.id);
+        let shard = job.runtime.run_point_split(point, &grid, grid_threads)?;
+        {
+            let _guard = job.append_lock.lock();
+            store.append_records(&job.meta.id, &shard)?;
+        }
+        // Chaos site: abort *after* a durable append — the crash-recovery
+        // tests' mid-campaign kill.
+        crate::chaos::kill_point("runner.append");
+        let done = job.done.fetch_add(1, Ordering::SeqCst) + 1;
+        if !opts.quiet {
+            report_progress(&job.meta, done);
+        }
+        Ok::<_, CliError>(true)
+    })?;
     execute_span.finish();
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-
-    let status = if stopped.into_inner() {
+    let points_run = ran.into_iter().filter(|&ran| ran).count();
+    let status = if points_run < pending.len() {
         RunStatus::Interrupted
     } else {
         RunStatus::Complete
     };
-    let points_run = executed.into_inner();
     qufi_obs::add("campaign.points_run", points_run as u64);
     let jobs: Vec<JobOutcome> = jobs
         .into_iter()
@@ -368,12 +327,7 @@ pub fn dry_run_plan(manifest: &Manifest, opts: &RunOptions) -> Result<String, Cl
 }
 
 fn resolve_threads(manifest: &Manifest, opts: &RunOptions) -> usize {
-    match opts.threads.unwrap_or(manifest.threads) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
+    qufi_core::par::resolve_threads(opts.threads.unwrap_or(manifest.threads))
 }
 
 /// Points whose full grid is present in the checkpointed records.
@@ -438,6 +392,7 @@ fn report_progress(meta: &JobMeta, done: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::fs;
     use std::path::PathBuf;
 
@@ -483,29 +438,44 @@ mod tests {
 
     #[test]
     fn budget_interrupts_then_resume_finishes() {
-        let dir = temp_dir("budget");
-        let m = manifest(1);
-        let quiet = RunOptions {
-            quiet: true,
-            ..RunOptions::default()
-        };
-        let first = run_campaign(
-            &m,
-            &dir,
-            &RunOptions {
-                point_budget: Some(2),
-                ..quiet.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(first.status, RunStatus::Interrupted);
-        assert_eq!(first.points_run, 2);
+        for threads in [1, 2, 4] {
+            let dir = temp_dir(&format!("budget-{threads}"));
+            let m = manifest(threads);
+            let quiet = RunOptions {
+                quiet: true,
+                ..RunOptions::default()
+            };
+            let first = run_campaign(
+                &m,
+                &dir,
+                &RunOptions {
+                    point_budget: Some(2),
+                    ..quiet.clone()
+                },
+            )
+            .unwrap();
+            assert_eq!(first.status, RunStatus::Interrupted);
+            assert_eq!(first.points_run, 2);
+            // The budget keeps the first two pending points in manifest
+            // order, whichever workers ran them.
+            let spec = &job_matrix(&m)[0];
+            let runtime = JobRuntime::prepare(&m, spec).unwrap();
+            let checkpointed: BTreeSet<InjectionPoint> = CheckpointStore::open(&dir)
+                .unwrap()
+                .load_records(&spec.id())
+                .unwrap()
+                .iter()
+                .map(|r| r.point)
+                .collect();
+            let first_two: BTreeSet<InjectionPoint> = runtime.points[..2].iter().copied().collect();
+            assert_eq!(checkpointed, first_two, "threads = {threads}");
 
-        let second = run_campaign(&m, &dir, &quiet).unwrap();
-        assert_eq!(second.status, RunStatus::Complete);
-        assert_eq!(second.points_resumed, 2);
-        assert!(second.jobs.iter().all(JobOutcome::is_complete));
-        let _ = fs::remove_dir_all(dir);
+            let second = run_campaign(&m, &dir, &quiet).unwrap();
+            assert_eq!(second.status, RunStatus::Complete);
+            assert_eq!(second.points_resumed, 2);
+            assert!(second.jobs.iter().all(JobOutcome::is_complete));
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

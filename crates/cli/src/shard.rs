@@ -51,7 +51,7 @@ use crate::obs_artifacts;
 use qufi_core::fault::{FaultGrid, InjectionPoint};
 use qufi_core::report::records_to_csv;
 use qufi_core::serialize::records_from_csv;
-use qufi_core::shard::{unit_id as core_unit_id, ShardPlan, WorkUnit};
+use qufi_core::shard::{ShardPlan, WorkUnit};
 use qufi_core::{CampaignResult, InjectionRecord};
 use qufi_obs::json;
 use std::collections::HashMap;
@@ -853,12 +853,6 @@ fn load_unit_records(out_dir: &Path, unit: &WorkUnit) -> Result<Vec<InjectionRec
         )));
     }
     Ok(records)
-}
-
-/// Re-exported for plan consumers that want the canonical unit id of an
-/// enumeration index.
-pub fn unit_id(idx: usize) -> String {
-    core_unit_id(idx)
 }
 
 #[cfg(test)]

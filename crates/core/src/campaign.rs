@@ -2,8 +2,8 @@
 //!
 //! A campaign sweeps every injection point of a circuit (after each gate,
 //! on each operand qubit) across the φ/θ fault grid, executes each faulty
-//! circuit, and records the QVF. Points are independent, so the work is
-//! distributed over a thread pool fed by a `crossbeam` channel.
+//! circuit, and records the QVF. Points are independent, so the work fans
+//! out over the deterministic worker pool of [`crate::par`].
 //!
 //! Execution goes through the forked-state sweep engine
 //! ([`crate::engine`]): each point transpiles and evolves its circuit
@@ -17,7 +17,6 @@ use crate::error::ExecError;
 use crate::executor::{Executor, IdealExecutor};
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
 use crate::metrics::{mean, qvf_from_dist, stddev, Severity};
-use parking_lot::Mutex;
 use qufi_sim::QuantumCircuit;
 
 /// One executed injection and its measured QVF.
@@ -71,16 +70,6 @@ impl CampaignOptions {
         CampaignOptions {
             grid: FaultGrid::coarse(),
             ..Self::default()
-        }
-    }
-
-    fn resolve_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -376,7 +365,9 @@ pub fn run_point_sweep_naive<E: SweepExecutor + ?Sized>(
 ///
 /// # Errors
 ///
-/// The first execution error aborts the campaign.
+/// An execution error aborts the campaign. The error returned is the one
+/// of the lowest-index failing point, so it is the same at every thread
+/// count (see [`crate::par`]).
 pub fn run_single_campaign<E: SweepExecutor>(
     qc: &QuantumCircuit,
     golden: &[usize],
@@ -390,63 +381,24 @@ pub fn run_single_campaign<E: SweepExecutor>(
     let baseline_qvf = qvf_from_dist(&executor.execute(qc)?, golden);
 
     // One task per injection point; each task sweeps the whole grid, which
-    // amortizes scheduling overhead over ~312 executions.
-    let (tx, rx) = crossbeam::channel::unbounded::<InjectionPoint>();
-    for &p in &points {
-        tx.send(p).expect("queue open");
-    }
-    drop(tx);
-
-    let records = Mutex::new(Vec::with_capacity(points.len() * options.grid.len()));
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    // Two-level split: point workers pull from the queue; each point fans
-    // its grid across the leftover per-worker budget.
-    let (n_threads, grid_threads) = split_thread_budget(options.resolve_threads(), points.len());
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let records = &records;
-            let first_error = &first_error;
-            let grid = &options.grid;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(point) = rx.recv() {
-                    if first_error.lock().is_some() {
-                        break;
-                    }
-                    let sweep = if options.naive {
-                        run_point_sweep_naive(qc, golden, executor, point, grid)
-                    } else {
-                        run_point_sweep_parallel(qc, golden, executor, point, grid, grid_threads)
-                    };
-                    match sweep {
-                        Ok(records) => local.extend(records),
-                        Err(e) => {
-                            first_error.lock().get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-                records.lock().extend(local);
-                // Merge telemetry before the closure returns, on every exit
-                // path: the scope's exit synchronizes with closure
-                // completion, not with TLS destructors, so at-exit merging
-                // would race the caller's snapshot.
-                qufi_obs::flush();
-            });
+    // amortizes scheduling overhead over ~312 executions. Two-level split:
+    // point workers claim points; each point fans its grid across the
+    // leftover per-worker budget.
+    let (n_threads, grid_threads) =
+        split_thread_budget(crate::par::resolve_threads(options.threads), points.len());
+    let sweeps = crate::par::run(points.len(), n_threads, |i| {
+        if options.naive {
+            run_point_sweep_naive(qc, golden, executor, points[i], &options.grid)
+        } else {
+            run_point_sweep_parallel(qc, golden, executor, points[i], &options.grid, grid_threads)
         }
-    });
-
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
+    })?;
     Ok(CampaignResult::from_parts(
         qc.name.clone(),
         golden.to_vec(),
         baseline_qvf,
         options.grid.clone(),
-        records.into_inner(),
+        sweeps.into_iter().flatten().collect(),
     ))
 }
 

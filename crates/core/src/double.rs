@@ -10,7 +10,6 @@ use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
 use crate::metrics::{mean, qvf_from_dist, stddev};
-use parking_lot::Mutex;
 use qufi_sim::QuantumCircuit;
 use qufi_transpile::Transpiler;
 
@@ -148,7 +147,9 @@ pub fn neighbor_pairs(
 ///
 /// # Errors
 ///
-/// The first execution error aborts the campaign.
+/// An execution error aborts the campaign. The error returned is the one
+/// of the lowest-index failing (point, neighbor) item, so it is the same
+/// at every thread count (see [`crate::par`]).
 pub fn run_double_campaign<E: SweepExecutor>(
     qc: &QuantumCircuit,
     golden: &[usize],
@@ -172,87 +173,39 @@ pub fn run_double_campaign<E: SweepExecutor>(
         }
     }
 
-    let (tx, rx) = crossbeam::channel::unbounded::<(InjectionPoint, usize)>();
-    for item in &items {
-        tx.send(*item).expect("queue open");
-    }
-    drop(tx);
-
-    let records = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let n_threads = if options.threads > 0 {
-        options.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    .min(items.len().max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let records = &records;
-            let first_error = &first_error;
-            let grid = &options.grid;
-            let naive = options.naive;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                'items: while let Ok((point, neighbor)) = rx.recv() {
-                    if first_error.lock().is_some() {
-                        break 'items;
-                    }
-                    let prepared = match executor.prepare_double(qc, point, neighbor) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            first_error.lock().get_or_insert(e);
-                            break 'items;
-                        }
-                    };
-                    for &phi0 in &grid.phis {
-                        for &theta0 in &grid.thetas {
-                            for &phi1 in grid.phis.iter().filter(|&&p| p <= phi0 + 1e-12) {
-                                for &theta1 in grid.thetas.iter().filter(|&&t| t <= theta0 + 1e-12)
-                                {
-                                    let first = FaultParams::shift(theta0, phi0);
-                                    let second = FaultParams::shift(theta1, phi1);
-                                    let dist = if naive {
-                                        prepared.replay_naive(first, second)
-                                    } else {
-                                        prepared.replay(first, second)
-                                    };
-                                    match dist {
-                                        Ok(dist) => local.push(DoubleInjectionRecord {
-                                            point,
-                                            neighbor,
-                                            theta0,
-                                            phi0,
-                                            theta1,
-                                            phi1,
-                                            qvf: qvf_from_dist(&dist, golden),
-                                        }),
-                                        Err(e) => {
-                                            first_error.lock().get_or_insert(e);
-                                            break 'items;
-                                        }
-                                    }
-                                }
-                            }
-                        }
+    let threads = crate::par::resolve_threads(options.threads);
+    let grid = &options.grid;
+    let sweeps = crate::par::run(items.len(), threads, |i| {
+        let (point, neighbor) = items[i];
+        let prepared = executor.prepare_double(qc, point, neighbor)?;
+        let mut records = Vec::new();
+        for &phi0 in &grid.phis {
+            for &theta0 in &grid.thetas {
+                for &phi1 in grid.phis.iter().filter(|&&p| p <= phi0 + 1e-12) {
+                    for &theta1 in grid.thetas.iter().filter(|&&t| t <= theta0 + 1e-12) {
+                        let first = FaultParams::shift(theta0, phi0);
+                        let second = FaultParams::shift(theta1, phi1);
+                        let dist = if options.naive {
+                            prepared.replay_naive(first, second)
+                        } else {
+                            prepared.replay(first, second)
+                        }?;
+                        records.push(DoubleInjectionRecord {
+                            point,
+                            neighbor,
+                            theta0,
+                            phi0,
+                            theta1,
+                            phi1,
+                            qvf: qvf_from_dist(&dist, golden),
+                        });
                     }
                 }
-                records.lock().extend(local);
-                // Merge telemetry before the closure returns, on every exit
-                // path (see `run_single_campaign`).
-                qufi_obs::flush();
-            });
+            }
         }
-    });
-
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    let mut records: Vec<DoubleInjectionRecord> = records.into_inner();
+        Ok::<_, ExecError>(records)
+    })?;
+    let mut records: Vec<DoubleInjectionRecord> = sweeps.into_iter().flatten().collect();
     records.sort_by(|a, b| {
         (a.point, a.neighbor, a.phi0, a.theta0, a.phi1, a.theta1)
             .partial_cmp(&(b.point, b.neighbor, b.phi0, b.theta0, b.phi1, b.theta1))

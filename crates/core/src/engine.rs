@@ -51,6 +51,7 @@ use qufi_sim::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 
 /// An [`Executor`] that can split a fault sweep into per-point preparation
 /// and per-configuration replay.
@@ -141,10 +142,10 @@ pub trait PreparedSweep: Sync {
     /// cell-major engine: every block holds one cell.
     ///
     /// Determinism contract: a cell goes through exactly the operation
-    /// sequence of [`PreparedSweep::replay`] in either path, blocks go to
-    /// workers in contiguous ranges fixed by `grid.len()` and `threads`
-    /// alone, and every replay depends only on `(self, fault)` — so the
-    /// returned cells are bit-identical to per-cell replays for every
+    /// sequence of [`PreparedSweep::replay`] in either path, the blocks are
+    /// fixed by the grid alone (whichever worker of [`crate::par::run`]
+    /// claims one), and every replay depends only on `(self, fault)` — so
+    /// the returned cells are bit-identical to per-cell replays for every
     /// thread count, including `threads = 1`. Sampling scenarios keep this
     /// property because their seeds derive from the fault angles, never
     /// from replay order.
@@ -201,19 +202,19 @@ fn injector_matrices(faults: &[FaultParams]) -> Vec<CMatrix> {
     mats
 }
 
-/// The deterministic fan-out behind every [`PreparedSweep::replay_grid`]:
-/// cells are stably sorted by θ bit pattern (θ-identical cells share one
-/// trig evaluation and blocks stay maximally uniform), chunked into
-/// `width`-sized blocks — the ragged tail simply forms a narrower block —
-/// and blocks are handed to workers in contiguous ranges. A one-cell block
-/// goes through `replay_cell`, every wider one through `replay_block`.
-/// Results scatter back to **grid order** by original cell index; the sort
-/// is invisible in the output because every replay depends only on
-/// `(sweep, fault)`.
+/// The block split behind every [`PreparedSweep::replay_grid`]: cells are
+/// stably sorted by θ bit pattern (θ-identical cells share one trig
+/// evaluation and blocks stay maximally uniform) and chunked into
+/// `width`-sized blocks — the ragged tail simply forms a narrower block.
+/// The blocks are the tasks of [`crate::par::run`] over `threads` workers.
+/// A one-cell block goes through `replay_cell`, every wider one through
+/// `replay_block`. Results scatter back to **grid order** by original cell
+/// index; the sort is invisible in the output because every replay depends
+/// only on `(sweep, fault)`.
 ///
 /// Replays are infallible (the fallible work — transpilation, planning,
-/// prefix evolution — happened at prepare time), so there is no
-/// cancellation protocol. The `replay.batch.*` counters count cell-major
+/// prefix evolution — happened at prepare time), so the tasks' error type
+/// is [`Infallible`]. The `replay.batch.*` counters count cell-major
 /// blocks only; one-cell blocks count as `replay.batch.scalar_fallback`.
 fn replay_grid_blocks(
     grid: &FaultGrid,
@@ -231,67 +232,33 @@ fn replay_grid_blocks(
         return Vec::new();
     }
     sorted.sort_by_key(|(_, f)| f.theta.to_bits());
+    let (order, faults): (Vec<usize>, Vec<FaultParams>) = sorted.into_iter().unzip();
     let _grid_span = qufi_obs::span("replay.grid_ns");
-    let block_count = sorted.len().div_ceil(width);
-    let block = |b: usize| &sorted[b * width..((b + 1) * width).min(sorted.len())];
-    let run_blocks = |blocks: std::ops::Range<usize>| -> Vec<(usize, ProbDist)> {
-        let mut results = Vec::with_capacity(blocks.len() * width);
-        let mut faults = Vec::with_capacity(width);
-        for b in blocks {
-            let cells = block(b);
-            faults.clear();
-            faults.extend(cells.iter().map(|&(_, f)| f));
-            let dists = match faults[..] {
-                [fault] => vec![replay_cell(fault)],
-                _ => replay_block(&faults),
-            };
-            debug_assert_eq!(dists.len(), cells.len());
-            results.extend(cells.iter().map(|&(i, _)| i).zip(dists));
-        }
-        results
-    };
-    let workers = threads.clamp(1, block_count);
-    let mut out: Vec<Option<ProbDist>> = vec![None; sorted.len()];
-    if workers == 1 {
-        for (i, dist) in run_blocks(0..block_count) {
+    let block_count = faults.len().div_ceil(width);
+    let block = |b: usize| b * width..((b + 1) * width).min(faults.len());
+    let Ok(blocks) = crate::par::run(block_count, threads, |b| {
+        let dists = match faults[block(b)] {
+            [fault] => vec![replay_cell(fault)],
+            ref cells => replay_block(cells),
+        };
+        debug_assert_eq!(dists.len(), block(b).len());
+        Ok::<_, Infallible>(dists)
+    });
+    let mut out: Vec<Option<ProbDist>> = vec![None; faults.len()];
+    for (b, dists) in blocks.into_iter().enumerate() {
+        for (&i, dist) in order[block(b)].iter().zip(dists) {
             out[i] = Some(dist);
-        }
-    } else {
-        // Contiguous block ranges: the (block → worker) assignment is a
-        // pure function of (grid.len(), width, threads), never scheduling.
-        let per_worker = block_count.div_ceil(workers);
-        let parts = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_blocks = &run_blocks;
-                    scope.spawn(move || {
-                        let part =
-                            run_blocks(w * per_worker..((w + 1) * per_worker).min(block_count));
-                        qufi_obs::flush();
-                        part
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grid replay worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for part in parts {
-            for (i, dist) in part {
-                out[i] = Some(dist);
-            }
         }
     }
     // One-cell blocks are all of them (width 1) or only the ragged tail,
     // so the cell-major cells are a prefix of the sorted order.
     let scalar_cells = (0..block_count).filter(|&b| block(b).len() == 1).count();
-    let batched = &sorted[..sorted.len() - scalar_cells];
-    qufi_obs::add("replay.cells", sorted.len() as u64);
+    let batched = &faults[..faults.len() - scalar_cells];
+    qufi_obs::add("replay.cells", faults.len() as u64);
     if !batched.is_empty() {
         let theta_groups = 1 + batched
             .windows(2)
-            .filter(|w| w[0].1.theta.to_bits() != w[1].1.theta.to_bits())
+            .filter(|w| w[0].theta.to_bits() != w[1].theta.to_bits())
             .count();
         qufi_obs::add("replay.batch.cells", batched.len() as u64);
         qufi_obs::add("replay.batch.blocks", (block_count - scalar_cells) as u64);

@@ -62,6 +62,7 @@ pub mod executor;
 pub mod fault;
 pub mod mapping;
 pub mod metrics;
+pub mod par;
 pub mod prepare_cache;
 pub mod report;
 pub mod retry;

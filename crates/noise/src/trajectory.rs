@@ -16,10 +16,10 @@
 //!   channel application, regardless of which branch wins; single-operator
 //!   channels (including pure-unitary ones) consume **no** randomness.
 //!   A shot's outcome is therefore a pure function of its seed.
-//! - **Schedule-invariant accumulation**: shots accumulate into
-//!   fixed-size blocks ([`SHOT_BLOCK`]) that are folded in block order by
-//!   [`ShotAccumulator::mean`], so serial, chunked, and shot-parallel
-//!   execution produce bit-identical averages.
+//! - **Fixed fold order**: shots accumulate into fixed-size blocks
+//!   ([`SHOT_BLOCK`]) that are folded in block order by
+//!   [`ShotAccumulator::mean`], so the average's bits depend on shot
+//!   indices alone.
 //!
 //! Readout confusion acts on the *averaged* distribution (it is linear in
 //! the state, so this matches applying it per shot) and marginalization
@@ -33,10 +33,8 @@ use qufi_sim::{Gate, ProbDist, QuantumCircuit, SimError, Statevector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Shots per accumulation block. Serial and parallel execution both sum
-/// shot probabilities into per-block partials and fold the blocks in
-/// order, so any worker split that hands out whole blocks reproduces the
-/// serial result bit-for-bit.
+/// Shots per accumulation block: shot probabilities sum into per-block
+/// partials, and the blocks fold in order.
 pub const SHOT_BLOCK: u64 = 64;
 
 /// One noise channel resolved for trajectory sampling: the raw Kraus
@@ -305,15 +303,11 @@ impl TrajectoryCursor {
 }
 
 /// Accumulates per-shot probability vectors into [`SHOT_BLOCK`]-sized
-/// partial sums so the fold order is fixed by shot *index*, never by
-/// execution schedule. A full accumulator covers every block; workers in
-/// a shot-parallel split each build a range accumulator over whole blocks
-/// and the ranges are [absorbed](ShotAccumulator::absorb) back — the
-/// resulting [`mean`](ShotAccumulator::mean) is bit-identical to serial.
+/// partial sums so the fold order is fixed by shot *index*: the
+/// [`mean`](ShotAccumulator::mean) folds the partials in block order.
 pub struct ShotAccumulator {
     dim: usize,
     shots: u64,
-    first_block: usize,
     blocks: Vec<Vec<f64>>,
 }
 
@@ -326,70 +320,33 @@ impl ShotAccumulator {
     /// Panics when `shots` is zero.
     pub fn new(num_qubits: usize, shots: u64) -> Self {
         assert!(shots > 0, "trajectory execution needs at least one shot");
-        ShotAccumulator::for_shot_range(num_qubits, shots, 0, shots)
-    }
-
-    /// An accumulator covering only shots `[start, end)`, for one worker
-    /// of a shot-parallel split. The range must cover whole blocks:
-    /// `start` on a block boundary, `end` on a boundary or at `shots`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty, misaligned, or out-of-range split.
-    pub fn for_shot_range(num_qubits: usize, shots: u64, start: u64, end: u64) -> Self {
-        assert!(shots > 0, "trajectory execution needs at least one shot");
-        assert!(start < end && end <= shots, "bad shot range {start}..{end}");
-        assert_eq!(start % SHOT_BLOCK, 0, "range must start on a block");
-        assert!(
-            end.is_multiple_of(SHOT_BLOCK) || end == shots,
-            "range must end on a block boundary or at the last shot"
-        );
         let dim = 1usize << num_qubits;
-        let n_blocks = (end - start).div_ceil(SHOT_BLOCK) as usize;
         ShotAccumulator {
             dim,
             shots,
-            first_block: (start / SHOT_BLOCK) as usize,
-            blocks: vec![vec![0.0; dim]; n_blocks],
+            blocks: vec![vec![0.0; dim]; shots.div_ceil(SHOT_BLOCK) as usize],
         }
     }
 
     /// Adds shot `shot`'s Born-rule probabilities. Shots **must** be
-    /// added in increasing index order within each block — that is the
-    /// order every schedule replays, so the per-block FP sums match.
+    /// added in increasing index order within each block, so the
+    /// per-block FP sums are fixed.
     ///
     /// # Panics
     ///
-    /// Panics when the shot lies outside this accumulator's range or the
-    /// state width disagrees.
+    /// Panics when the shot lies past the last block or the state width
+    /// disagrees.
     pub fn add_shot(&mut self, shot: u64, sv: &Statevector) {
         assert_eq!(sv.amplitudes().len(), self.dim, "state width mismatch");
-        let block = (shot / SHOT_BLOCK) as usize - self.first_block;
-        let partial = &mut self.blocks[block];
+        let partial = &mut self.blocks[(shot / SHOT_BLOCK) as usize];
         for (acc, a) in partial.iter_mut().zip(sv.amplitudes()) {
             *acc += a.norm_sqr();
-        }
-    }
-
-    /// Copies a worker's finished block range into this (full)
-    /// accumulator. Ranges from a disjoint split land in disjoint blocks,
-    /// so absorption is a plain per-block copy — no FP reassociation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shot-count or width mismatch.
-    pub fn absorb(&mut self, part: &ShotAccumulator) {
-        assert_eq!(part.shots, self.shots, "shot count mismatch");
-        assert_eq!(part.dim, self.dim, "width mismatch");
-        for (i, block) in part.blocks.iter().enumerate() {
-            self.blocks[part.first_block + i].clone_from(block);
         }
     }
 
     /// The mean probability vector: block partials folded strictly in
     /// block order, divided by the shot count last.
     pub fn mean(&self) -> Vec<f64> {
-        assert_eq!(self.first_block, 0, "mean of a partial accumulator");
         let mut acc = vec![0.0f64; self.dim];
         for block in &self.blocks {
             for (a, &p) in acc.iter_mut().zip(block) {
@@ -520,36 +477,6 @@ mod tests {
         let fine = run_trajectories(&qc, &model, 4096, shot_seed(3)).unwrap();
         assert!(coarse.tv_distance(&oracle) < 0.08);
         assert!(fine.tv_distance(&oracle) < 0.02);
-    }
-
-    #[test]
-    fn chunked_accumulation_matches_serial_bit_for_bit() {
-        let qc = bell();
-        let model = BackendCalibration::jakarta()
-            .restrict(&[0, 1])
-            .noise_model();
-        let plan = TrajPlan::compile(&qc, &model);
-        let shots = 3 * SHOT_BLOCK + 17;
-        let run_range = |start: u64, end: u64| {
-            let mut part = ShotAccumulator::for_shot_range(2, shots, start, end);
-            let mut ws = TrajWorkspace::new();
-            for shot in start..end {
-                let mut rng = SmallRng::seed_from_u64(shot_seed(11)(shot));
-                let mut cursor = TrajectoryCursor::start(&plan).unwrap();
-                cursor.advance_planned(&plan, plan.size(), &mut rng, &mut ws);
-                part.add_shot(shot, cursor.state());
-            }
-            part
-        };
-        let serial = run_range(0, shots).mean();
-        let mut merged = ShotAccumulator::new(2, shots);
-        merged.absorb(&run_range(0, SHOT_BLOCK));
-        merged.absorb(&run_range(SHOT_BLOCK, 3 * SHOT_BLOCK));
-        merged.absorb(&run_range(3 * SHOT_BLOCK, shots));
-        let chunked = merged.mean();
-        for (i, (a, b)) in serial.iter().zip(&chunked).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "outcome {i}");
-        }
     }
 
     #[test]
