@@ -4,9 +4,7 @@ use qufi_algos::{paper_workloads, scaling_family, Workload};
 use qufi_core::campaign::{run_single_campaign, CampaignOptions, CampaignResult};
 use qufi_core::double::{neighbor_pairs, run_double_campaign, DoubleCampaignResult, DoubleOptions};
 use qufi_core::engine::SweepExecutor;
-use qufi_core::executor::{
-    Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
-};
+use qufi_core::executor::{Executor, HardwareExecutor, NoisyExecutor, TrajectoryExecutor};
 use qufi_core::fault::{enumerate_injection_points, inject_fault, FaultGrid, FaultParams};
 use qufi_core::metrics::{mean, qvf_from_dist, stddev};
 use qufi_core::report::{Heatmap, Histogram};
@@ -336,14 +334,10 @@ pub fn fig7_trajectory_extension(
         .collect()
 }
 
-/// The ideal-executor variant used in tests and ablations.
-pub fn ideal_executor() -> IdealExecutor {
-    IdealExecutor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qufi_core::executor::IdealExecutor;
 
     #[test]
     fn fig4_report_mentions_golden_state() {

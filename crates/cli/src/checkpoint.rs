@@ -2,11 +2,13 @@
 //! record log (the CSV format of `qufi_core::report::records_to_csv`).
 //!
 //! Durability model: metadata is written once when a job is first
-//! prepared; records are appended shard-by-shard as injection points
-//! complete. A crash can only tear the final CSV line, which the
-//! lenient loader drops — the affected point is simply re-run on
-//! resume (executions are deterministic per point, so replays merge
-//! cleanly).
+//! prepared, through [`crate::atomic_write`]; records are appended
+//! shard-by-shard as injection points complete. A crash can only tear
+//! the final CSV line, which the lenient loader drops — the affected
+//! point is simply re-run on resume (executions are deterministic per
+//! point, so replays merge cleanly). Under `QUFI_FSYNC`
+//! ([`qufi_serve::store::fsync_enabled`]) every append and every atomic
+//! write also syncs.
 
 use crate::error::CliError;
 use crate::job::{JobRuntime, JobSpec};
@@ -130,17 +132,6 @@ impl JobMeta {
     }
 }
 
-/// Whether checkpoint appends should also `fsync` — the durability
-/// knob for operators whose failure model includes power loss, not just
-/// process death. Off by default (a torn tail is already survivable);
-/// set `QUFI_FSYNC=1` to pay the sync on every append.
-fn fsync_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("QUFI_FSYNC").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
 /// The checkpoint directory of one campaign.
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -194,11 +185,11 @@ impl CheckpointStore {
     ///
     /// Filesystem failures.
     pub fn save_meta(&self, meta: &JobMeta) -> Result<(), CliError> {
-        let path = self.meta_path(&meta.id);
-        let tmp = path.with_extension("toml.tmp");
-        fs::write(&tmp, meta.to_toml())
-            .map_err(|e| CliError::io("writing job metadata", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| CliError::io("publishing job metadata", &path, e))
+        crate::atomic_write(
+            &self.meta_path(&meta.id),
+            meta.to_toml().as_bytes(),
+            "writing job metadata",
+        )
     }
 
     /// Loads a job's checkpointed records, dropping a torn final line if
@@ -240,9 +231,7 @@ impl CheckpointStore {
             // a simple is-the-file-empty check). Loads and appends never
             // run concurrently: loads happen in the prepare and export
             // phases, appends only while the worker pool is live.
-            let tmp = path.with_extension("csv.tmp");
-            fs::write(&tmp, &text).map_err(|e| CliError::io("healing job records", &tmp, e))?;
-            fs::rename(&tmp, &path).map_err(|e| CliError::io("healing job records", &path, e))?;
+            crate::atomic_write(&path, text.as_bytes(), "healing job records")?;
         }
         if text.is_empty() {
             return Ok(Vec::new());
@@ -288,7 +277,7 @@ impl CheckpointStore {
             .map_err(|e| CliError::io("appending job records", &path, e))?;
         file.flush()
             .map_err(|e| CliError::io("flushing job records", &path, e))?;
-        if fsync_enabled() {
+        if qufi_serve::store::fsync_enabled() {
             file.sync_all()
                 .map_err(|e| CliError::io("syncing job records", &path, e))?;
             qufi_obs::add("checkpoint.fsyncs", 1);
@@ -318,26 +307,6 @@ impl CheckpointStore {
         qufi_obs::add("checkpoint.replaces", 1);
         qufi_obs::add("checkpoint.bytes", csv.len() as u64);
         Ok(())
-    }
-
-    /// Job ids present in the store (sorted), whether complete or not.
-    ///
-    /// # Errors
-    ///
-    /// Directory read failures.
-    pub fn job_ids(&self) -> Result<Vec<String>, CliError> {
-        let mut ids = Vec::new();
-        let entries = fs::read_dir(&self.dir)
-            .map_err(|e| CliError::io("listing checkpoints", &self.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| CliError::io("listing checkpoints", &self.dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(id) = name.strip_suffix(".meta.toml") {
-                ids.push(id.to_string());
-            }
-        }
-        ids.sort();
-        Ok(ids)
     }
 }
 
@@ -479,7 +448,6 @@ mod tests {
         let (dir, store) = temp_store("fresh");
         assert_eq!(store.load_meta("nope").unwrap(), None);
         assert!(store.load_records("nope").unwrap().is_empty());
-        assert!(store.job_ids().unwrap().is_empty());
         let _ = fs::remove_dir_all(dir);
     }
 }

@@ -68,21 +68,19 @@ pub use stats::{render_runs, render_stats};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Writes a file durably-by-construction: the contents land in a
-/// sibling temp file which is renamed over the target, so readers (and
-/// crash survivors) only ever observe the old bytes or the new bytes —
-/// never a torn mixture. Every artifact the CLI publishes (exports,
-/// manifests, telemetry, shard plans) goes through here.
+/// Writes a file durably-by-construction through
+/// [`qufi_serve::store::atomic_write`]: the contents land in
+/// `<path>.tmp` (synced under `QUFI_FSYNC`), which is renamed over the
+/// target, so readers (and crash survivors) only ever observe the old
+/// bytes or the new bytes — never a torn mixture. Every artifact the CLI
+/// publishes (exports, manifests, checkpoint metadata, telemetry, shard
+/// plans) goes through here.
 ///
 /// # Errors
 ///
 /// Filesystem failures (reported with `context`).
 pub fn atomic_write(path: &Path, contents: &[u8], context: &str) -> Result<(), CliError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, contents).map_err(|e| CliError::io(context, &tmp, e))?;
-    fs::rename(&tmp, path).map_err(|e| CliError::io(context, path, e))
+    qufi_serve::store::atomic_write(path, contents).map_err(|e| CliError::io(context, path, e))
 }
 
 /// The manifest copy stored inside every campaign directory.

@@ -98,8 +98,9 @@ OPTIONS:
                    (serve) Per-job wall-clock timeout; a timed-out job is
                    canceled cooperatively, checkpoints kept (default: none)
 
-Set QUFI_FSYNC=1 to fsync every checkpoint append (durability against
-power loss, not just process death).
+Set QUFI_FSYNC=1 (or true) to fsync every checkpoint append and every
+atomic file write (exports, metadata, manifests, plans, serve job
+records): durability against power loss, not just process death.
 
 Telemetry never changes campaign results: everything under results/ is
 byte-identical with metrics on or off, at any thread count.

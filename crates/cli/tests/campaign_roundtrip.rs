@@ -138,16 +138,25 @@ fn interrupted_campaign_resumes_to_identical_artifacts() {
     let _ = fs::remove_dir_all(dir_b);
 }
 
+/// The value `summary.json` exports under `key` for `job`.
+fn summary_field<'a>(summary: &'a str, job: &str, key: &str) -> &'a str {
+    let at = summary
+        .find(&format!("\"job\":\"{job}\""))
+        .unwrap_or_else(|| panic!("{job} not in summary: {summary}"));
+    let key = format!("\"{key}\":");
+    let rest = &summary[at..];
+    let from = rest.find(&key).expect("key in job object") + key.len();
+    rest[from..].split([',', '}']).next().unwrap()
+}
+
 #[test]
 fn exported_records_match_direct_library_campaign() {
     let manifest = Manifest::from_toml(MANIFEST).unwrap();
     let dir = temp_dir("library-match");
     run_to_completion(&manifest, &dir, &quiet()).unwrap();
+    let summary = fs::read_to_string(dir.join("results/summary.json")).unwrap();
 
-    // The equivalent direct qufi_core invocation for one matrix cell.
-    let w = qufi_algos::build_workload("bv-3").unwrap();
-    let golden = golden_outputs(&w.circuit).unwrap();
-    let executor = NoisyExecutor::new(BackendCalibration::jakarta());
+    // The equivalent direct qufi_core invocation for every matrix cell.
     let opts = CampaignOptions {
         grid: FaultGrid::custom(
             vec![0.0, std::f64::consts::PI],
@@ -157,21 +166,37 @@ fn exported_records_match_direct_library_campaign() {
         threads: 2,
         naive: false,
     };
-    let direct = run_single_campaign(&w.circuit, &golden, &executor, &opts).unwrap();
+    for workload in ["bv-3", "ghz-3"] {
+        let w = qufi_algos::build_workload(workload).unwrap();
+        let golden = golden_outputs(&w.circuit).unwrap();
+        for backend in ["jakarta", "lima"] {
+            let job = format!("{workload}@{backend}");
+            let executor = NoisyExecutor::new(BackendCalibration::named(backend).unwrap());
+            let direct = run_single_campaign(&w.circuit, &golden, &executor, &opts).unwrap();
 
-    // The CLI's canonical records.csv is exactly the library's CSV
-    // rendering of the same campaign (checkpoint round-tripping is
-    // format-idempotent).
-    let exported = fs::read_to_string(dir.join("results/bv-3@jakarta/records.csv")).unwrap();
-    assert_eq!(exported, records_to_csv(&direct.records));
+            // The CLI's canonical records.csv is exactly the library's CSV
+            // rendering of the same campaign (checkpoint round-tripping is
+            // format-idempotent).
+            let exported =
+                fs::read_to_string(dir.join(format!("results/{job}/records.csv"))).unwrap();
+            assert_eq!(exported, records_to_csv(&direct.records), "{job}");
 
-    // And the summary carries the same baseline/golden.
-    let summary = fs::read_to_string(dir.join("results/summary.json")).unwrap();
-    let expected_baseline = qufi_core::serialize::json::num(direct.baseline_qvf);
-    assert!(
-        summary.contains(&format!("\"baseline_qvf\":{expected_baseline}")),
-        "baseline {expected_baseline} not in summary: {summary}"
-    );
+            // The summary carries the same baseline, and the export, which
+            // rebuilds the campaign from checkpointed (rounded) records,
+            // counts the same improved records as the library.
+            let num = qufi_core::serialize::json::num;
+            assert_eq!(
+                summary_field(&summary, &job, "baseline_qvf"),
+                num(direct.baseline_qvf),
+                "{job}"
+            );
+            assert_eq!(
+                summary_field(&summary, &job, "improved_fraction"),
+                num(direct.improved_fraction()),
+                "{job}"
+            );
+        }
+    }
 
     let _ = fs::remove_dir_all(dir);
 }

@@ -16,7 +16,7 @@ use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::executor::{Executor, IdealExecutor};
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
-use crate::metrics::{mean, qvf_from_dist, stddev, Severity};
+use crate::metrics::{checkpoint_qvf, mean, qvf_from_dist, stddev, Severity};
 use qufi_sim::QuantumCircuit;
 
 /// One executed injection and its measured QVF.
@@ -189,14 +189,21 @@ impl CampaignResult {
     /// Fraction of injections that *improved* the QVF relative to the
     /// fault-free baseline — the paper reports ~0.9% of injections
     /// compensating the intrinsic noise (§V-B).
+    ///
+    /// A record counts when its QVF is below the baseline at checkpoint
+    /// precision ([`checkpoint_qvf`]), so a result rebuilt from checkpointed
+    /// records counts exactly the records the live campaign counts.
     pub fn improved_fraction(&self) -> f64 {
         if self.records.is_empty() {
             return 0.0;
         }
+        let baseline = checkpoint_qvf(self.baseline_qvf);
+        // Rounding is monotone: a record at or above the exact baseline
+        // cannot round below the rounded one, so only the rest are rendered.
         let improved = self
             .records
             .iter()
-            .filter(|r| r.qvf < self.baseline_qvf - 1e-12)
+            .filter(|r| r.qvf < self.baseline_qvf && checkpoint_qvf(r.qvf) < baseline)
             .count();
         improved as f64 / self.records.len() as f64
     }

@@ -51,18 +51,6 @@ pub struct DoubleOptions {
 }
 
 impl DoubleOptions {
-    /// The paper's §V-D configuration: half-φ grid (exploiting BV's φ
-    /// symmetry) over the given neighbour pairs.
-    pub fn paper(pairs: Vec<(usize, usize)>) -> Self {
-        DoubleOptions {
-            grid: FaultGrid::paper_half_phi(),
-            points: None,
-            pairs,
-            threads: 0,
-            naive: false,
-        }
-    }
-
     /// Coarse variant for benches.
     pub fn coarse(pairs: Vec<(usize, usize)>) -> Self {
         DoubleOptions {

@@ -137,11 +137,6 @@ impl NoisyExecutor {
         }
     }
 
-    /// The device calibration in use.
-    pub fn calibration(&self) -> &BackendCalibration {
-        &self.calibration
-    }
-
     /// The transpiler in use.
     pub fn transpiler(&self) -> &Transpiler {
         &self.transpiler
@@ -320,11 +315,6 @@ impl TrajectoryExecutor {
     /// The transpiler in use.
     pub fn transpiler(&self) -> &Transpiler {
         &self.transpiler
-    }
-
-    /// The device calibration in use.
-    pub fn calibration(&self) -> &BackendCalibration {
-        &self.calibration
     }
 
     pub(crate) fn seed(&self) -> u64 {

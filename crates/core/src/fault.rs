@@ -38,11 +38,6 @@ impl FaultParams {
     pub fn injector_gate(&self) -> Gate {
         Gate::U(self.theta, self.phi, self.lambda)
     }
-
-    /// `true` for the (0, 0) no-op fault.
-    pub fn is_null(&self) -> bool {
-        self.theta.abs() < 1e-15 && self.phi.abs() < 1e-15 && self.lambda.abs() < 1e-15
-    }
 }
 
 /// Where a fault strikes: right **after** instruction `op_index`, on `qubit`
@@ -377,8 +372,6 @@ mod tests {
     fn injector_gate_is_the_paper_u_gate() {
         let f = FaultParams::shift(FRAC_PI_4, PI);
         assert_eq!(f.injector_gate(), Gate::U(FRAC_PI_4, PI, 0.0));
-        assert!(FaultParams::shift(0.0, 0.0).is_null());
-        assert!(!f.is_null());
     }
 
     #[test]

@@ -68,7 +68,6 @@ pub mod report;
 pub mod retry;
 pub mod serialize;
 pub mod shard;
-pub mod sweep;
 
 pub use campaign::{
     golden_outputs, run_point_sweep, run_point_sweep_parallel, run_single_campaign,
@@ -82,7 +81,7 @@ pub use fault::{
     enumerate_injection_points, inject_double_fault, inject_fault, FaultGrid, FaultParams,
     InjectionPoint,
 };
-pub use mapping::{qubit_reliability, reliability_aware_layout, QubitReliability};
+pub use mapping::{qubit_reliability, QubitReliability};
 pub use metrics::{michelson_contrast, qvf, qvf_from_dist, Severity};
 pub use prepare_cache::{CacheCounters, CacheStats, PrepareCache};
 pub use retry::Backoff;

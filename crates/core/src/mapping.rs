@@ -1,20 +1,16 @@
-//! Reliability-aware qubit mapping.
+//! Qubit reliability ranking and injection-site tracking.
 //!
 //! The paper's §I motivation: QVF information "allows a reliability-aware
 //! mapping of the circuit qubits to physical qubits, predicts the effects
 //! of faults in the quantum computation, and focuses the eventual
 //! additional fault tolerance solution to the most critical qubit(s)".
+//! [`qubit_reliability`] ranks **logical** qubits by their measured fault
+//! sensitivity (from a campaign), most vulnerable first.
 //!
-//! This module closes that loop: it ranks **logical** qubits by their
-//! measured fault sensitivity (from a campaign) and **physical** qubits by
-//! their calibration quality, then assigns the most vulnerable logical
-//! qubits to the best physical ones — within a dense connected subgraph so
-//! routing stays cheap.
-//!
-//! It also provides the inverse direction used by the forked-state sweep
-//! engine: carrying a **logical injection site** through the transpiler.
-//! The engine plants a [splice marker](mark_injection_site) — a sentinel
-//! barrier — right after the target instruction. Barriers ride through
+//! It also carries a **logical injection site** through the transpiler
+//! for the forked-state sweep engine. The engine plants a
+//! [splice marker](mark_injection_site) — a sentinel barrier — right
+//! after the target instruction. Barriers ride through
 //! routing (their qubits are remapped as SWAPs move the logical qubit),
 //! basis translation and optimization untouched, so
 //! [`extract_splice_sites`] can recover, in the *physical* circuit, both
@@ -25,10 +21,8 @@ use crate::campaign::CampaignResult;
 use crate::error::ExecError;
 use crate::fault::{check_double_site, check_injection_point, InjectionPoint};
 use crate::metrics::{mean, Severity};
-use qufi_noise::BackendCalibration;
 use qufi_sim::circuit::Op;
 use qufi_sim::QuantumCircuit;
-use qufi_transpile::{CouplingMap, Layout};
 
 /// Fault-sensitivity summary of one logical qubit.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,55 +65,6 @@ pub fn qubit_reliability(result: &CampaignResult) -> Vec<QubitReliability> {
             .then(a.qubit.cmp(&b.qubit))
     });
     out
-}
-
-/// A calibration-quality score per physical qubit — higher is better.
-/// Combines coherence (T1, T2), gate fidelity and readout fidelity on a
-/// log scale so no single term dominates.
-pub fn physical_quality(cal: &BackendCalibration) -> Vec<(usize, f64)> {
-    cal.qubits
-        .iter()
-        .enumerate()
-        .map(|(q, c)| {
-            let coherence = (c.t1 * 1e6).ln() + (c.t2 * 1e6).ln();
-            let gate = -(c.gate_error_1q.max(1e-9)).ln();
-            let readout = -((c.readout_p01 + c.readout_p10).max(1e-9)).ln();
-            (q, coherence + gate + readout)
-        })
-        .collect()
-}
-
-/// Builds a reliability-aware initial layout: the dense connected subgraph
-/// hosts the circuit, and within it the most fault-sensitive logical qubits
-/// (per `campaign`) take the highest-quality physical seats (per `cal`).
-///
-/// # Panics
-///
-/// Panics if the device is smaller than the campaign's qubit count.
-pub fn reliability_aware_layout(campaign: &CampaignResult, cal: &BackendCalibration) -> Layout {
-    let ranking = qubit_reliability(campaign);
-    let n = ranking.len();
-    let cm = CouplingMap::from_edges(cal.num_qubits(), cal.coupling());
-    assert!(n <= cm.num_qubits(), "device too small for campaign");
-
-    // Members of the dense subgraph (any assignment order).
-    let dense = Layout::dense(&cm, n);
-    let mut members: Vec<usize> = (0..n).map(|l| dense.physical(l)).collect();
-    // Order members by calibration quality, best first.
-    let quality = physical_quality(cal);
-    members.sort_by(|&a, &b| {
-        quality[b]
-            .1
-            .partial_cmp(&quality[a].1)
-            .expect("scores are finite")
-    });
-
-    // Most vulnerable logical → best physical.
-    let mut phys = vec![usize::MAX; n];
-    for (rank, entry) in ranking.iter().enumerate() {
-        phys[entry.qubit] = members[rank];
-    }
-    Layout::from_mapping(phys, cm.num_qubits())
 }
 
 /// Where an injector gate must be spliced into a circuit: right **before**
@@ -290,32 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn quality_scores_prefer_good_qubits() {
-        let cal = BackendCalibration::lima();
-        let q = physical_quality(&cal);
-        // Lima's qubit 4 is deliberately the worst (short T1/T2, bad readout).
-        let worst = q
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("nonempty");
-        assert_eq!(worst.0, 4);
-    }
-
-    #[test]
-    fn layout_is_bijective_and_uses_device_qubits() {
-        let res = small_campaign();
-        let cal = BackendCalibration::jakarta();
-        let layout = reliability_aware_layout(&res, &cal);
-        let mut seen = std::collections::HashSet::new();
-        for l in 0..4 {
-            let p = layout.physical(l);
-            assert!(p < 7);
-            assert!(seen.insert(p), "physical {p} used twice");
-            assert_eq!(layout.logical_on(p), Some(l));
-        }
-    }
-
-    #[test]
     fn marker_rides_through_level3_transpilation() {
         use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
         let w = bernstein_vazirani(0b101, 3);
@@ -397,22 +316,5 @@ mod tests {
             mark_injection_site(&marked, point),
             Err(ExecError::Engine(_))
         ));
-    }
-
-    #[test]
-    fn most_vulnerable_logical_gets_best_member_seat() {
-        let res = small_campaign();
-        let cal = BackendCalibration::jakarta();
-        let layout = reliability_aware_layout(&res, &cal);
-        let ranking = qubit_reliability(&res);
-        let quality = physical_quality(&cal);
-        let score = |l: usize| quality[layout.physical(l)].1;
-        // Quality must be non-increasing along the vulnerability ranking.
-        for pair in ranking.windows(2) {
-            assert!(
-                score(pair[0].qubit) >= score(pair[1].qubit) - 1e-12,
-                "vulnerable qubit seated worse than a robust one"
-            );
-        }
     }
 }

@@ -104,15 +104,18 @@ impl Severity {
             Severity::Sdc => "sdc",
         }
     }
+}
 
-    /// The heatmap colour the paper assigns to this class.
-    pub fn color_name(&self) -> &'static str {
-        match self {
-            Severity::Masked => "green",
-            Severity::Dubious => "white",
-            Severity::Sdc => "red",
-        }
-    }
+/// Decimal places a checkpoint keeps of each record's QVF: the `qvf`
+/// column of [`records_to_csv`](crate::report::records_to_csv).
+pub const QVF_DECIMALS: usize = 6;
+
+/// `qvf` as a checkpoint stores it: rendered to [`QVF_DECIMALS`] places
+/// and parsed back. A value read from a checkpoint maps to itself.
+pub fn checkpoint_qvf(qvf: f64) -> f64 {
+    format!("{qvf:.QVF_DECIMALS$}")
+        .parse()
+        .expect("a rendered f64 parses")
 }
 
 /// Mean of a slice (0 for empty input).
@@ -198,10 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn severity_colors_match_paper() {
-        assert_eq!(Severity::Masked.color_name(), "green");
-        assert_eq!(Severity::Dubious.color_name(), "white");
-        assert_eq!(Severity::Sdc.color_name(), "red");
+    fn checkpoint_rounding_is_idempotent() {
+        for q in [0.0, 0.0720640412, 0.1666666, 0.3333335, 0.99999951, 1.0] {
+            let once = checkpoint_qvf(q);
+            assert_eq!(once.to_bits(), checkpoint_qvf(once).to_bits(), "{q}");
+            assert_eq!(format!("{once:.6}"), format!("{q:.6}"));
+        }
     }
 
     #[test]

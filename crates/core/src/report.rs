@@ -5,7 +5,7 @@
 use crate::campaign::{CampaignResult, InjectionRecord};
 use crate::double::DoubleCampaignResult;
 use crate::fault::FaultGrid;
-use crate::metrics::Severity;
+use crate::metrics::{Severity, QVF_DECIMALS};
 use qufi_math::PiFraction;
 use std::fmt::Write as _;
 
@@ -228,11 +228,6 @@ impl Histogram {
         }
     }
 
-    /// Bin edges (length `bins + 1`).
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
     /// Raw counts per bin.
     pub fn counts(&self) -> &[usize] {
         &self.counts
@@ -293,11 +288,12 @@ pub fn records_to_csv(records: &[InjectionRecord]) -> String {
     for r in records {
         let _ = writeln!(
             out,
-            "{},{},{:.9},{:.9},{:.6},{}",
+            "{},{},{:.9},{:.9},{:.*},{}",
             r.point.op_index,
             r.point.qubit,
             r.theta,
             r.phi,
+            QVF_DECIMALS,
             r.qvf,
             Severity::classify(r.qvf).label()
         );

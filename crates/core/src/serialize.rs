@@ -6,7 +6,6 @@
 //! published data is CSV too) consume the results.
 
 use crate::campaign::{CampaignResult, InjectionRecord};
-use crate::double::DoubleInjectionRecord;
 use crate::fault::InjectionPoint;
 use crate::metrics::Severity;
 use crate::report::Heatmap;
@@ -78,55 +77,6 @@ pub fn records_from_csv(text: &str) -> Result<Vec<InjectionRecord>, CsvError> {
             theta: parse_field(&f, 2, lineno, "theta")?,
             phi: parse_field(&f, 3, lineno, "phi")?,
             qvf: parse_field(&f, 4, lineno, "qvf")?,
-        });
-    }
-    Ok(out)
-}
-
-/// Serializes double-injection records as CSV.
-pub fn double_records_to_csv(records: &[DoubleInjectionRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("op_index,qubit,neighbor,theta0,phi0,theta1,phi1,qvf\n");
-    for r in records {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-            r.point.op_index, r.point.qubit, r.neighbor, r.theta0, r.phi0, r.theta1, r.phi1, r.qvf
-        );
-    }
-    out
-}
-
-/// Parses records written by [`double_records_to_csv`].
-///
-/// # Errors
-///
-/// Returns the first malformed line.
-pub fn double_records_from_csv(text: &str) -> Result<Vec<DoubleInjectionRecord>, CsvError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if i == 0 {
-            if !line.starts_with("op_index,") {
-                return Err(err(lineno, "unexpected header"));
-            }
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split(',').collect();
-        out.push(DoubleInjectionRecord {
-            point: InjectionPoint {
-                op_index: parse_field(&f, 0, lineno, "op_index")?,
-                qubit: parse_field(&f, 1, lineno, "qubit")?,
-            },
-            neighbor: parse_field(&f, 2, lineno, "neighbor")?,
-            theta0: parse_field(&f, 3, lineno, "theta0")?,
-            phi0: parse_field(&f, 4, lineno, "phi0")?,
-            theta1: parse_field(&f, 5, lineno, "theta1")?,
-            phi1: parse_field(&f, 6, lineno, "phi1")?,
-            qvf: parse_field(&f, 7, lineno, "qvf")?,
         });
     }
     Ok(out)
@@ -344,27 +294,6 @@ mod tests {
             assert!((a.theta - b.theta).abs() < 1e-6);
             assert!((a.qvf - b.qvf).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn double_records_roundtrip() {
-        let records = vec![DoubleInjectionRecord {
-            point: InjectionPoint {
-                op_index: 1,
-                qubit: 2,
-            },
-            neighbor: 0,
-            theta0: 3.141593,
-            phi0: 3.141593,
-            theta1: 1.570796,
-            phi1: 0.785398,
-            qvf: 0.63,
-        }];
-        let csv = double_records_to_csv(&records);
-        let back = double_records_from_csv(&csv).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].neighbor, 0);
-        assert!((back[0].phi1 - 0.785398).abs() < 1e-9);
     }
 
     #[test]

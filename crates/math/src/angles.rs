@@ -81,11 +81,6 @@ impl AngleGrid {
         AngleGrid::new(0.0, end, deg(45.0), inclusive)
     }
 
-    /// Step size in radians.
-    pub fn step(&self) -> f64 {
-        self.step
-    }
-
     /// Materializes the grid values.
     pub fn values(&self) -> Vec<f64> {
         let mut out = Vec::new();
@@ -101,15 +96,6 @@ impl AngleGrid {
             out.push(v);
         }
         out
-    }
-
-    /// Values ≤ `limit` (used for the second fault of a double injection,
-    /// which must have magnitude at most that of the first: θ1 ≤ θ0, φ1 ≤ φ0).
-    pub fn values_up_to(&self, limit: f64) -> Vec<f64> {
-        self.values()
-            .into_iter()
-            .filter(|&v| v <= limit + 1e-12)
-            .collect()
     }
 }
 
@@ -176,15 +162,6 @@ mod tests {
         let exc = AngleGrid::new(0.0, PI, PI / 2.0, false).values();
         assert_eq!(inc.len(), 3);
         assert_eq!(exc.len(), 2);
-    }
-
-    #[test]
-    fn values_up_to_filters() {
-        let g = AngleGrid::qufi_theta();
-        let vals = g.values_up_to(deg(45.0));
-        assert_eq!(vals.len(), 4); // 0, 15, 30, 45 degrees
-                                   // Limit exactly on a grid point is included.
-        assert!((vals[3] - deg(45.0)).abs() < 1e-12);
     }
 
     #[test]

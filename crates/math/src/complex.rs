@@ -109,12 +109,6 @@ impl Complex {
     pub fn approx_eq(self, other: Complex, tol: f64) -> bool {
         (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
     }
-
-    /// Returns `true` when either part is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
 }
 
 impl From<f64> for Complex {

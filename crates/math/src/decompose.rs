@@ -31,14 +31,6 @@ impl ZyzAngles {
             .matmul(&CMatrix::rz(self.lambda))
             .scale(Complex::cis(self.alpha))
     }
-
-    /// The same unitary expressed as a `U(θ, φ, λ)` gate plus a global phase.
-    ///
-    /// `U(θ,φ,λ) = e^{i(φ+λ)/2} RZ(φ) RY(θ) RZ(λ)`, so the U-gate global
-    /// phase is `α − (φ+λ)/2`.
-    pub fn u_gate_phase(self) -> f64 {
-        self.alpha - (self.phi + self.lambda) / 2.0
-    }
 }
 
 /// Decomposes an arbitrary 2×2 unitary into ZYZ Euler angles.
@@ -159,15 +151,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn u_gate_phase_relation_holds() {
-        let u = CMatrix::u_gate(1.2, 0.4, 2.7);
-        let a = zyz_decompose(&u);
-        let rebuilt =
-            CMatrix::u_gate(a.theta, a.phi, a.lambda).scale(Complex::cis(a.u_gate_phase()));
-        assert!(rebuilt.approx_eq(&u, 1e-9));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The QuFI reproduction deliberately avoids external linear-algebra
 //! dependencies; everything the simulator needs lives here:
 //!
-//! * [`Complex`] — a `f64`-based complex scalar (`c64` alias) with the usual
-//!   arithmetic, polar form and `e^{iθ}` helpers.
+//! * [`Complex`] — a `f64`-based complex scalar with the usual arithmetic,
+//!   polar form and `e^{iθ}` helpers.
 //! * [`CMatrix`] — a small dense complex matrix used for gate unitaries,
 //!   Kraus operators and density matrices, with multiplication, adjoint,
 //!   Kronecker product and unitarity checks.
@@ -16,13 +16,13 @@
 //! # Example
 //!
 //! ```
-//! use qufi_math::{c64, CMatrix};
+//! use qufi_math::{CMatrix, Complex};
 //!
 //! let h = CMatrix::hadamard();
 //! assert!(h.is_unitary(1e-12));
 //! let hh = h.matmul(&h);
 //! assert!(hh.approx_eq(&CMatrix::identity(2), 1e-12));
-//! let _amp = c64::new(0.5, -0.5);
+//! let _amp = Complex::new(0.5, -0.5);
 //! ```
 
 pub mod angles;
@@ -34,11 +34,3 @@ pub use angles::{deg, AngleGrid, PiFraction};
 pub use complex::Complex;
 pub use decompose::{zyz_decompose, ZyzAngles};
 pub use matrix::CMatrix;
-
-/// Convenience alias mirroring the `num_complex::Complex64` spelling.
-#[allow(non_camel_case_types)]
-pub type c64 = Complex;
-
-/// Tolerance used across the workspace when comparing floating-point
-/// quantum amplitudes and probabilities.
-pub const EPS: f64 = 1e-9;

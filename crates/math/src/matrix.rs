@@ -150,17 +150,6 @@ impl CMatrix {
         out
     }
 
-    /// Transpose without conjugation.
-    pub fn transpose(&self) -> CMatrix {
-        let mut out = CMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Element-wise sum.
     ///
     /// # Panics
@@ -173,22 +162,6 @@ impl CMatrix {
             .iter()
             .zip(&rhs.data)
             .map(|(&a, &b)| a + b)
-            .collect();
-        CMatrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Element-wise difference.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, rhs: &CMatrix) -> CMatrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(&a, &b)| a - b)
             .collect();
         CMatrix::from_vec(self.rows, self.cols, data)
     }
@@ -244,11 +217,6 @@ impl CMatrix {
         self.adjoint()
             .matmul(self)
             .approx_eq(&CMatrix::identity(self.rows), tol)
-    }
-
-    /// `true` when `A ≈ A†` within `tol`.
-    pub fn is_hermitian(&self, tol: f64) -> bool {
-        self.rows == self.cols && self.approx_eq(&self.adjoint(), tol)
     }
 
     /// Element-wise approximate equality.
@@ -478,7 +446,7 @@ impl fmt::Debug for CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn identity_is_multiplicative_unit() {
@@ -566,12 +534,6 @@ mod tests {
         let direct = u.matvec(&v);
         assert!(prod[(0, 0)].approx_eq(direct[0], 1e-13));
         assert!(prod[(1, 0)].approx_eq(direct[1], 1e-13));
-    }
-
-    #[test]
-    fn hermitian_check() {
-        assert!(CMatrix::pauli_y().is_hermitian(1e-15));
-        assert!(!CMatrix::phase(FRAC_PI_4).is_hermitian(1e-15));
     }
 
     #[test]

@@ -41,8 +41,6 @@
 
 pub mod backend;
 pub mod channel;
-pub mod coherent;
-pub mod mitigation;
 pub mod model;
 pub mod readout;
 pub mod simulate;
@@ -50,8 +48,6 @@ pub mod trajectory;
 
 pub use backend::{BackendCalibration, GateTimes, QubitCalibration, BUILTIN_BACKENDS};
 pub use channel::KrausChannel;
-pub use coherent::CoherentError;
-pub use mitigation::mitigate_readout;
 pub use model::NoiseModel;
 pub use readout::ReadoutError;
 pub use simulate::{NoisePlan, NoisyCursor};

@@ -46,18 +46,6 @@ impl ReadoutError {
         ReadoutError { p01: 0.0, p10: 0.0 }
     }
 
-    /// Probability of reading `1` given state `0`.
-    #[inline]
-    pub fn p01(&self) -> f64 {
-        self.p01
-    }
-
-    /// Probability of reading `0` given state `1`.
-    #[inline]
-    pub fn p10(&self) -> f64 {
-        self.p10
-    }
-
     /// `true` when both flip probabilities are zero.
     pub fn is_ideal(&self) -> bool {
         self.p01 == 0.0 && self.p10 == 0.0

@@ -41,7 +41,6 @@ struct PlanStep {
 /// the same model, bit-for-bit.
 pub struct NoisePlan {
     size: usize,
-    num_qubits: usize,
     /// One entry per instruction; `None` for barriers and measurements.
     steps: Vec<Option<PlanStep>>,
     /// Per-qubit channels suffered by a spliced 1-qubit injector gate
@@ -88,7 +87,6 @@ impl NoisePlan {
             .collect();
         NoisePlan {
             size: qc.size(),
-            num_qubits: qc.num_qubits(),
             steps,
             injector_channels,
         }
@@ -98,12 +96,6 @@ impl NoisePlan {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Width of the compiled circuit.
-    #[inline]
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
     }
 
     /// The compiled gate steps in `[from, upto)`, barriers/measurements
@@ -507,7 +499,6 @@ mod tests {
             .noise_model();
         let plan = NoisePlan::compile(&qc, &model);
         assert_eq!(plan.size(), qc.size());
-        assert_eq!(plan.num_qubits(), 3);
 
         for split in 0..=qc.size() {
             let mut via_model = NoisyCursor::start(&qc, &model).unwrap();

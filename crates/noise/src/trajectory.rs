@@ -388,7 +388,7 @@ pub fn finish_trajectory_dist(
 ///
 /// The result is a pure function of the circuit, model, shot count, and
 /// seed sequence — independent of scheduling, which is why callers derive
-/// per-shot seeds from a [`SeedHasher`]-style mix rather than sharing a
+/// per-shot seeds from a `SeedHasher`-style mix rather than sharing a
 /// sequential RNG.
 ///
 /// # Errors

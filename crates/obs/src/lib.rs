@@ -181,18 +181,6 @@ pub fn disable() {
     TRACE_ON.store(false, Ordering::SeqCst);
 }
 
-/// Whether the recorder is on.
-#[must_use]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether span tracing is on.
-#[must_use]
-pub fn trace_enabled() -> bool {
-    TRACE_ON.load(Ordering::Relaxed)
-}
-
 /// Clears all aggregates (global and this thread's sink) and restarts
 /// the trace epoch. Other threads' unmerged sinks are untouched — reset
 /// from the thread that owns the recorder lifecycle, before spawning
@@ -431,14 +419,6 @@ pub fn take_trace() -> Vec<TraceEvent> {
 }
 
 impl Snapshot {
-    /// A counter's total, `0` when it never fired — the convenience
-    /// accessor assertion-heavy consumers (the chaos/shard test suites)
-    /// use instead of spelling out the map lookup.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Renders the snapshot as `metrics.json` (counters + histograms;
     /// cost rows go to [`Snapshot::costs_csv`] instead).
     #[must_use]

@@ -9,7 +9,6 @@
 //!   and reconcile anomalies are visible in scrollback.
 //! - `info`  — progress lines; printed when `--verbose`, or at normal
 //!   verbosity only when stderr is a terminal (batch/CI logs stay clean).
-//! - `debug` — printed only when `--verbose`.
 
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -80,13 +79,6 @@ pub fn warn(msg: &str) {
 /// Always printed.
 pub fn error(msg: &str) {
     eprintln!("error: {msg}");
-}
-
-/// Printed only with `--verbose`.
-pub fn debug(msg: &str) {
-    if verbosity() == Verbosity::Verbose {
-        eprintln!("{msg}");
-    }
 }
 
 #[cfg(test)]

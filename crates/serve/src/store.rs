@@ -1,15 +1,21 @@
 //! Durable job records: one JSON file per job under `<dir>/jobs/`,
-//! written atomically (tmp + rename, optional fsync via `QUFI_FSYNC=1`
-//! — the same durability knob the checkpoint store honors). The record
-//! is the daemon's recovery unit: a restarted daemon rebuilds its whole
-//! queue from these files, in submission order, and the campaign
-//! directory next to each record carries the checkpoints that make the
-//! resumed run byte-identical.
+//! written atomically by [`atomic_write`]. The record is the daemon's
+//! recovery unit: a restarted daemon rebuilds its whole queue from these
+//! files, in submission order, and the campaign directory next to each
+//! record carries the checkpoints that make the resumed run
+//! byte-identical.
+//!
+//! This module also owns the durability policy of `qufi run` and
+//! `qufi serve` alike: one write-then-rename ([`atomic_write`]) and one
+//! reading of the `QUFI_FSYNC` switch ([`fsync_enabled`]). The CLI
+//! depends on this crate, so its checkpoint and artifact writes use them
+//! too.
 
 use qufi_obs::json::{self, Value};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Lifecycle of a job. `Queued` and `Running` are the live states a
 /// restart re-admits; the rest are terminal (though `Canceled` and
@@ -181,15 +187,36 @@ impl Store {
     }
 }
 
-/// Write-then-rename, with optional fsync under `QUFI_FSYNC=1` — the
-/// same recipe (and knob) as the CLI's checkpoint writes, re-stated
-/// here because depending on the CLI would invert the crate stack.
-pub(crate) fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
+/// Whether writes should also `fsync` — the durability switch for
+/// operators whose failure model includes power loss, not just process
+/// death. Off by default (a torn tail or a stray temp file is already
+/// survivable); `QUFI_FSYNC=1` or `QUFI_FSYNC=true` (any case) turns it
+/// on. Read once per process.
+pub fn fsync_enabled() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| fsync_requested(std::env::var("QUFI_FSYNC").ok().as_deref()))
+}
+
+/// The `QUFI_FSYNC` rule, as a function of the variable's value.
+fn fsync_requested(value: Option<&str>) -> bool {
+    value.is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+}
+
+/// Writes `contents` to `<path>.tmp`, syncs it when [`fsync_enabled`],
+/// then renames it over `path`, so readers and crash survivors see the
+/// old bytes or the new ones, never a torn mixture.
+///
+/// # Errors
+///
+/// Filesystem failures.
+pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(contents)?;
-        if std::env::var_os("QUFI_FSYNC").is_some_and(|v| v == "1") {
+        if fsync_enabled() {
             f.sync_all()?;
         }
     }
@@ -220,6 +247,32 @@ mod tests {
             error: Some("boom \"quoted\"\nline2".to_string()),
             seq,
         }
+    }
+
+    #[test]
+    fn fsync_switch_accepts_one_or_true() {
+        for on in ["1", "true", "TRUE", "True"] {
+            assert!(fsync_requested(Some(on)), "{on}");
+        }
+        for off in ["0", "false", "yes", "", " 1", "true "] {
+            assert!(!fsync_requested(Some(off)), "{off:?}");
+        }
+        assert!(!fsync_requested(None));
+    }
+
+    #[test]
+    fn atomic_write_keeps_the_full_name_in_its_temp_file() {
+        // `records.csv` and `records.json` must not share a temp file, and
+        // neither may clobber a `records.tmp` that happens to exist.
+        let dir = temp_dir("atomic");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("records.tmp"), b"bystander").unwrap();
+        atomic_write(&dir.join("records.csv"), b"old").unwrap();
+        atomic_write(&dir.join("records.csv"), b"new").unwrap();
+        assert_eq!(fs::read(dir.join("records.csv")).unwrap(), b"new");
+        assert_eq!(fs::read(dir.join("records.tmp")).unwrap(), b"bystander");
+        assert!(!dir.join("records.csv.tmp").exists());
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

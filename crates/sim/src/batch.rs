@@ -165,18 +165,6 @@ impl BatchedStatevector {
         }
     }
 
-    /// Number of cells.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.block.width
-    }
-
-    /// Register width.
-    #[inline]
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
     /// Applies one shared gate to every cell.
     ///
     /// # Panics
@@ -309,18 +297,6 @@ impl BatchedDensity {
             groups: 0,
             groups_skipped: 0,
         }
-    }
-
-    /// Number of cells.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.block.width
-    }
-
-    /// Register width.
-    #[inline]
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     /// Amplitude groups the kernel passes so far have walked, and how many

@@ -267,10 +267,6 @@ impl QuantumCircuit {
     pub fn sx(&mut self, q: usize) -> &mut Self {
         self.append(Gate::Sx, &[q])
     }
-    /// RX(θ) on `q`.
-    pub fn rx(&mut self, theta: f64, q: usize) -> &mut Self {
-        self.append(Gate::Rx(theta), &[q])
-    }
     /// RY(θ) on `q`.
     pub fn ry(&mut self, theta: f64, q: usize) -> &mut Self {
         self.append(Gate::Ry(theta), &[q])
@@ -371,18 +367,6 @@ impl QuantumCircuit {
         self.ops.iter().any(|op| matches!(op, Op::Measure { .. }))
     }
 
-    /// Returns a copy with all measurements (and barriers) stripped —
-    /// the unitary part of the circuit.
-    pub fn without_measurements(&self) -> QuantumCircuit {
-        let mut qc = QuantumCircuit::with_name(self.num_qubits, self.num_clbits, &self.name);
-        for op in &self.ops {
-            if let Op::Gate { gate, qubits } = op {
-                qc.append(*gate, qubits);
-            }
-        }
-        qc
-    }
-
     /// Appends all operations of `other` to `self` (registers must be at
     /// least as wide).
     ///
@@ -416,16 +400,6 @@ impl QuantumCircuit {
             }
         }
         qc
-    }
-
-    /// Indices (into [`QuantumCircuit::ops`]) of all unitary gate
-    /// instructions — the candidate fault locations.
-    pub fn gate_positions(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| matches!(op, Op::Gate { .. }).then_some(i))
-            .collect()
     }
 }
 
@@ -560,21 +534,5 @@ mod tests {
     fn measure_all_requires_clbits() {
         let mut qc = QuantumCircuit::new(3, 1);
         qc.measure_all();
-    }
-
-    #[test]
-    fn gate_positions_skip_nonunitary() {
-        let mut qc = QuantumCircuit::new(2, 2);
-        qc.h(0).barrier(&[]).cx(0, 1).measure_all();
-        assert_eq!(qc.gate_positions(), vec![0, 2]);
-    }
-
-    #[test]
-    fn without_measurements_strips() {
-        let mut qc = QuantumCircuit::new(2, 2);
-        qc.h(0).measure_all();
-        let u = qc.without_measurements();
-        assert_eq!(u.size(), 1);
-        assert!(!u.has_measurements());
     }
 }

@@ -123,19 +123,6 @@ impl ProbDist {
         self.probs.iter().sum()
     }
 
-    /// Rescales so probabilities sum to one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total is zero.
-    pub fn normalize(&mut self) {
-        let t = self.total();
-        assert!(t > 0.0, "cannot normalize zero distribution");
-        for p in &mut self.probs {
-            *p /= t;
-        }
-    }
-
     /// The most probable outcome `(index, probability)`; ties resolve to the
     /// lowest index.
     pub fn most_probable(&self) -> (usize, f64) {
@@ -162,14 +149,6 @@ impl ProbDist {
             }
         }
         best
-    }
-
-    /// Outcomes sorted by descending probability.
-    pub fn top_k(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self.probs.iter().copied().enumerate().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
     }
 
     /// Total-variation distance `½ Σ |p−q|`.
@@ -293,12 +272,6 @@ impl Counts {
         self.shots
     }
 
-    /// Number of classical bits.
-    #[inline]
-    pub fn num_bits(&self) -> usize {
-        self.n_bits
-    }
-
     /// Count for a bitstring outcome.
     ///
     /// # Panics
@@ -306,12 +279,6 @@ impl Counts {
     /// Panics on malformed bitstrings.
     pub fn get(&self, bits: &str) -> u64 {
         self.counts[ProbDist::index_of(bits, self.n_bits)]
-    }
-
-    /// Count by outcome index.
-    #[inline]
-    pub fn get_index(&self, index: usize) -> u64 {
-        self.counts[index]
     }
 
     /// Converts to an empirical probability distribution.
@@ -328,15 +295,6 @@ impl Counts {
                 .collect(),
             self.n_bits,
         )
-    }
-
-    /// Iterates `(bitstring, count)` for nonzero outcomes.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (String, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (render_bits(i, self.n_bits), c))
     }
 }
 
@@ -425,14 +383,6 @@ mod tests {
         let b = ProbDist::delta(1, 1);
         assert!((a.tv_distance(&b) - 1.0).abs() < 1e-12);
         assert!(a.tv_distance(&a) < 1e-15);
-    }
-
-    #[test]
-    fn top_k_sorted() {
-        let d = ProbDist::from_probs(vec![0.1, 0.4, 0.15, 0.35], 2);
-        let top = d.top_k(2);
-        assert_eq!(top[0].0, 1);
-        assert_eq!(top[1].0, 3);
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl<S: EvolvableState> CircuitCursor<S> {
         })
     }
 
-    /// Resumes from an externally-produced state at instruction `pos` —
-    /// the inverse of [`CircuitCursor::into_state`].
-    pub fn resume(state: S, pos: usize) -> Self {
-        CircuitCursor { state, pos }
-    }
-
     /// Number of instructions already applied (the next instruction index).
     #[inline]
     pub fn position(&self) -> usize {
@@ -115,11 +109,6 @@ impl<S: EvolvableState> CircuitCursor<S> {
     #[inline]
     pub fn state(&self) -> &S {
         &self.state
-    }
-
-    /// Consumes the cursor, yielding the state.
-    pub fn into_state(self) -> S {
-        self.state
     }
 
     /// A snapshot of the paused evolution: an independent cursor at the
@@ -223,21 +212,6 @@ mod tests {
         fork.advance_to_end(&qc);
         assert_eq!(cursor.state(), &before, "fork mutated the snapshot");
         assert_eq!(cursor.position(), 2);
-    }
-
-    #[test]
-    fn resume_round_trips_state_and_position() {
-        let qc = sample_circuit();
-        let mut cursor = CircuitCursor::<Statevector>::start(&qc).unwrap();
-        cursor.advance_to(&qc, 3);
-        let pos = cursor.position();
-        let resumed = CircuitCursor::resume(cursor.into_state(), pos);
-        let mut straight = CircuitCursor::<Statevector>::start(&qc).unwrap();
-        straight.advance_to(&qc, 3);
-        assert_eq!(resumed.state(), straight.state());
-        let mut finished = resumed;
-        finished.advance_to_end(&qc);
-        assert_eq!(finished.state(), &Statevector::from_circuit(&qc).unwrap());
     }
 
     #[test]

@@ -166,40 +166,6 @@ impl Gate {
         }
     }
 
-    /// `true` for gates that are their own inverse.
-    pub fn is_self_inverse(&self) -> bool {
-        matches!(
-            self,
-            Gate::I
-                | Gate::H
-                | Gate::X
-                | Gate::Y
-                | Gate::Z
-                | Gate::Cx
-                | Gate::Cz
-                | Gate::Swap
-                | Gate::Ccx
-        )
-    }
-
-    /// `true` when the matrix is diagonal in the computational basis
-    /// (these commute with each other and with measurement).
-    pub fn is_diagonal(&self) -> bool {
-        matches!(
-            self,
-            Gate::I
-                | Gate::Z
-                | Gate::S
-                | Gate::Sdg
-                | Gate::T
-                | Gate::Tdg
-                | Gate::Rz(_)
-                | Gate::P(_)
-                | Gate::Cz
-                | Gate::Cp(_)
-        )
-    }
-
     /// The gate's parameters, if any, in declaration order.
     pub fn params(&self) -> Vec<f64> {
         match *self {
@@ -314,45 +280,6 @@ mod tests {
         let g = Gate::U(0.9, 0.3, 1.7);
         let prod = g.matrix().matmul(&g.inverse().matrix());
         assert!(prod.approx_eq(&CMatrix::identity(2), 1e-12));
-    }
-
-    #[test]
-    fn self_inverse_flag_is_consistent() {
-        for g in ALL_PARAMLESS {
-            if g.is_self_inverse() {
-                let sq = g.matrix().matmul(&g.matrix());
-                let n = sq.rows();
-                assert!(
-                    sq.approx_eq(&CMatrix::identity(n), 1e-12),
-                    "{g} not self-inverse"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn diagonal_flag_matches_matrix() {
-        for g in [
-            Gate::Z,
-            Gate::S,
-            Gate::T,
-            Gate::Rz(0.7),
-            Gate::P(1.2),
-            Gate::Cz,
-            Gate::Cp(0.4),
-        ] {
-            assert!(g.is_diagonal());
-            let m = g.matrix();
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    if i != j {
-                        assert!(m[(i, j)].norm() < 1e-12, "{g} has off-diagonal entries");
-                    }
-                }
-            }
-        }
-        assert!(!Gate::H.is_diagonal());
-        assert!(!Gate::Cx.is_diagonal());
     }
 
     #[test]

@@ -139,25 +139,6 @@ impl Statevector {
         self.probabilities().marginalize(&map, qc.num_clbits())
     }
 
-    /// Inner product `⟨self|other⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn inner(&self, other: &Statevector) -> Complex {
-        assert_eq!(self.n, other.n, "width mismatch");
-        self.amps
-            .iter()
-            .zip(&other.amps)
-            .map(|(&a, &b)| a.conj() * b)
-            .sum()
-    }
-
-    /// State fidelity `|⟨self|other⟩|²`.
-    pub fn fidelity(&self, other: &Statevector) -> f64 {
-        self.inner(other).norm_sqr()
-    }
-
     /// Euclidean norm (1 for a normalized state).
     pub fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
@@ -283,16 +264,6 @@ mod tests {
         qc.ccx(0, 1, 2).cp(0.9, 2, 3);
         let sv = Statevector::from_circuit(&qc).unwrap();
         assert!((sv.norm() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn fidelity_of_orthogonal_states_is_zero() {
-        let mut a = QuantumCircuit::new(1, 0);
-        a.x(0);
-        let sva = Statevector::from_circuit(&a).unwrap();
-        let svb = Statevector::new(1).unwrap();
-        assert!(sva.fidelity(&svb) < 1e-15);
-        assert!((sva.fidelity(&sva) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl Layout {
         self.logical.get(p).copied().flatten()
     }
 
-    /// The full logical→physical vector.
-    pub fn as_mapping(&self) -> &[usize] {
-        &self.phys
-    }
-
     /// Exchanges the contents of two *physical* qubits (the routing update
     /// after inserting a SWAP).
     ///

@@ -116,18 +116,6 @@ impl CouplingMap {
         CouplingMap::from_edges(rows * cols, &edges)
     }
 
-    /// All-to-all connectivity (an idealized device; routing becomes a
-    /// no-op, useful for ablations).
-    pub fn full(n: usize) -> Self {
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in a + 1..n {
-                edges.push((a, b));
-            }
-        }
-        CouplingMap::from_edges(n, &edges)
-    }
-
     /// Number of physical qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {
@@ -294,7 +282,6 @@ mod tests {
         assert_eq!(CouplingMap::line(5).edges().len(), 4);
         assert_eq!(CouplingMap::ring(5).edges().len(), 5);
         assert_eq!(CouplingMap::grid(2, 3).edges().len(), 7);
-        assert_eq!(CouplingMap::full(4).edges().len(), 6);
         assert!(CouplingMap::grid(3, 3).is_connected());
     }
 

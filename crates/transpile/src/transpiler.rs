@@ -38,7 +38,6 @@ pub type OptimizationLevel = Level;
 pub struct Transpiler {
     coupling: CouplingMap,
     level: OptimizationLevel,
-    translate_basis: bool,
     routing: RoutingStrategy,
 }
 
@@ -48,27 +47,14 @@ impl Transpiler {
         Transpiler {
             coupling,
             level,
-            translate_basis: true,
             routing: RoutingStrategy::ShortestPath,
         }
-    }
-
-    /// Enables or disables the native-basis translation stage (useful for
-    /// inspecting routed-but-untranslated circuits).
-    pub fn with_basis_translation(mut self, enabled: bool) -> Self {
-        self.translate_basis = enabled;
-        self
     }
 
     /// Selects the SWAP-routing strategy (default: shortest-path walking).
     pub fn with_routing(mut self, strategy: RoutingStrategy) -> Self {
         self.routing = strategy;
         self
-    }
-
-    /// The device coupling map.
-    pub fn coupling(&self) -> &CouplingMap {
-        &self.coupling
     }
 
     /// Runs the pipeline.
@@ -87,18 +73,13 @@ impl Transpiler {
             _ => Layout::dense(&self.coupling, qc.num_qubits()),
         };
         let routed = route_with(&decomposed, &self.coupling, layout, self.routing)?;
-        let translated = if self.translate_basis {
-            translate_to_basis(&routed.circuit)
-        } else {
-            routed.circuit.clone()
-        };
-        let optimized = optimize(&translated, self.level, self.translate_basis);
+        let translated = translate_to_basis(&routed.circuit);
+        // `native`: fused runs are resynthesized in the same basis.
+        let optimized = optimize(&translated, self.level, true);
         Ok(TranspileResult {
             circuit: optimized,
-            initial_layout: routed.initial_layout,
             final_layout: routed.final_layout,
             coupling: self.coupling.clone(),
-            swaps_inserted: routed.swaps_inserted,
         })
     }
 }
@@ -107,10 +88,8 @@ impl Transpiler {
 #[derive(Debug, Clone)]
 pub struct TranspileResult {
     circuit: QuantumCircuit,
-    initial_layout: Layout,
     final_layout: Layout,
     coupling: CouplingMap,
-    swaps_inserted: usize,
 }
 
 impl TranspileResult {
@@ -119,36 +98,9 @@ impl TranspileResult {
         &self.circuit
     }
 
-    /// The layout chosen before routing.
-    pub fn initial_layout(&self) -> &Layout {
-        &self.initial_layout
-    }
-
-    /// The layout after all routing SWAPs.
-    pub fn final_layout(&self) -> &Layout {
-        &self.final_layout
-    }
-
-    /// Number of SWAPs routing inserted.
-    pub fn swaps_inserted(&self) -> usize {
-        self.swaps_inserted
-    }
-
     /// Physical qubit hosting logical `l` at the end of the circuit.
     pub fn physical_qubit(&self, l: usize) -> usize {
         self.final_layout.physical(l)
-    }
-
-    /// Logical qubits whose **physical** hosts are coupled to logical `l`'s
-    /// host — the candidate second-fault targets for a multi-qubit fault
-    /// (paper §III-C / §IV-C).
-    pub fn logical_neighbors(&self, l: usize) -> Vec<usize> {
-        let p = self.final_layout.physical(l);
-        self.coupling
-            .neighbors(p)
-            .iter()
-            .filter_map(|&np| self.final_layout.logical_on(np))
-            .collect()
     }
 
     /// All unordered logical pairs that are physically adjacent after
@@ -199,7 +151,7 @@ impl TranspileResult {
 mod tests {
     use super::*;
     use crate::basis::is_native;
-    use qufi_sim::{Gate, Statevector};
+    use qufi_sim::Statevector;
 
     fn bv3() -> QuantumCircuit {
         // Bernstein-Vazirani, secret 101, on 4 qubits (ancilla = q3).
@@ -287,8 +239,6 @@ mod tests {
         assert!(!pairs.is_empty(), "dense layout must couple some qubits");
         for &(a, b) in &pairs {
             assert!(a < b && b < 4);
-            assert!(result.logical_neighbors(a).contains(&b));
-            assert!(result.logical_neighbors(b).contains(&a));
             // The physical hosts really are adjacent.
             let cm = CouplingMap::ibm_h7();
             assert!(cm.are_coupled(result.physical_qubit(a), result.physical_qubit(b)));
@@ -305,19 +255,6 @@ mod tests {
             assert!(active.contains(&result.physical_qubit(l)));
         }
         assert!(active.len() >= 4);
-    }
-
-    #[test]
-    fn basis_translation_can_be_disabled() {
-        let mut qc = QuantumCircuit::new(2, 0);
-        qc.h(0).cz(0, 1);
-        let t = Transpiler::new(CouplingMap::line(2), Level::Level0).with_basis_translation(false);
-        let result = t.run(&qc).unwrap();
-        let has_cz = result
-            .circuit()
-            .instructions()
-            .any(|op| matches!(op, Op::Gate { gate: Gate::Cz, .. }));
-        assert!(has_cz, "cz should survive with basis translation off");
     }
 
     #[test]

@@ -52,10 +52,8 @@ pub mod prelude {
         DjOracle, Workload,
     };
     pub use qufi_core::prelude::*;
-    pub use qufi_core::{
-        qubit_reliability, reliability_aware_layout, CampaignResult, ExecError, InjectionRecord,
-    };
-    pub use qufi_noise::{BackendCalibration, CoherentError, NoiseModel};
+    pub use qufi_core::{qubit_reliability, CampaignResult, ExecError, InjectionRecord};
+    pub use qufi_noise::{BackendCalibration, NoiseModel};
     pub use qufi_sim::{Gate, ProbDist, QuantumCircuit};
     pub use qufi_transpile::{CouplingMap, OptimizationLevel, RoutingStrategy, Transpiler};
 }

@@ -1,12 +1,10 @@
 //! Integration tests of the extension features layered on the paper's core:
-//! reliability-aware mapping, readout mitigation inside a campaign, coherent
-//! noise floors, shot-based QVF estimation accuracy, QPE/QEC workloads and
-//! campaign persistence.
+//! shot-based QVF estimation accuracy, QPE/QEC workloads, campaign
+//! persistence and lookahead routing.
 
 use qufi::algos::qec::bit_flip_code;
 use qufi::algos::qpe::quantum_phase_estimation;
 use qufi::core::serialize;
-use qufi::noise::mitigation;
 use qufi::prelude::*;
 
 fn coarse_campaign(
@@ -15,29 +13,6 @@ fn coarse_campaign(
     ex: &impl SweepExecutor,
 ) -> CampaignResult {
     run_single_campaign(qc, golden, ex, &CampaignOptions::coarse()).expect("campaign")
-}
-
-#[test]
-fn reliability_aware_layout_places_vulnerable_qubits_on_good_seats() {
-    let w = bernstein_vazirani(0b101, 3);
-    let ex = NoisyExecutor::new(BackendCalibration::jakarta());
-    let res = coarse_campaign(&w.circuit, &w.correct_outputs, &ex);
-    let cal = BackendCalibration::jakarta();
-    let layout = reliability_aware_layout(&res, &cal);
-
-    let ranking = qubit_reliability(&res);
-    assert_eq!(ranking.len(), 4);
-    // The produced layout is usable as a transpiler seed: bijective over
-    // the device and connected (dense subgraph members).
-    let cm = CouplingMap::ibm_h7();
-    let members: Vec<usize> = (0..4).map(|l| layout.physical(l)).collect();
-    for &m in &members {
-        assert!(m < cm.num_qubits());
-        assert!(
-            cm.neighbors(m).iter().any(|n| members.contains(n)),
-            "member {m} isolated in {members:?}"
-        );
-    }
 }
 
 #[test]
@@ -71,51 +46,6 @@ fn shot_based_qvf_estimates_track_exact_values() {
     assert!(max < 0.12, "worst per-injection shot error {max:.4}");
     assert!(mean_diff < 0.02, "mean shot error {mean_diff:.4}");
     assert!((exact.mean_qvf() - shots.mean_qvf()).abs() < 0.01);
-}
-
-#[test]
-fn readout_mitigation_lowers_baseline_qvf() {
-    let w = bernstein_vazirani(0b101, 3);
-    let ex = NoisyExecutor::new(BackendCalibration::jakarta());
-    let raw = ex.execute(&w.circuit).unwrap();
-    // Mitigate over the *classical* bits: BV measures q0..q2 into c0..c2 on
-    // physical seats — apply the logical qubits' confusion matrices.
-    // For this test use a synthetic uniform readout error on all clbits.
-    let ro = qufi::noise::ReadoutError::new(0.03, 0.05);
-    let confused =
-        qufi::noise::readout::apply_readout_errors(&raw, &vec![Some(ro); raw.num_bits()]);
-    let mitigated = mitigation::mitigate_readout(&confused, &vec![Some(ro); raw.num_bits()])
-        .expect("invertible");
-    let golden = &w.correct_outputs;
-    let q_confused = qvf_from_dist(&confused, golden);
-    let q_mitigated = qvf_from_dist(&mitigated, golden);
-    assert!(
-        q_mitigated < q_confused,
-        "mitigation should help: {q_mitigated:.4} vs {q_confused:.4}"
-    );
-}
-
-#[test]
-fn coherent_noise_floor_raises_fault_sensitivity() {
-    // Faults injected over a coherent-error floor compose coherently; the
-    // campaign mean over a miscalibrated circuit must not be lower than
-    // over the clean circuit.
-    let w = bernstein_vazirani(0b11, 2);
-    let miscal = CoherentError {
-        over_rotation_x: 0.05,
-        phase_drift_z: 0.02,
-        two_qubit_phase: 0.05,
-    };
-    let drifted_circuit = miscal.apply_to_circuit(&w.circuit);
-    let clean = coarse_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor);
-    let drifted = coarse_campaign(&drifted_circuit, &w.correct_outputs, &IdealExecutor);
-    assert!(
-        drifted.mean_qvf() > clean.mean_qvf() - 1e-6,
-        "coherent floor lowered sensitivity: {:.4} vs {:.4}",
-        drifted.mean_qvf(),
-        clean.mean_qvf()
-    );
-    assert!(drifted.baseline_qvf >= clean.baseline_qvf);
 }
 
 #[test]
