@@ -14,11 +14,11 @@ use crate::error::CliError;
 use crate::job::{JobRuntime, JobSpec};
 use crate::toml;
 use qufi_core::report::records_to_csv;
-use qufi_core::serialize::records_from_csv;
+use qufi_core::serialize::{records_from_csv, CsvError, RecordsCsvParser};
 use qufi_core::InjectionRecord;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, BufRead, BufReader, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Everything about a job that is not a per-injection record — enough
@@ -137,6 +137,32 @@ pub struct CheckpointStore {
     dir: PathBuf,
 }
 
+/// Bytes read from a record log at a time.
+const READ_BUFFER: usize = 64 << 10;
+
+/// Counts `reader`'s line terminators and returns its last byte (`None`
+/// when it is empty).
+fn scan_lines(reader: &mut impl BufRead) -> io::Result<(usize, Option<u8>)> {
+    let (mut lines, mut last) = (0, None);
+    loop {
+        let chunk = reader.fill_buf()?;
+        let Some(&end) = chunk.last() else {
+            return Ok((lines, last));
+        };
+        lines += chunk.iter().filter(|&&b| b == b'\n').count();
+        last = Some(end);
+        let read = chunk.len();
+        reader.consume(read);
+    }
+}
+
+fn corrupt(path: &Path, e: CsvError) -> CliError {
+    CliError::checkpoint(format!(
+        "{e} (in {}; delete the file to re-run the job)",
+        path.display()
+    ))
+}
+
 impl CheckpointStore {
     /// Opens (creating if needed) `<out_dir>/checkpoints`.
     ///
@@ -150,7 +176,7 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    fn meta_path(&self, job_id: &str) -> PathBuf {
+    pub(crate) fn meta_path(&self, job_id: &str) -> PathBuf {
         self.dir.join(format!("{job_id}.meta.toml"))
     }
 
@@ -203,45 +229,67 @@ impl CheckpointStore {
     /// accept) must not be trusted as records. Anything unparsable after
     /// that pruning is real corruption and fatal.
     ///
+    /// A clean file streams: one pass counts its lines, a second parses
+    /// them one at a time into a `Vec` of that size, so no copy of the
+    /// file's text is held.
+    ///
     /// # Errors
     ///
     /// Unreadable files or corruption.
     pub fn load_records(&self, job_id: &str) -> Result<Vec<InjectionRecord>, CliError> {
         let path = self.records_path(job_id);
-        let mut text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let read_err = |e| CliError::io("reading job records", &path, e);
+        let file = match fs::File::open(&path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(CliError::io("reading job records", &path, e)),
+            Err(e) => return Err(read_err(e)),
         };
-        if !text.is_empty() && !text.ends_with('\n') {
-            let keep = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            let torn_bytes = text.len() - keep;
-            text.truncate(keep);
-            // A healed checkpoint must not look identical to a clean one:
-            // count the salvage and say so (the interrupted point re-runs,
-            // so the campaign result is unaffected).
-            qufi_obs::add("checkpoint.salvaged_lines", 1);
-            qufi_obs::log::warn(&format!(
-                "job {job_id}: salvaged a torn checkpoint line ({torn_bytes} bytes \
-                 dropped from {}); the interrupted point will re-run",
-                path.display()
-            ));
-            // Heal the file so later appends land after a complete line
-            // (and so the header-or-not decision in append_records stays
-            // a simple is-the-file-empty check). Loads and appends never
-            // run concurrently: loads happen in the prepare and export
-            // phases, appends only while the worker pool is live.
-            crate::atomic_write(&path, text.as_bytes(), "healing job records")?;
+        let mut reader = BufReader::with_capacity(READ_BUFFER, file);
+        let (lines, last_byte) = scan_lines(&mut reader).map_err(read_err)?;
+        if last_byte.is_some_and(|b| b != b'\n') {
+            return self.salvage_torn_tail(job_id, &path);
         }
-        if text.is_empty() {
-            return Ok(Vec::new());
+        reader.rewind().map_err(read_err)?;
+        let mut parser = RecordsCsvParser::default();
+        let mut records = Vec::with_capacity(lines.saturating_sub(1));
+        let mut line = String::new();
+        while reader.read_line(&mut line).map_err(read_err)? > 0 {
+            let text = line.strip_suffix('\n').unwrap_or(&line);
+            let text = text.strip_suffix('\r').unwrap_or(text);
+            records.extend(parser.parse_line(text).map_err(|e| corrupt(&path, e))?);
+            line.clear();
         }
-        records_from_csv(&text).map_err(|e| {
-            CliError::checkpoint(format!(
-                "{e} (in {}; delete the file to re-run the job)",
-                path.display()
-            ))
-        })
+        Ok(records)
+    }
+
+    /// The torn-tail path of [`CheckpointStore::load_records`]: drops the
+    /// file's unterminated last line, heals the file and parses the rest.
+    fn salvage_torn_tail(
+        &self,
+        job_id: &str,
+        path: &Path,
+    ) -> Result<Vec<InjectionRecord>, CliError> {
+        let mut text =
+            fs::read_to_string(path).map_err(|e| CliError::io("reading job records", path, e))?;
+        let keep = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
+        let torn_bytes = text.len() - keep;
+        text.truncate(keep);
+        // A healed checkpoint must not look identical to a clean one:
+        // count the salvage and say so (the interrupted point re-runs,
+        // so the campaign result is unaffected).
+        qufi_obs::add("checkpoint.salvaged_lines", 1);
+        qufi_obs::log::warn(&format!(
+            "job {job_id}: salvaged a torn checkpoint line ({torn_bytes} bytes \
+             dropped from {}); the interrupted point will re-run",
+            path.display()
+        ));
+        // Heal the file so later appends land after a complete line
+        // (and so the header-or-not decision in append_records stays
+        // a simple is-the-file-empty check). Loads and appends never
+        // run concurrently: loads happen in the prepare and export
+        // phases, appends only while the worker pool is live.
+        crate::atomic_write(path, text.as_bytes(), "healing job records")?;
+        records_from_csv(&text).map_err(|e| corrupt(path, e))
     }
 
     /// Appends one shard of records (creating the file, with header, on

@@ -72,9 +72,11 @@ use std::path::{Path, PathBuf};
 /// [`qufi_serve::store::atomic_write`]: the contents land in
 /// `<path>.tmp` (synced under `QUFI_FSYNC`), which is renamed over the
 /// target, so readers (and crash survivors) only ever observe the old
-/// bytes or the new bytes — never a torn mixture. Every artifact the CLI
-/// publishes (exports, manifests, checkpoint metadata, telemetry, shard
-/// plans) goes through here.
+/// bytes or the new bytes — never a torn mixture. Every file the CLI
+/// publishes (manifests, checkpoint metadata, telemetry, shard plans)
+/// goes through here, except the export's artifacts, which take the same
+/// recipe in its two halves ([`qufi_serve::store::stage`], then
+/// [`qufi_serve::store::publish`]) so that they publish together.
 ///
 /// # Errors
 ///

@@ -16,8 +16,9 @@ use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::executor::{Executor, IdealExecutor};
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
-use crate::metrics::{checkpoint_qvf, mean, qvf_from_dist, stddev, Severity};
+use crate::metrics::{checkpoint_qvf, mean, qvf_from_dist, record_severity, stddev, Severity};
 use qufi_sim::QuantumCircuit;
+use std::cmp::Ordering;
 
 /// One executed injection and its measured QVF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,17 +91,41 @@ pub struct CampaignResult {
     pub grid: FaultGrid,
 }
 
-/// The deterministic record order: (point, φ, θ).
-fn record_key(r: &InjectionRecord) -> (InjectionPoint, f64, f64) {
-    (r.point, r.phi, r.theta)
+/// The deterministic record order: (point, φ, θ). The sort is stable, so
+/// records this order ties (duplicates, or angles of zero that differ
+/// only in sign) keep their input order.
+fn record_order(a: &InjectionRecord, b: &InjectionRecord) -> Ordering {
+    (a.point, a.phi, a.theta)
+        .partial_cmp(&(b.point, b.phi, b.theta))
+        .expect("angles are finite")
 }
 
 fn sort_records(records: &mut [InjectionRecord]) {
-    records.sort_by(|a, b| {
-        record_key(a)
-            .partial_cmp(&record_key(b))
-            .expect("angles are finite")
-    });
+    records.sort_by(record_order);
+}
+
+/// Drops every record whose (point, θ, φ) bits repeat an earlier one, from
+/// records in [`record_order`]. Repeats tie in that order, so each one is
+/// looked for only in its run of tied records, which is a single record
+/// unless the input held duplicates or signed zeros.
+fn dedup_sorted(records: &mut Vec<InjectionRecord>) {
+    let same = |a: &InjectionRecord, b: &InjectionRecord| {
+        a.point == b.point
+            && a.theta.to_bits() == b.theta.to_bits()
+            && a.phi.to_bits() == b.phi.to_bits()
+    };
+    let (mut kept, mut run) = (0, 0);
+    for i in 0..records.len() {
+        let r = records[i];
+        if kept > 0 && record_order(&records[kept - 1], &r) != Ordering::Equal {
+            run = kept;
+        }
+        if !records[run..kept].iter().any(|k| same(k, &r)) {
+            records[kept] = r;
+            kept += 1;
+        }
+    }
+    records.truncate(kept);
 }
 
 impl CampaignResult {
@@ -126,36 +151,22 @@ impl CampaignResult {
     }
 
     /// Incrementally merges more records into this result (e.g. a resumed
-    /// campaign folding fresh injections into a checkpoint). Duplicate
-    /// (point, θ, φ) entries keep the already-present record, so replaying
-    /// a checkpoint over itself is a no-op; ordering is restored.
+    /// campaign folding fresh injections into a checkpoint). Each (point,
+    /// θ, φ) is kept once, at its first occurrence, already-present
+    /// records first — so replaying a checkpoint over itself is a no-op;
+    /// ordering is restored. Works in place: a stable sort, then a pass
+    /// that drops repeats.
     pub fn merge_records(&mut self, extra: Vec<InjectionRecord>) {
         if extra.is_empty() {
             return;
         }
-        let mut seen: std::collections::HashSet<(usize, usize, u64, u64)> = self
-            .records
-            .iter()
-            .map(|r| {
-                (
-                    r.point.op_index,
-                    r.point.qubit,
-                    r.theta.to_bits(),
-                    r.phi.to_bits(),
-                )
-            })
-            .collect();
-        for r in extra {
-            if seen.insert((
-                r.point.op_index,
-                r.point.qubit,
-                r.theta.to_bits(),
-                r.phi.to_bits(),
-            )) {
-                self.records.push(r);
-            }
+        if self.records.is_empty() {
+            self.records = extra;
+        } else {
+            self.records.extend(extra);
         }
         sort_records(&mut self.records);
+        dedup_sorted(&mut self.records);
     }
 
     /// All QVF values.
@@ -173,11 +184,13 @@ impl CampaignResult {
         stddev(&self.qvfs())
     }
 
-    /// `(masked, dubious, sdc)` counts (paper §V-B classification).
+    /// `(masked, dubious, sdc)` counts (paper §V-B classification), each
+    /// record classed at checkpoint precision ([`record_severity`]) as its
+    /// exported row is.
     pub fn severity_counts(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);
         for r in &self.records {
-            match Severity::classify(r.qvf) {
+            match record_severity(r.qvf) {
                 Severity::Masked => c.0 += 1,
                 Severity::Dubious => c.1 += 1,
                 Severity::Sdc => c.2 += 1,
@@ -591,6 +604,50 @@ mod tests {
             rebuilt.merge_records(shard); // replaying a shard is a no-op
         }
         assert_eq!(rebuilt.records, whole.records);
+    }
+
+    #[test]
+    fn merge_keeps_first_occurrences_and_both_signs_of_zero() {
+        let rec = |op_index, theta: f64, qvf| InjectionRecord {
+            point: InjectionPoint { op_index, qubit: 0 },
+            theta,
+            phi: 0.0,
+            qvf,
+        };
+        let mut result = CampaignResult::from_parts(
+            "t",
+            vec![0],
+            0.0,
+            FaultGrid::custom(vec![0.0, 1.0], vec![0.0]),
+            Vec::new(),
+        );
+        // -0.0 and 0.0 tie in the canonical order but are distinct records;
+        // each keeps its first occurrence, and ties keep input order.
+        result.merge_records(vec![
+            rec(1, 1.0, 0.1),
+            rec(0, -0.0, 0.2),
+            rec(0, 0.0, 0.3),
+            rec(0, -0.0, 0.4),
+            rec(1, 1.0, 0.5),
+            rec(0, 0.0, 0.6),
+        ]);
+        let kept: Vec<(usize, u64, f64)> = result
+            .records
+            .iter()
+            .map(|r| (r.point.op_index, r.theta.to_bits(), r.qvf))
+            .collect();
+        assert_eq!(
+            kept,
+            vec![
+                (0, (-0.0f64).to_bits(), 0.2),
+                (0, 0.0f64.to_bits(), 0.3),
+                (1, 1.0f64.to_bits(), 0.1),
+            ]
+        );
+        // Already-present records win over later duplicates.
+        result.merge_records(vec![rec(0, 0.0, 0.9), rec(2, 0.0, 0.7), rec(0, -0.0, 0.8)]);
+        let qvfs: Vec<f64> = result.records.iter().map(|r| r.qvf).collect();
+        assert_eq!(qvfs, vec![0.2, 0.3, 0.1, 0.7]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::campaign::CampaignResult;
 use crate::error::ExecError;
 use crate::fault::{check_double_site, check_injection_point, InjectionPoint};
-use crate::metrics::{mean, Severity};
+use crate::metrics::{mean, record_severity, Severity};
 use qufi_sim::circuit::Op;
 use qufi_sim::QuantumCircuit;
 
@@ -48,7 +48,7 @@ pub fn qubit_reliability(result: &CampaignResult) -> Vec<QubitReliability> {
             let qvfs: Vec<f64> = records.iter().map(|r| r.qvf).collect();
             let sdc = records
                 .iter()
-                .filter(|r| Severity::classify(r.qvf) == Severity::Sdc)
+                .filter(|r| record_severity(r.qvf) == Severity::Sdc)
                 .count();
             QubitReliability {
                 qubit: q,

@@ -118,6 +118,20 @@ pub fn checkpoint_qvf(qvf: f64) -> f64 {
         .expect("a rendered f64 parses")
 }
 
+/// The class of a record's QVF as a checkpoint stores it
+/// ([`checkpoint_qvf`]), so a record classifies the same live and re-read
+/// from a checkpoint. Rounding to [`QVF_DECIMALS`] moves a value by at
+/// most half a unit in the last place kept, so only values within 1e-6 of
+/// a class threshold are rendered; the rest classify directly.
+pub fn record_severity(qvf: f64) -> Severity {
+    let near = |threshold: f64| (qvf - threshold).abs() <= 1e-6;
+    if near(DUBIOUS_LOW) || near(DUBIOUS_HIGH) {
+        Severity::classify(checkpoint_qvf(qvf))
+    } else {
+        Severity::classify(qvf)
+    }
+}
+
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -206,6 +220,26 @@ mod tests {
             let once = checkpoint_qvf(q);
             assert_eq!(once.to_bits(), checkpoint_qvf(once).to_bits(), "{q}");
             assert_eq!(format!("{once:.6}"), format!("{q:.6}"));
+        }
+    }
+
+    #[test]
+    fn record_severity_follows_the_checkpointed_value() {
+        // Both round onto a threshold, which is dubious.
+        assert_eq!(Severity::classify(0.4499996), Severity::Masked);
+        assert_eq!(record_severity(0.4499996), Severity::Dubious);
+        assert_eq!(Severity::classify(0.5500004), Severity::Sdc);
+        assert_eq!(record_severity(0.5500004), Severity::Dubious);
+        // Values that round away from a threshold keep their class.
+        for q in [
+            0.0, 0.4499994, 0.449999, 0.45, 0.55, 0.5500006, 0.550001, 1.0,
+        ] {
+            assert_eq!(record_severity(q), Severity::classify(q), "{q}");
+            assert_eq!(
+                record_severity(q),
+                Severity::classify(checkpoint_qvf(q)),
+                "{q}"
+            );
         }
     }
 

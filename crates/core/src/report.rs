@@ -5,9 +5,11 @@
 use crate::campaign::{CampaignResult, InjectionRecord};
 use crate::double::DoubleCampaignResult;
 use crate::fault::FaultGrid;
-use crate::metrics::{Severity, QVF_DECIMALS};
+use crate::metrics::{record_severity, Severity};
+use crate::serialize::{render_to_string, write_qvf_fixed, AngleText};
 use qufi_math::PiFraction;
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 
 /// A mean-QVF map over the (φ, θ) fault lattice — one cell per injected
 /// phase-shift configuration, averaged over all injection points that
@@ -178,23 +180,27 @@ impl Heatmap {
 
     /// CSV rows `phi,theta,mean_qvf,count` (radians, 6 decimals).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("phi,theta,mean_qvf,count\n");
+        render_to_string(32 * (self.values.len() + 1), |out| self.write_csv(out))
+    }
+
+    /// Writes [`Heatmap::to_csv`]'s rows to `out`.
+    ///
+    /// # Errors
+    ///
+    /// The sink's.
+    pub fn write_csv<W: io::Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        out.write_all(b"phi,theta,mean_qvf,count\n")?;
         for (pi, &phi) in self.phis.iter().enumerate() {
             for (ti, &theta) in self.thetas.iter().enumerate() {
                 let v = self.value(pi, ti);
-                let _ = writeln!(
-                    out,
-                    "{phi:.6},{theta:.6},{},{}",
-                    if v.is_nan() {
-                        "".to_string()
-                    } else {
-                        format!("{v:.6}")
-                    },
-                    self.count(pi, ti)
-                );
+                write!(out, "{phi:.6},{theta:.6},")?;
+                if !v.is_nan() {
+                    write!(out, "{v:.6}")?;
+                }
+                writeln!(out, ",{}", self.count(pi, ti))?;
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -281,24 +287,52 @@ impl Histogram {
     }
 }
 
+/// Bytes to reserve per record for [`records_to_csv`]: a record of the
+/// paper campaign renders to 41–46 bytes.
+const RECORD_CSV_BYTES: usize = 48;
+
 /// CSV export of raw single-fault records:
-/// `op_index,qubit,theta,phi,qvf,severity`.
+/// `op_index,qubit,theta,phi,qvf,severity`. The severity is the class of
+/// the QVF as printed ([`record_severity`]).
 pub fn records_to_csv(records: &[InjectionRecord]) -> String {
-    let mut out = String::from("op_index,qubit,theta,phi,qvf,severity\n");
+    render_to_string((records.len() + 1) * RECORD_CSV_BYTES, |out| {
+        write_records_csv(out, records)
+    })
+}
+
+/// Writes [`records_to_csv`]'s text to `out`, rendering each distinct θ
+/// and φ once.
+///
+/// # Errors
+///
+/// The sink's.
+pub fn write_records_csv<W: io::Write + ?Sized>(
+    out: &mut W,
+    records: &[InjectionRecord],
+) -> io::Result<()> {
+    let mut angles = AngleText::new(|text, v| {
+        let _ = write!(text, "{v:.9}");
+    });
+    // Records come grouped by point: render a point's prefix once.
+    let (mut point, mut prefix) = (None, Vec::new());
+    out.write_all(b"op_index,qubit,theta,phi,qvf,severity\n")?;
     for r in records {
-        let _ = writeln!(
-            out,
-            "{},{},{:.9},{:.9},{:.*},{}",
-            r.point.op_index,
-            r.point.qubit,
-            r.theta,
-            r.phi,
-            QVF_DECIMALS,
-            r.qvf,
-            Severity::classify(r.qvf).label()
-        );
+        if point != Some(r.point) {
+            prefix.clear();
+            write!(prefix, "{},{},", r.point.op_index, r.point.qubit)?;
+            point = Some(r.point);
+        }
+        out.write_all(&prefix)?;
+        angles.write(out, r.theta)?;
+        out.write_all(b",")?;
+        angles.write(out, r.phi)?;
+        out.write_all(b",")?;
+        write_qvf_fixed(out, r.qvf)?;
+        out.write_all(b",")?;
+        out.write_all(record_severity(r.qvf).label().as_bytes())?;
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -396,6 +430,26 @@ mod tests {
         assert!(rcsv.contains("sdc"));
         let h = Histogram::new(&[0.5], 2);
         assert!(h.to_csv().contains("bin_low"));
+    }
+
+    #[test]
+    fn csv_severity_is_the_class_of_the_printed_qvf() {
+        // Each QVF prints as a class threshold, so its row says dubious,
+        // as does the same row re-read from a checkpoint.
+        let records = [rec(0.0, 0.0, 0.4499996, 0), rec(0.0, 0.0, 0.5500004, 1)];
+        let csv = records_to_csv(&records);
+        assert!(csv.contains(",0.450000,dubious\n"), "{csv}");
+        assert!(csv.contains(",0.550000,dubious\n"), "{csv}");
+        let reread = crate::serialize::records_from_csv(&csv).unwrap();
+        assert_eq!(records_to_csv(&reread), csv);
+        let result = CampaignResult {
+            circuit_name: "t".into(),
+            golden: vec![0],
+            baseline_qvf: 0.1,
+            records: records.to_vec(),
+            grid: sample_grid(),
+        };
+        assert_eq!(result.severity_counts(), (0, 2, 0));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! byte-identical.
 //!
 //! This module also owns the durability policy of `qufi run` and
-//! `qufi serve` alike: one write-then-rename ([`atomic_write`]) and one
-//! reading of the `QUFI_FSYNC` switch ([`fsync_enabled`]). The CLI
-//! depends on this crate, so its checkpoint and artifact writes use them
-//! too.
+//! `qufi serve` alike: one write-then-rename ([`atomic_write`], or its
+//! two halves [`stage`] and [`publish`] for a writer that publishes a
+//! set of files together) and one reading of the `QUFI_FSYNC` switch
+//! ([`fsync_enabled`]). The CLI depends on this crate, so its checkpoint
+//! and artifact writes use them too.
 
 use qufi_obs::json::{self, Value};
 use std::fs;
@@ -204,23 +205,49 @@ fn fsync_requested(value: Option<&str>) -> bool {
 
 /// Writes `contents` to `<path>.tmp`, syncs it when [`fsync_enabled`],
 /// then renames it over `path`, so readers and crash survivors see the
-/// old bytes or the new ones, never a torn mixture.
+/// old bytes or the new ones, never a torn mixture: [`stage`], then
+/// [`publish`].
 ///
 /// # Errors
 ///
 /// Filesystem failures.
 pub fn atomic_write(path: &Path, contents: &[u8]) -> io::Result<()> {
+    stage(path, |file| file.write_all(contents))?;
+    publish(path)
+}
+
+/// `<path>.tmp`, where [`stage`] writes `path`'s next contents. The
+/// suffix keeps the full name, so `records.csv` and `records.json` never
+/// share a temp file.
+pub fn staging_path(path: &Path) -> PathBuf {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(contents)?;
-        if fsync_enabled() {
-            f.sync_all()?;
-        }
+    PathBuf::from(tmp)
+}
+
+/// Writes `path`'s next contents to [`staging_path`] through `fill`, and
+/// syncs them when [`fsync_enabled`]; `path` itself is untouched until
+/// [`publish`]. Returns what `fill` returns.
+///
+/// # Errors
+///
+/// Filesystem failures and `fill`'s own.
+pub fn stage<T>(path: &Path, fill: impl FnOnce(&mut fs::File) -> io::Result<T>) -> io::Result<T> {
+    let mut file = fs::File::create(staging_path(path))?;
+    let out = fill(&mut file)?;
+    if fsync_enabled() {
+        file.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    Ok(out)
+}
+
+/// Renames `path`'s [`stage`]d contents over it.
+///
+/// # Errors
+///
+/// Filesystem failures, e.g. nothing staged.
+pub fn publish(path: &Path) -> io::Result<()> {
+    fs::rename(staging_path(path), path)
 }
 
 #[cfg(test)]
