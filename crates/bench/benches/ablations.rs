@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the execution-scenario design choices (PAPER.md,
+//! "Execution scenarios (§IV-B)"):
 //!
 //! * exact density-matrix probabilities vs 1024-shot sampling — cost of the
 //!   shot-based QVF estimate the paper uses;

@@ -70,7 +70,6 @@ pub fn fig5_heatmaps(
                 grid: grid.clone(),
                 points: None,
                 threads: 0,
-                naive: false,
             };
             let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
                 .expect("campaign");
@@ -90,7 +89,6 @@ pub fn fig6_per_qubit(
         grid: grid.clone(),
         points: None,
         threads: 0,
-        naive: false,
     };
     let res =
         run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts).expect("campaign");
@@ -134,7 +132,6 @@ pub fn fig7_scaling(
                         grid: grid.clone(),
                         points: None,
                         threads: 0,
-                        naive: false,
                     };
                     let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
                         .expect("campaign");
@@ -177,7 +174,6 @@ pub fn fig8_double(grid: &FaultGrid, executor: &NoisyExecutor) -> Fig8Output {
         grid: grid.clone(),
         points: None,
         threads: 0,
-        naive: false,
     };
     let single = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &single_opts)
         .expect("single campaign");
@@ -189,7 +185,6 @@ pub fn fig8_double(grid: &FaultGrid, executor: &NoisyExecutor) -> Fig8Output {
         points: None,
         pairs,
         threads: 0,
-        naive: false,
     };
     let double = run_double_campaign(&w.circuit, &w.correct_outputs, executor, &double_opts)
         .expect("double campaign");
@@ -270,9 +265,8 @@ pub fn fig11_hardware(seed: u64) -> Vec<Fig11Row> {
                     grid: grid.clone(),
                     points: None,
                     threads: 1,
-                    naive: false,
                 };
-                run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts)
+                run_single_campaign(&w.circuit, &w.correct_outputs, ex, &opts)
                     .expect("campaign")
                     .mean_qvf()
             };

@@ -11,9 +11,8 @@
 use crate::error::CliError;
 use crate::manifest::{ExecutorKind, Manifest};
 use qufi_core::campaign::{golden_outputs, run_point_sweep_parallel};
-use qufi_core::executor::{
-    Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
-};
+use qufi_core::engine::{SeedHasher, SweepExecutor};
+use qufi_core::executor::{HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor};
 use qufi_core::fault::{enumerate_injection_points, FaultGrid, InjectionPoint};
 use qufi_core::{ExecError, InjectionRecord};
 use qufi_noise::BackendCalibration;
@@ -70,40 +69,28 @@ pub fn job_matrix(manifest: &Manifest) -> Vec<JobSpec> {
 }
 
 /// How a job executes circuits. Ideal and noisy executors are
-/// deterministic and shared across the job's points; the hardware
-/// scenario rebuilds its executor per point from a derived seed so the
-/// drift/shot streams do not depend on scheduling order.
-pub enum JobExecutor {
-    /// Shared noiseless executor.
-    Ideal(IdealExecutor),
-    /// Shared density-matrix executor (boxed: its calibration tables
-    /// dwarf the other variants).
+/// deterministic and shared by every point of the job. The hardware and
+/// trajectory scenarios build an executor per point (see
+/// [`JobExecutor::with_point`]), so their drift, shot and trajectory
+/// streams do not depend on scheduling order.
+enum JobExecutor {
+    Ideal,
+    /// Boxed: its calibration tables dwarf the other variants.
     Noisy(Box<NoisyExecutor>),
-    /// Per-point hardware executors (calibration kept for rebuilding).
     Hardware {
-        /// Scaled calibration the per-point executors start from.
+        /// Scaled calibration every per-point executor starts from.
         calibration: BackendCalibration,
-        /// Shots per execution.
         shots: u64,
         /// Calibration drift σ.
         drift: f64,
-        /// Campaign master seed.
-        campaign_seed: u64,
-        /// This job's id (folded into per-point seeds).
-        job_id: String,
+        /// The campaign seed and job id, mixed; each point mixes in its
+        /// identity to seed its executor.
+        seeds: SeedHasher,
     },
-    /// Per-point Monte-Carlo trajectory executors — like the hardware
-    /// scenario, randomness derives from the point identity so shot
-    /// streams are schedule- and resume-invariant.
     Trajectory {
-        /// Scaled calibration the per-point executors start from.
         calibration: BackendCalibration,
-        /// Trajectory samples per grid cell.
         shots: u64,
-        /// Campaign master seed.
-        campaign_seed: u64,
-        /// This job's id (folded into per-point seeds).
-        job_id: String,
+        seeds: SeedHasher,
     },
 }
 
@@ -123,18 +110,6 @@ pub struct JobRuntime {
     executor: JobExecutor,
 }
 
-/// FNV-1a over the campaign seed and a point identity — the per-point
-/// seed for hardware-scenario executors (the shared
-/// [`qufi_core::engine::SeedHasher`] construction).
-fn derive_seed(campaign_seed: u64, job_id: &str, op_index: usize, qubit: usize) -> u64 {
-    qufi_core::engine::SeedHasher::new()
-        .mix_u64(campaign_seed)
-        .mix_bytes(job_id.as_bytes())
-        .mix_u64(op_index as u64)
-        .mix_u64(qubit as u64)
-        .finish()
-}
-
 /// Sentinel point identity for a job's fault-free baseline execution.
 const BASELINE_POINT: (usize, usize) = (usize::MAX, usize::MAX);
 
@@ -150,8 +125,13 @@ impl JobRuntime {
     pub fn prepare(manifest: &Manifest, spec: &JobSpec) -> Result<Self, CliError> {
         let workload = qufi_algos::build_workload(&spec.workload)
             .map_err(|e| CliError::manifest(e.to_string()))?;
+        // Per-point seeds hash (campaign seed, job id, op index, qubit).
+        let seeds = SeedHasher::new()
+            .mix_u64(manifest.seed)
+            .mix_bytes(spec.id().as_bytes())
+            .clone();
         let executor = match manifest.executor {
-            ExecutorKind::Ideal => JobExecutor::Ideal(IdealExecutor),
+            ExecutorKind::Ideal => JobExecutor::Ideal,
             ExecutorKind::Noisy => {
                 JobExecutor::Noisy(Box::new(NoisyExecutor::new(scaled_calibration(spec)?)))
             }
@@ -159,32 +139,17 @@ impl JobRuntime {
                 calibration: scaled_calibration(spec)?,
                 shots: manifest.shots,
                 drift: manifest.drift,
-                campaign_seed: manifest.seed,
-                job_id: spec.id(),
+                seeds,
             },
             ExecutorKind::Trajectory => JobExecutor::Trajectory {
                 calibration: scaled_calibration(spec)?,
                 shots: manifest.shots,
-                campaign_seed: manifest.seed,
-                job_id: spec.id(),
+                seeds,
             },
         };
         let golden = golden_outputs(&workload.circuit)?;
-        let baseline_qvf = {
-            let dist = match &executor {
-                JobExecutor::Ideal(ex) => ex.execute(&workload.circuit)?,
-                JobExecutor::Noisy(ex) => ex.execute(&workload.circuit)?,
-                JobExecutor::Hardware { .. } => executor
-                    .hardware_for_point(BASELINE_POINT.0, BASELINE_POINT.1)
-                    .expect("hardware variant")
-                    .execute(&workload.circuit)?,
-                JobExecutor::Trajectory { .. } => executor
-                    .trajectory_for_point(BASELINE_POINT.0, BASELINE_POINT.1)
-                    .expect("trajectory variant")
-                    .execute(&workload.circuit)?,
-            };
-            qufi_core::metrics::qvf_from_dist(&dist, &golden)
-        };
+        let dist = executor.with_point(BASELINE_POINT, |ex| ex.execute(&workload.circuit))?;
+        let baseline_qvf = qufi_core::metrics::qvf_from_dist(&dist, &golden);
         let points = enumerate_injection_points(&workload.circuit);
         Ok(JobRuntime {
             spec: spec.clone(),
@@ -223,64 +188,52 @@ impl JobRuntime {
         grid: &FaultGrid,
         grid_threads: usize,
     ) -> Result<Vec<InjectionRecord>, ExecError> {
-        let (qc, golden) = (&self.circuit, &self.golden[..]);
-        match &self.executor {
-            JobExecutor::Ideal(ex) => {
-                run_point_sweep_parallel(qc, golden, ex, point, grid, grid_threads)
-            }
-            JobExecutor::Noisy(ex) => {
-                run_point_sweep_parallel(qc, golden, ex.as_ref(), point, grid, grid_threads)
-            }
-            JobExecutor::Hardware { .. } => {
-                let ex = self
-                    .executor
-                    .hardware_for_point(point.op_index, point.qubit)
-                    .expect("hardware variant");
-                run_point_sweep_parallel(qc, golden, &ex, point, grid, grid_threads)
-            }
-            JobExecutor::Trajectory { .. } => {
-                let ex = self
-                    .executor
-                    .trajectory_for_point(point.op_index, point.qubit)
-                    .expect("trajectory variant");
-                run_point_sweep_parallel(qc, golden, &ex, point, grid, grid_threads)
-            }
-        }
+        self.executor
+            .with_point((point.op_index, point.qubit), |ex| {
+                run_point_sweep_parallel(&self.circuit, &self.golden, ex, point, grid, grid_threads)
+            })
     }
 }
 
 impl JobExecutor {
-    fn hardware_for_point(&self, op_index: usize, qubit: usize) -> Option<HardwareExecutor> {
+    /// Runs `f` on the executor of the point `(op_index, qubit)`
+    /// ([`BASELINE_POINT`] for the fault-free run): the job's shared one,
+    /// or a hardware or trajectory executor seeded for that point.
+    fn with_point<R>(
+        &self,
+        (op_index, qubit): (usize, usize),
+        f: impl FnOnce(&dyn SweepExecutor) -> R,
+    ) -> R {
+        let seed = |seeds: &SeedHasher| {
+            seeds
+                .clone()
+                .mix_u64(op_index as u64)
+                .mix_u64(qubit as u64)
+                .finish()
+        };
         match self {
+            JobExecutor::Ideal => f(&IdealExecutor),
+            JobExecutor::Noisy(ex) => f(ex.as_ref()),
             JobExecutor::Hardware {
                 calibration,
                 shots,
                 drift,
-                campaign_seed,
-                job_id,
-            } => Some(HardwareExecutor::with_config(
+                seeds,
+            } => f(&HardwareExecutor::with_config(
                 calibration.clone(),
-                derive_seed(*campaign_seed, job_id, op_index, qubit),
+                seed(seeds),
                 *shots,
                 *drift,
             )),
-            _ => None,
-        }
-    }
-
-    fn trajectory_for_point(&self, op_index: usize, qubit: usize) -> Option<TrajectoryExecutor> {
-        match self {
             JobExecutor::Trajectory {
                 calibration,
                 shots,
-                campaign_seed,
-                job_id,
-            } => Some(TrajectoryExecutor::with_shots(
+                seeds,
+            } => f(&TrajectoryExecutor::with_shots(
                 calibration.clone(),
-                derive_seed(*campaign_seed, job_id, op_index, qubit),
+                seed(seeds),
                 *shots,
             )),
-            _ => None,
         }
     }
 }

@@ -164,7 +164,6 @@ fn exported_records_match_direct_library_campaign() {
         ),
         points: None,
         threads: 2,
-        naive: false,
     };
     for workload in ["bv-3", "ghz-3"] {
         let w = qufi_algos::build_workload(workload).unwrap();

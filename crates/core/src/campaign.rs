@@ -8,15 +8,17 @@
 //! Execution goes through the forked-state sweep engine
 //! ([`crate::engine`]): each point transpiles and evolves its circuit
 //! prefix **once**, then replays all grid configurations from a state
-//! snapshot. The pre-engine per-configuration pipeline survives behind
-//! [`CampaignOptions::naive`] as the oracle the differential test suite
+//! snapshot. The pre-engine per-configuration pipeline survives as
+//! [`run_point_sweep_naive`], the oracle the differential test suite
 //! compares against.
 
 use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::executor::{Executor, IdealExecutor};
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
-use crate::metrics::{checkpoint_qvf, mean, qvf_from_dist, record_severity, stddev, Severity};
+use crate::metrics::{
+    checkpoint_qvf, mean_of, qvf_from_dist, record_severity, stddev_of, Severity,
+};
 use qufi_sim::QuantumCircuit;
 use std::cmp::Ordering;
 
@@ -42,11 +44,6 @@ pub struct CampaignOptions {
     pub points: Option<Vec<InjectionPoint>>,
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Run every configuration through the naive per-configuration
-    /// pipeline (full rebuild + re-transpile + re-simulate) instead of the
-    /// forked-state fast path. Slow; kept as the test oracle — results are
-    /// bit-identical either way.
-    pub naive: bool,
 }
 
 impl Default for CampaignOptions {
@@ -55,7 +52,6 @@ impl Default for CampaignOptions {
             grid: FaultGrid::paper(),
             points: None,
             threads: 0,
-            naive: false,
         }
     }
 }
@@ -176,12 +172,12 @@ impl CampaignResult {
 
     /// Mean QVF over all injections.
     pub fn mean_qvf(&self) -> f64 {
-        mean(&self.qvfs())
+        mean_of(self.records.iter().map(|r| r.qvf))
     }
 
     /// Population standard deviation of the QVF.
     pub fn stddev_qvf(&self) -> f64 {
-        stddev(&self.qvfs())
+        stddev_of(self.records.iter().map(|r| r.qvf))
     }
 
     /// `(masked, dubious, sdc)` counts (paper §V-B classification), each
@@ -388,7 +384,7 @@ pub fn run_point_sweep_naive<E: SweepExecutor + ?Sized>(
 /// An execution error aborts the campaign. The error returned is the one
 /// of the lowest-index failing point, so it is the same at every thread
 /// count (see [`crate::par`]).
-pub fn run_single_campaign<E: SweepExecutor>(
+pub fn run_single_campaign<E: SweepExecutor + ?Sized>(
     qc: &QuantumCircuit,
     golden: &[usize],
     executor: &E,
@@ -407,11 +403,7 @@ pub fn run_single_campaign<E: SweepExecutor>(
     let (n_threads, grid_threads) =
         split_thread_budget(crate::par::resolve_threads(options.threads), points.len());
     let sweeps = crate::par::run(points.len(), n_threads, |i| {
-        if options.naive {
-            run_point_sweep_naive(qc, golden, executor, points[i], &options.grid)
-        } else {
-            run_point_sweep_parallel(qc, golden, executor, points[i], &options.grid, grid_threads)
-        }
+        run_point_sweep_parallel(qc, golden, executor, points[i], &options.grid, grid_threads)
     })?;
     Ok(CampaignResult::from_parts(
         qc.name.clone(),
@@ -445,7 +437,6 @@ mod tests {
             grid: FaultGrid::custom(vec![0.0], vec![0.0]),
             points: None,
             threads: 2,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -467,7 +458,6 @@ mod tests {
             grid: FaultGrid::custom(vec![PI], vec![0.0]),
             points: None,
             threads: 0,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -483,7 +473,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 3,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -534,7 +523,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads,
-            naive: false,
         };
         let a =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &mk(1)).unwrap();
@@ -554,7 +542,6 @@ mod tests {
                 qubit: 0,
             }]),
             threads: 0,
-            naive: false,
         };
         let res = run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts).unwrap();
         // "A fault-free execution … its color is not solid green (QVF > 0)
@@ -577,7 +564,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 1,
-            naive: false,
         };
         let whole =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -657,7 +643,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 0,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();

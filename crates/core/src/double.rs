@@ -9,7 +9,7 @@
 use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
-use crate::metrics::{mean, qvf_from_dist, stddev};
+use crate::metrics::{mean_of, qvf_from_dist, stddev_of};
 use qufi_sim::QuantumCircuit;
 use qufi_transpile::Transpiler;
 
@@ -44,10 +44,6 @@ pub struct DoubleOptions {
     pub pairs: Vec<(usize, usize)>,
     /// Worker threads (`0` = all cores).
     pub threads: usize,
-    /// Use the naive per-configuration oracle path instead of the
-    /// forked-state fast path (see
-    /// [`CampaignOptions::naive`](crate::campaign::CampaignOptions::naive)).
-    pub naive: bool,
 }
 
 impl DoubleOptions {
@@ -58,7 +54,6 @@ impl DoubleOptions {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         }
     }
 }
@@ -84,12 +79,12 @@ impl DoubleCampaignResult {
 
     /// Mean QVF.
     pub fn mean_qvf(&self) -> f64 {
-        mean(&self.qvfs())
+        mean_of(self.records.iter().map(|r| r.qvf))
     }
 
     /// Population standard deviation.
     pub fn stddev_qvf(&self) -> f64 {
-        stddev(&self.qvfs())
+        stddev_of(self.records.iter().map(|r| r.qvf))
     }
 
     /// Records with the first fault fixed to `(θ0, φ0)` — the paper's
@@ -138,7 +133,7 @@ pub fn neighbor_pairs(
 /// An execution error aborts the campaign. The error returned is the one
 /// of the lowest-index failing (point, neighbor) item, so it is the same
 /// at every thread count (see [`crate::par`]).
-pub fn run_double_campaign<E: SweepExecutor>(
+pub fn run_double_campaign<E: SweepExecutor + ?Sized>(
     qc: &QuantumCircuit,
     golden: &[usize],
     executor: &E,
@@ -173,11 +168,7 @@ pub fn run_double_campaign<E: SweepExecutor>(
                     for &theta1 in grid.thetas.iter().filter(|&&t| t <= theta0 + 1e-12) {
                         let first = FaultParams::shift(theta0, phi0);
                         let second = FaultParams::shift(theta1, phi1);
-                        let dist = if options.naive {
-                            prepared.replay_naive(first, second)
-                        } else {
-                            prepared.replay(first, second)
-                        }?;
+                        let dist = prepared.replay(first, second)?;
                         records.push(DoubleInjectionRecord {
                             point,
                             neighbor,
@@ -265,7 +256,6 @@ mod tests {
                 grid: grid.clone(),
                 points: Some(points.clone()),
                 threads: 0,
-                naive: false,
             },
         )
         .unwrap();
@@ -280,7 +270,6 @@ mod tests {
                 points: Some(points),
                 pairs,
                 threads: 0,
-                naive: false,
             },
         )
         .unwrap();
@@ -306,7 +295,6 @@ mod tests {
             points: Some(vec![point]),
             pairs: vec![(0, 1)],
             threads: 1,
-            naive: false,
         };
         let res = run_double_campaign(&w.circuit, &golden, &IdealExecutor, &opts).unwrap();
         let zero_second: Vec<_> = res

@@ -14,6 +14,15 @@
 //!    the parked state, applies the injector gate (which suffers gate noise
 //!    like any physical gate), finishes the suffix, and reads out.
 //!
+//! Each scenario parks its point in one private type: `IdealPrepared`
+//! (statevector prefix of the logical circuit), `PhysicalSweep`
+//! (density-matrix prefix under the noise model, for the noisy scenario
+//! and — plus a finite-shot sampler — the hardware one) and
+//! `TrajectorySweep` (one statevector prefix per shot). One generic
+//! wrapper implements [`PreparedSweep`] and [`PreparedDoubleSweep`] over
+//! all three, so a single fault and the double strike of §III-C take the
+//! same replay code with one or two splice sites.
+//!
 //! Because the prefix/suffix evolution applies exactly the same operation
 //! sequence as a straight run (see [`qufi_noise::simulate::NoisyCursor`]),
 //! a replay is **bit-identical** to the naive rebuild — a guarantee pinned
@@ -29,17 +38,15 @@
 
 use crate::error::ExecError;
 use crate::executor::{
-    compact_circuit, Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
+    compile, Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
 };
 use crate::fault::{
     check_double_site, check_fault_order, check_injection_point, FaultGrid, FaultParams,
     InjectionPoint,
 };
-use crate::mapping::{
-    extract_splice_sites, mark_double_injection_site, mark_injection_site, SpliceSite,
-};
+use crate::mapping::{mark_double_injection_site, mark_injection_site, SpliceSite};
 use qufi_math::CMatrix;
-use qufi_noise::readout::apply_readout_errors;
+use qufi_noise::readout::finish_readout;
 use qufi_noise::simulate::{NoisePlan, NoisyCursor};
 use qufi_noise::trajectory::{
     finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
@@ -49,6 +56,7 @@ use qufi_sim::{
     BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, ObservedMask,
     Op, ProbDist, QuantumCircuit, Statevector,
 };
+use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::convert::Infallible;
@@ -81,25 +89,6 @@ pub trait SweepExecutor: Executor {
         point: InjectionPoint,
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError>;
-}
-
-impl<E: SweepExecutor + ?Sized> SweepExecutor for &E {
-    fn prepare<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        (**self).prepare(qc, point)
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        (**self).prepare_double(qc, point, neighbor)
-    }
 }
 
 /// A parked single-fault sweep: replay any `(θ, φ)` against the snapshot.
@@ -290,6 +279,80 @@ pub trait PreparedDoubleSweep {
     fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError>;
 }
 
+/// One scenario's parked injection point, with one splice site per fault:
+/// the struck qubit, then the neighbor of a double strike. `faults` holds
+/// one fault per site, in site order.
+trait SweepPoint: Sync {
+    /// Fast path: fork the parked prefix and finish the suffix with the
+    /// injectors spliced in.
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist;
+
+    /// Oracle path: rebuild and re-simulate the whole faulty circuit.
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError>;
+
+    /// Cells per grid block: one unless the point has a cell-major engine.
+    fn block_width(&self) -> usize {
+        1
+    }
+
+    /// One θ-sorted block of two or more cells, each bit-identical to its
+    /// [`SweepPoint::replay`]. Reached only when the block width exceeds 1.
+    fn replay_block(&self, _faults: &[FaultParams]) -> Vec<ProbDist> {
+        unreachable!("width-1 grids form one-cell blocks only")
+    }
+
+    /// The circuit the replays run on and the instruction index the parked
+    /// prefix reached.
+    fn prefix_boundary(&self) -> (&QuantumCircuit, usize);
+}
+
+/// The one implementation of [`PreparedSweep`] and [`PreparedDoubleSweep`],
+/// over any scenario's [`SweepPoint`].
+struct Prepared<P>(P);
+
+impl<P: SweepPoint> PreparedSweep for Prepared<P> {
+    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        Ok(self.0.replay(&[fault]))
+    }
+
+    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
+        self.0.replay_naive(&[fault])
+    }
+
+    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
+        let point = &self.0;
+        Ok(replay_grid_blocks(
+            grid,
+            threads,
+            point.block_width(),
+            |fault| point.replay(&[fault]),
+            |faults| point.replay_block(faults),
+        ))
+    }
+
+    fn prefix_gates(&self) -> usize {
+        let (qc, boundary) = self.0.prefix_boundary();
+        gates_in(qc, 0..boundary)
+    }
+
+    fn suffix_gates(&self) -> usize {
+        let (qc, boundary) = self.0.prefix_boundary();
+        gates_in(qc, boundary..qc.size())
+    }
+}
+
+impl<P: SweepPoint> PreparedDoubleSweep for Prepared<P> {
+    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
+        check_fault_order(first, second)?;
+        Ok(self.0.replay(&[first, second]))
+    }
+
+    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
+        check_fault_order(first, second)?;
+        self.0.replay_naive(&[first, second])
+    }
+}
+
 /// Splices injector gates into a circuit at the given sites (ascending
 /// index order, equal indices keep fault order).
 fn splice_faults(
@@ -336,6 +399,26 @@ fn advance_batched(batch: &mut BatchedStatevector, qc: &QuantumCircuit, from: us
     }
 }
 
+/// The qubits a strike at `point` hits, in splice-site order: the point's
+/// qubit, then a double strike's `neighbor`.
+fn struck_qubits(point: InjectionPoint, neighbor: Option<usize>) -> impl Iterator<Item = usize> {
+    std::iter::once(point.qubit).chain(neighbor)
+}
+
+/// `qc` with a splice marker per struck qubit after `point` (see
+/// [`crate::mapping`]), and the number of markers.
+fn mark(
+    qc: &QuantumCircuit,
+    point: InjectionPoint,
+    neighbor: Option<usize>,
+) -> Result<(QuantumCircuit, usize), ExecError> {
+    let marked = match neighbor {
+        None => mark_injection_site(qc, point)?,
+        Some(n) => mark_double_injection_site(qc, point, n)?,
+    };
+    Ok((marked, struck_qubits(point, neighbor).count()))
+}
+
 // ---------------------------------------------------------------------------
 // Ideal executor: no transpilation, statevector prefix forking.
 
@@ -346,10 +429,24 @@ struct IdealPrepared {
 }
 
 impl IdealPrepared {
-    fn new(qc: &QuantumCircuit, sites: Vec<SpliceSite>) -> Result<Self, ExecError> {
+    /// Parks the statevector prefix of the logical circuit up to the
+    /// injection site.
+    fn new(
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+        neighbor: Option<usize>,
+    ) -> Result<Self, ExecError> {
+        match neighbor {
+            None => check_injection_point(qc, point)?,
+            Some(n) => check_double_site(qc, point, n)?,
+        }
+        let index = point.op_index + 1;
+        let sites = struck_qubits(point, neighbor)
+            .map(|qubit| SpliceSite { index, qubit })
+            .collect();
         let prefix_span = qufi_obs::span("prepare.prefix_ns");
         let mut prefix = CircuitCursor::<Statevector>::start(qc).map_err(ExecError::Sim)?;
-        prefix.advance_to(qc, sites[0].index);
+        prefix.advance_to(qc, index);
         prefix_span.finish();
         Ok(IdealPrepared {
             circuit: qc.clone(),
@@ -357,8 +454,10 @@ impl IdealPrepared {
             prefix,
         })
     }
+}
 
-    fn replay_faults(&self, faults: &[FaultParams]) -> ProbDist {
+impl SweepPoint for IdealPrepared {
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
         let mut sv = self.prefix.state().clone();
         let mut pos = self.prefix.position();
         for (site, fault) in self.sites.iter().zip(faults) {
@@ -370,15 +469,23 @@ impl IdealPrepared {
         sv.measurement_distribution(&self.circuit)
     }
 
-    fn replay_faults_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
         let faulty = splice_faults(&self.circuit, &self.sites, faults);
         let sv = Statevector::from_circuit(&faulty).map_err(ExecError::Sim)?;
         Ok(sv.measurement_distribution(&faulty))
     }
 
-    /// One θ-sorted block of the batched grid replay: broadcast the parked
-    /// prefix into the block, apply each cell's injector, evolve the shared
-    /// suffix once across all cells.
+    /// Single-site points batch; the prefix always stops at the site.
+    fn block_width(&self) -> usize {
+        if self.sites.len() == 1 {
+            block_width(self.prefix.state().amplitudes().len())
+        } else {
+            1
+        }
+    }
+
+    /// Broadcast the parked prefix into the block, apply each cell's
+    /// injector, evolve the shared suffix once across all cells.
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let site = &self.sites[0];
         let mats = injector_matrices(faults);
@@ -389,51 +496,9 @@ impl IdealPrepared {
             .map(|c| batch.measurement_distribution(c, &self.circuit))
             .collect()
     }
-}
 
-impl PreparedSweep for IdealPrepared {
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        Ok(self.replay_faults(&[fault]))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.replay_faults_naive(&[fault])
-    }
-
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        let batchable = self.sites.len() == 1 && self.prefix.position() == self.sites[0].index;
-        let width = if batchable {
-            block_width(self.prefix.state().amplitudes().len())
-        } else {
-            1
-        };
-        Ok(replay_grid_blocks(
-            grid,
-            threads,
-            width,
-            |fault| self.replay_faults(&[fault]),
-            |faults| self.replay_block(faults),
-        ))
-    }
-
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.circuit, 0..self.sites[0].index)
-    }
-
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.circuit, self.sites[0].index..self.circuit.size())
-    }
-}
-
-impl PreparedDoubleSweep for IdealPrepared {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self.replay_faults(&[first, second]))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.replay_faults_naive(&[first, second])
+    fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
+        (&self.circuit, self.prefix.position())
     }
 }
 
@@ -443,12 +508,8 @@ impl SweepExecutor for IdealExecutor {
         qc: &QuantumCircuit,
         point: InjectionPoint,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        check_injection_point(qc, point)?;
-        let sites = vec![SpliceSite {
-            index: point.op_index + 1,
-            qubit: point.qubit,
-        }];
-        Ok(Box::new(IdealPrepared::new(qc, sites)?))
+        let sweep = IdealPrepared::new(qc, point, None)?;
+        Ok(Box::new(Prepared(sweep)))
     }
 
     fn prepare_double<'a>(
@@ -457,18 +518,8 @@ impl SweepExecutor for IdealExecutor {
         point: InjectionPoint,
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        check_double_site(qc, point, neighbor)?;
-        let sites = vec![
-            SpliceSite {
-                index: point.op_index + 1,
-                qubit: point.qubit,
-            },
-            SpliceSite {
-                index: point.op_index + 1,
-                qubit: neighbor,
-            },
-        ];
-        Ok(Box::new(IdealPrepared::new(qc, sites)?))
+        let sweep = IdealPrepared::new(qc, point, Some(neighbor))?;
+        Ok(Box::new(Prepared(sweep)))
     }
 }
 
@@ -500,11 +551,30 @@ impl<'a> SuffixOp<'a> {
     }
 }
 
-/// Everything the noisy/hardware replay paths share for one point: the
-/// stripped compact physical circuit, its splice sites, the noise model,
-/// and the parked prefix state.
-struct PhysicalSweep {
-    /// Marked logical circuit — `replay_naive` re-transpiles it per call.
+/// The finite-shot view the hardware scenario reads every exact
+/// distribution through.
+struct Sampler {
+    /// Base for per-configuration sampling seeds.
+    base: u64,
+    shots: u64,
+}
+
+impl Sampler {
+    /// Samples `exact`, seeded by the fault angles so replay order never
+    /// matters.
+    fn sample(&self, exact: ProbDist, faults: &[FaultParams]) -> ProbDist {
+        let mut rng = SmallRng::seed_from_u64(fault_seed(self.base, faults).finish());
+        exact.sample(&mut rng, self.shots).to_prob_dist()
+    }
+}
+
+/// The noisy and hardware scenarios' parked point: the stripped compact
+/// physical circuit, its splice sites, the noise model, and the parked
+/// prefix state.
+struct PhysicalSweep<'a> {
+    /// Re-transpiles `marked` for every naive replay.
+    transpiler: &'a Transpiler,
+    /// Marked logical circuit.
     marked: QuantumCircuit,
     /// Stripped compact physical circuit the replays run on.
     physical: QuantumCircuit,
@@ -519,31 +589,25 @@ struct PhysicalSweep {
     /// One observed mask per [`PhysicalSweep::suffix_ops`] entry when the
     /// point is [`batchable`](PhysicalSweep::batchable), else empty.
     masks: Vec<ObservedMask>,
+    /// The hardware scenario's finite-shot view; `None` keeps the exact
+    /// distributions.
+    sampler: Option<Sampler>,
 }
 
-impl PhysicalSweep {
-    /// Transpiles a marked circuit, recovers the physical splice sites and
-    /// parks the prefix evolution under `model_for(active)`.
+impl<'a> PhysicalSweep<'a> {
+    /// Marks `qc` at `point` (and `neighbor`), transpiles it, recovers the
+    /// physical splice sites and parks the prefix evolution under
+    /// `model_for(active)`.
     fn prepare(
-        transpiler: &qufi_transpile::Transpiler,
-        marked: QuantumCircuit,
-        n_sites: usize,
+        transpiler: &'a Transpiler,
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+        neighbor: Option<usize>,
         model_for: impl FnOnce(&[usize]) -> NoiseModel,
+        sampler: Option<Sampler>,
     ) -> Result<Self, ExecError> {
-        let transpile_span = qufi_obs::span("prepare.transpile_ns");
-        let result = transpiler.run(&marked)?;
-        transpile_span.finish();
-        let compact_span = qufi_obs::span("prepare.compact_ns");
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        compact_span.finish();
-        if sites.len() != n_sites {
-            return Err(ExecError::Engine(format!(
-                "expected {n_sites} splice markers after transpilation, found {}",
-                sites.len()
-            )));
-        }
+        let (marked, n_sites) = mark(qc, point, neighbor)?;
+        let (physical, sites, active) = compile(transpiler, &marked, n_sites)?;
         let plan_span = qufi_obs::span("prepare.plan_ns");
         let model = model_for(&active);
         let plan = NoisePlan::compile(&physical, &model);
@@ -555,6 +619,7 @@ impl PhysicalSweep {
         let prefix = cursor.into_state();
         prefix_span.finish();
         let mut sweep = PhysicalSweep {
+            transpiler,
             marked,
             physical,
             sites,
@@ -563,6 +628,7 @@ impl PhysicalSweep {
             prefix,
             prefix_pos,
             masks: Vec::new(),
+            sampler,
         };
         if sweep.batchable() {
             // The readout reads only ρ's diagonal.
@@ -572,46 +638,54 @@ impl PhysicalSweep {
         Ok(sweep)
     }
 
-    /// Fast path: fork the parked state, splice the injectors, finish the
-    /// suffix through the compiled plan.
-    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
-        let mut cur = NoisyCursor::resume(self.prefix.clone(), &self.model, self.prefix_pos);
-        for (site, fault) in self.sites.iter().zip(faults) {
-            cur.advance_planned(&self.plan, site.index);
-            cur.apply_planned_injector(&self.plan, fault.injector_gate(), site.qubit);
+    /// The noisy scenario: the executor's calibrated model, exact output.
+    fn noisy(
+        ex: &'a NoisyExecutor,
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+        neighbor: Option<usize>,
+    ) -> Result<Self, ExecError> {
+        PhysicalSweep::prepare(
+            ex.transpiler(),
+            qc,
+            point,
+            neighbor,
+            |a| ex.model_for(a),
+            None,
+        )
+    }
+
+    /// The hardware scenario: one calibration batch per injection point.
+    /// The drifted device and the sampling-seed base derive from (executor
+    /// seed, point identity), never from the executor's shared stream.
+    fn hardware(
+        ex: &'a HardwareExecutor,
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+        neighbor: Option<usize>,
+    ) -> Result<Self, ExecError> {
+        let mut rng = SmallRng::seed_from_u64(point_seed(ex.seed(), point, neighbor));
+        let cal = ex.calibration().with_drift(&mut rng, ex.drift_sigma());
+        let sampler = Sampler {
+            base: rng.gen(),
+            shots: ex.shots(),
+        };
+        PhysicalSweep::prepare(
+            ex.transpiler(),
+            qc,
+            point,
+            neighbor,
+            |active| cal.restrict(active).noise_model(),
+            Some(sampler),
+        )
+    }
+
+    /// `exact` as the scenario reports it: through the sampler, if any.
+    fn finish(&self, exact: ProbDist, faults: &[FaultParams]) -> ProbDist {
+        match &self.sampler {
+            Some(sampler) => sampler.sample(exact, faults),
+            None => exact,
         }
-        cur.advance_planned(&self.plan, self.physical.size());
-        cur.finish_dist(&self.physical)
-    }
-
-    /// Oracle path: the full pre-engine pipeline — re-transpile the marked
-    /// circuit, splice, and simulate the whole faulty circuit from `|0…0⟩`.
-    fn replay_naive(
-        &self,
-        transpiler: &qufi_transpile::Transpiler,
-        faults: &[FaultParams],
-    ) -> Result<ProbDist, ExecError> {
-        let result = transpiler.run(&self.marked)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        if sites.len() != faults.len() {
-            return Err(ExecError::Engine(format!(
-                "expected {} splice markers after re-transpilation, found {}",
-                faults.len(),
-                sites.len()
-            )));
-        }
-        let faulty = splice_faults(&physical, &sites, faults);
-        qufi_noise::simulate::run_noisy(&faulty, &self.model).map_err(ExecError::Sim)
-    }
-
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.physical, 0..self.prefix_pos)
-    }
-
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.physical, self.prefix_pos..self.physical.size())
     }
 
     /// Whether the batched single-fault path applies: exactly one splice
@@ -620,20 +694,10 @@ impl PhysicalSweep {
         self.sites.len() == 1 && self.prefix_pos == self.sites[0].index
     }
 
-    /// Grid block width: the amplitude budget over one cell's flat ρ, or
-    /// one cell when the point is not [`batchable`](PhysicalSweep::batchable).
-    fn block_width(&self) -> usize {
-        if self.batchable() {
-            block_width(self.prefix.dim() * self.prefix.dim())
-        } else {
-            1
-        }
-    }
-
     /// The batched suffix of a [`batchable`](PhysicalSweep::batchable)
     /// point: the per-cell injector and its channels, then each planned
-    /// step's unitary and channels — the sequence [`PhysicalSweep::replay`]
-    /// applies through the cursor.
+    /// step's unitary and channels — the sequence
+    /// [`SweepPoint::replay`] applies through the cursor.
     fn suffix_ops(&self) -> impl Iterator<Item = SuffixOp<'_>> {
         let site = &self.sites[0];
         std::iter::once(SuffixOp::Injector(&site.qubit))
@@ -647,13 +711,45 @@ impl PhysicalSweep {
                     }),
             )
     }
+}
 
-    /// One θ-sorted block of the batched grid replay: broadcast the parked
-    /// prefix into the block, apply each cell's noisy injector, run the
-    /// planned suffix once across all cells, and finish each cell exactly
-    /// like [`NoisyCursor::finish_dist`]. Each operation computes only the
-    /// entries its observed mask keeps, so the diagonal the readout reads
-    /// is bit-identical to an unmasked replay's.
+impl SweepPoint for PhysicalSweep<'_> {
+    /// Fork the parked state, splice the injectors, finish the suffix
+    /// through the compiled plan.
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
+        let mut cur = NoisyCursor::resume(self.prefix.clone(), &self.model, self.prefix_pos);
+        for (site, fault) in self.sites.iter().zip(faults) {
+            cur.advance_planned(&self.plan, site.index);
+            cur.apply_planned_injector(&self.plan, fault.injector_gate(), site.qubit);
+        }
+        cur.advance_planned(&self.plan, self.physical.size());
+        self.finish(cur.finish_dist(&self.physical), faults)
+    }
+
+    /// The full pre-engine pipeline: re-transpile the marked circuit,
+    /// splice, and simulate the whole faulty circuit from `|0…0⟩`.
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        let (physical, sites, _) = compile(self.transpiler, &self.marked, faults.len())?;
+        let faulty = splice_faults(&physical, &sites, faults);
+        let exact = qufi_noise::simulate::run_noisy(&faulty, &self.model)?;
+        Ok(self.finish(exact, faults))
+    }
+
+    /// The amplitude budget over one cell's flat ρ, or one cell when the
+    /// point is not [`batchable`](PhysicalSweep::batchable).
+    fn block_width(&self) -> usize {
+        if self.batchable() {
+            block_width(self.prefix.dim() * self.prefix.dim())
+        } else {
+            1
+        }
+    }
+
+    /// Broadcast the parked prefix into the block, apply each cell's noisy
+    /// injector, run the planned suffix once across all cells, and finish
+    /// each cell exactly like [`NoisyCursor::finish_dist`]. Each operation
+    /// computes only the entries its observed mask keeps, so the diagonal
+    /// the readout reads is bit-identical to an unmasked replay's.
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let mats = injector_matrices(faults);
         let mut batch = BatchedDensity::broadcast(&self.prefix, faults.len());
@@ -671,64 +767,20 @@ impl PhysicalSweep {
         qufi_obs::add("replay.batch.groups", groups);
         qufi_obs::add("replay.batch.groups_skipped", skipped);
         let map = self.physical.measurement_map();
-        (0..faults.len())
-            .map(|c| {
-                let dist =
-                    apply_readout_errors(&batch.probabilities(c), self.model.readout_errors());
-                if map.is_empty() {
-                    dist
-                } else {
-                    dist.marginalize(&map, self.physical.num_clbits())
-                }
+        let errors = self.model.readout_errors();
+        let clbits = self.physical.num_clbits();
+        faults
+            .iter()
+            .enumerate()
+            .map(|(c, fault)| {
+                let exact = finish_readout(&batch.probabilities(c), errors, &map, clbits);
+                self.finish(exact, std::slice::from_ref(fault))
             })
             .collect()
     }
-}
 
-struct NoisyPrepared<'a> {
-    executor: &'a NoisyExecutor,
-    sweep: PhysicalSweep,
-}
-
-impl PreparedSweep for NoisyPrepared<'_> {
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault]))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[fault])
-    }
-
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        Ok(replay_grid_blocks(
-            grid,
-            threads,
-            self.sweep.block_width(),
-            |fault| self.sweep.replay(&[fault]),
-            |faults| self.sweep.replay_block(faults),
-        ))
-    }
-
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
-    }
-
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for NoisyPrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self.sweep.replay(&[first, second]))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[first, second])
+    fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
+        (&self.physical, self.prefix_pos)
     }
 }
 
@@ -738,12 +790,8 @@ impl SweepExecutor for NoisyExecutor {
         qc: &QuantumCircuit,
         point: InjectionPoint,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        let sweep = PhysicalSweep::prepare(self.transpiler(), marked, 1, |a| self.model_for(a))?;
-        Ok(Box::new(NoisyPrepared {
-            executor: self,
-            sweep,
-        }))
+        let sweep = PhysicalSweep::noisy(self, qc, point, None)?;
+        Ok(Box::new(Prepared(sweep)))
     }
 
     fn prepare_double<'a>(
@@ -752,19 +800,36 @@ impl SweepExecutor for NoisyExecutor {
         point: InjectionPoint,
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        let sweep = PhysicalSweep::prepare(self.transpiler(), marked, 2, |a| self.model_for(a))?;
-        Ok(Box::new(NoisyPrepared {
-            executor: self,
-            sweep,
-        }))
+        let sweep = PhysicalSweep::noisy(self, qc, point, Some(neighbor))?;
+        Ok(Box::new(Prepared(sweep)))
+    }
+}
+
+impl SweepExecutor for HardwareExecutor {
+    fn prepare<'a>(
+        &'a self,
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
+        let sweep = PhysicalSweep::hardware(self, qc, point, None)?;
+        Ok(Box::new(Prepared(sweep)))
+    }
+
+    fn prepare_double<'a>(
+        &'a self,
+        qc: &QuantumCircuit,
+        point: InjectionPoint,
+        neighbor: usize,
+    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
+        let sweep = PhysicalSweep::hardware(self, qc, point, Some(neighbor))?;
+        Ok(Box::new(Prepared(sweep)))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Hardware executor: per-point calibration drift, per-configuration shot
-// sampling, both derived deterministically so results are independent of
-// scheduling order.
+// Seeds: hardware sweeps derive per-point drift and per-fault sampling
+// seeds, trajectory sweeps per-shot streams, both deterministically so
+// results are independent of scheduling order.
 
 /// Incremental FNV-1a hasher for deriving deterministic RNG streams.
 ///
@@ -818,141 +883,26 @@ pub(crate) fn derive_seed(words: &[u64]) -> u64 {
     h.finish()
 }
 
-struct HardwarePrepared<'a> {
-    executor: &'a HardwareExecutor,
-    sweep: PhysicalSweep,
-    /// Base for per-configuration sampling seeds.
-    sample_base: u64,
+/// `base` mixed with each fault's θ and φ bits, in fault order: the seed
+/// of one grid cell's sampling stream.
+fn fault_seed(base: u64, faults: &[FaultParams]) -> SeedHasher {
+    let mut h = SeedHasher::new();
+    h.mix_u64(base);
+    for f in faults {
+        h.mix_u64(f.theta.to_bits()).mix_u64(f.phi.to_bits());
+    }
+    h
 }
 
-impl HardwarePrepared<'_> {
-    /// One calibration batch per injection point: the drifted device and
-    /// the sampling-seed base derive from (executor seed, point identity),
-    /// never from the executor's shared stream.
-    fn prepare<'a>(
-        executor: &'a HardwareExecutor,
-        marked: QuantumCircuit,
-        n_sites: usize,
-        point: InjectionPoint,
-        neighbor: Option<usize>,
-    ) -> Result<HardwarePrepared<'a>, ExecError> {
-        let mut rng = SmallRng::seed_from_u64(derive_seed(&[
-            executor.seed(),
-            point.op_index as u64,
-            point.qubit as u64,
-            neighbor.map_or(u64::MAX, |n| n as u64),
-        ]));
-        let cal = executor
-            .calibration()
-            .with_drift(&mut rng, executor.drift_sigma());
-        let sample_base: u64 = rng.gen();
-        let sweep = PhysicalSweep::prepare(executor.transpiler(), marked, n_sites, |active| {
-            cal.restrict(active).noise_model()
-        })?;
-        Ok(HardwarePrepared {
-            executor,
-            sweep,
-            sample_base,
-        })
-    }
-
-    /// The finite-shot view of an exact distribution, seeded by the fault
-    /// angles so replay order never matters.
-    fn sample(&self, exact: ProbDist, faults: &[FaultParams]) -> ProbDist {
-        let mut words = vec![self.sample_base];
-        for f in faults {
-            words.push(f.theta.to_bits());
-            words.push(f.phi.to_bits());
-        }
-        let mut rng = SmallRng::seed_from_u64(derive_seed(&words));
-        exact.sample(&mut rng, self.executor.shots()).to_prob_dist()
-    }
-}
-
-impl PreparedSweep for HardwarePrepared<'_> {
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        Ok(self.sample(self.sweep.replay(&[fault]), &[fault]))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        let exact = self
-            .sweep
-            .replay_naive(self.executor.transpiler(), &[fault])?;
-        Ok(self.sample(exact, &[fault]))
-    }
-
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        // Sampling seeds derive from the fault angles, so drawing the
-        // finite-shot view per cell of a block changes nothing.
-        Ok(replay_grid_blocks(
-            grid,
-            threads,
-            self.sweep.block_width(),
-            |fault| self.sample(self.sweep.replay(&[fault]), &[fault]),
-            |faults| {
-                self.sweep
-                    .replay_block(faults)
-                    .into_iter()
-                    .zip(faults)
-                    .map(|(exact, &fault)| self.sample(exact, &[fault]))
-                    .collect()
-            },
-        ))
-    }
-
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
-    }
-
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for HardwarePrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        let faults = [first, second];
-        Ok(self.sample(self.sweep.replay(&faults), &faults))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        let faults = [first, second];
-        let exact = self
-            .sweep
-            .replay_naive(self.executor.transpiler(), &faults)?;
-        Ok(self.sample(exact, &faults))
-    }
-}
-
-impl SweepExecutor for HardwareExecutor {
-    fn prepare<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        Ok(Box::new(HardwarePrepared::prepare(
-            self, marked, 1, point, None,
-        )?))
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        Ok(Box::new(HardwarePrepared::prepare(
-            self,
-            marked,
-            2,
-            point,
-            Some(neighbor),
-        )?))
-    }
+/// The per-point base seed of the sampling scenarios: the executor seed
+/// mixed with the point and the neighbor (`u64::MAX` for a single strike).
+fn point_seed(seed: u64, point: InjectionPoint, neighbor: Option<usize>) -> u64 {
+    derive_seed(&[
+        seed,
+        point.op_index as u64,
+        point.qubit as u64,
+        neighbor.map_or(u64::MAX, |n| n as u64),
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -982,8 +932,10 @@ enum PrefixBank {
 }
 
 /// Everything the trajectory replay path shares for one injection point.
-struct TrajectorySweep {
-    /// Marked logical circuit — `replay_naive` re-transpiles it per call.
+struct TrajectorySweep<'a> {
+    /// Re-transpiles `marked` for every naive replay.
+    transpiler: &'a Transpiler,
+    /// Marked logical circuit.
     marked: QuantumCircuit,
     /// Stripped compact physical circuit the replays run on.
     physical: QuantumCircuit,
@@ -1002,72 +954,73 @@ struct TrajectorySweep {
     shots: u64,
 }
 
-impl TrajectorySweep {
-    /// Transpiles a marked circuit, compiles the Kraus plan, and parks one
-    /// prefix statevector per shot (or arranges seed-identical recompute
-    /// when the bank would exceed `bank_limit` bytes of amplitudes).
+impl<'a> TrajectorySweep<'a> {
+    /// Marks `qc` at `point` (and `neighbor`), transpiles it, compiles the
+    /// Kraus plan, and parks one prefix statevector per shot (or arranges
+    /// seed-identical recompute when the bank would exceed `bank_limit`
+    /// bytes of amplitudes).
     fn prepare(
-        executor: &TrajectoryExecutor,
-        marked: QuantumCircuit,
-        n_sites: usize,
+        executor: &'a TrajectoryExecutor,
+        qc: &QuantumCircuit,
         point: InjectionPoint,
         neighbor: Option<usize>,
         bank_limit: u64,
     ) -> Result<Self, ExecError> {
-        let transpile_span = qufi_obs::span("prepare.transpile_ns");
-        let result = executor.transpiler().run(&marked)?;
-        transpile_span.finish();
-        let compact_span = qufi_obs::span("prepare.compact_ns");
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        compact_span.finish();
-        if sites.len() != n_sites {
-            return Err(ExecError::Engine(format!(
-                "expected {n_sites} splice markers after transpilation, found {}",
-                sites.len()
-            )));
-        }
-        let plan_span = qufi_obs::span("prepare.plan_ns");
-        let model = executor.model_for(&active);
-        let plan = TrajPlan::compile(&physical, &model);
-        plan_span.finish();
-        let point_base = derive_seed(&[
-            executor.seed(),
-            point.op_index as u64,
-            point.qubit as u64,
-            neighbor.map_or(u64::MAX, |n| n as u64),
-        ]);
-        let shots = executor.shots();
-        let zero = Statevector::new(physical.num_qubits()).map_err(ExecError::Sim)?;
-        let prefix_pos = sites[0].index;
-        let mut sweep = TrajectorySweep {
+        let (marked, n_sites) = mark(qc, point, neighbor)?;
+        let mut sweep = TrajectorySweep::unbanked(
+            executor.transpiler(),
             marked,
-            physical,
-            sites,
-            model,
-            plan,
-            prefix_pos,
-            zero,
-            bank: PrefixBank::Recompute,
-            point_base,
-            shots,
-        };
+            n_sites,
+            |active| executor.model_for(active),
+            point_seed(executor.seed(), point, neighbor),
+            executor.shots(),
+        )?;
         let amp_bytes = (std::mem::size_of::<qufi_math::Complex>() as u64)
             .saturating_mul(1u64 << sweep.physical.num_qubits())
-            .saturating_mul(shots);
+            .saturating_mul(sweep.shots);
         if amp_bytes <= bank_limit {
             let prefix_span = qufi_obs::span("prepare.prefix_ns");
             let mut ws = TrajWorkspace::new();
             // `bank` is still `Recompute` here, so this fills the bank
             // through the exact code path the fallback replays later.
-            let bank = (0..shots)
+            let bank = (0..sweep.shots)
                 .map(|shot| sweep.prefix_into(sweep.zero.clone(), shot, &mut ws))
                 .collect();
             sweep.bank = PrefixBank::Banked(bank);
             prefix_span.finish();
         }
         Ok(sweep)
+    }
+
+    /// Transpiles `marked` and compiles the Kraus plan under
+    /// `model_for(active)`: a sweep that recomputes every shot's prefix.
+    fn unbanked(
+        transpiler: &'a Transpiler,
+        marked: QuantumCircuit,
+        n_sites: usize,
+        model_for: impl FnOnce(&[usize]) -> NoiseModel,
+        point_base: u64,
+        shots: u64,
+    ) -> Result<Self, ExecError> {
+        let (physical, sites, active) = compile(transpiler, &marked, n_sites)?;
+        let plan_span = qufi_obs::span("prepare.plan_ns");
+        let model = model_for(&active);
+        let plan = TrajPlan::compile(&physical, &model);
+        plan_span.finish();
+        let zero = Statevector::new(physical.num_qubits()).map_err(ExecError::Sim)?;
+        Ok(TrajectorySweep {
+            transpiler,
+            marked,
+            prefix_pos: sites[0].index,
+            physical,
+            sites,
+            model,
+            plan,
+            zero,
+            bank: PrefixBank::Recompute,
+            point_base,
+            shots,
+        })
     }
 
     /// The per-shot prefix RNG stream; disjoint from every suffix stream
@@ -1079,14 +1032,7 @@ impl TrajectorySweep {
     /// The per-(cell, shot) suffix RNG stream, keyed by the fault angles
     /// so replay order and grid chunking never matter.
     fn suffix_seed(&self, faults: &[FaultParams], shot: u64) -> u64 {
-        let mut words = Vec::with_capacity(2 + 2 * faults.len());
-        words.push(self.point_base);
-        for f in faults {
-            words.push(f.theta.to_bits());
-            words.push(f.phi.to_bits());
-        }
-        words.push(shot);
-        derive_seed(&words)
+        fault_seed(self.point_base, faults).mix_u64(shot).finish()
     }
 
     /// Loads shot `shot`'s prefix state into `state` (buffer reused, no
@@ -1113,14 +1059,6 @@ impl TrajectorySweep {
                 cursor.into_state()
             }
         }
-    }
-
-    /// Fast path: all shots of one `(θ, φ)` cell — prefix from the bank,
-    /// suffix under the cell's seed stream — averaged, confused, and
-    /// marginalized.
-    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
-        qufi_obs::add("traj.shots", self.shots);
-        self.run_shots(faults)
     }
 
     /// Every shot of one cell through this sweep's plan and sites, in shot
@@ -1152,102 +1090,36 @@ impl TrajectorySweep {
         }
         finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
     }
+}
 
-    /// Oracle-flavored path: re-transpile the marked circuit and recompile
-    /// the Kraus plan from scratch, then run every shot un-banked. The
-    /// seed streams are the same pure functions of `(point, fault angles,
-    /// shot)`, so this is **bit-identical** to [`TrajectorySweep::replay`]
-    /// — it independently re-derives everything the prepare step amortizes
-    /// (transpilation, plan, prefix bank).
-    fn replay_naive(
-        &self,
-        transpiler: &qufi_transpile::Transpiler,
-        faults: &[FaultParams],
-    ) -> Result<ProbDist, ExecError> {
-        let result = transpiler.run(&self.marked)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        if sites.len() != faults.len() {
-            return Err(ExecError::Engine(format!(
-                "expected {} splice markers after re-transpilation, found {}",
-                faults.len(),
-                sites.len()
-            )));
-        }
-        let plan = TrajPlan::compile(&physical, &self.model);
-        let n = physical.num_qubits();
-        let prefix_pos = sites[0].index;
-        let naive = TrajectorySweep {
-            marked: self.marked.clone(),
-            physical,
-            sites,
-            model: self.model.clone(),
-            plan,
-            prefix_pos,
-            zero: Statevector::new(n).map_err(ExecError::Sim)?,
-            bank: PrefixBank::Recompute,
-            point_base: self.point_base,
-            shots: self.shots,
-        };
+impl SweepPoint for TrajectorySweep<'_> {
+    /// All shots of one `(θ, φ)` cell — prefix from the bank, suffix under
+    /// the cell's seed stream — averaged, confused, and marginalized.
+    fn replay(&self, faults: &[FaultParams]) -> ProbDist {
+        qufi_obs::add("traj.shots", self.shots);
+        self.run_shots(faults)
+    }
+
+    /// Re-transpile the marked circuit and recompile the Kraus plan from
+    /// scratch, then run every shot un-banked. The seed streams are the
+    /// same pure functions of `(point, fault angles, shot)`, so this is
+    /// **bit-identical** to [`SweepPoint::replay`] — it independently
+    /// re-derives everything the prepare step amortizes (transpilation,
+    /// plan, prefix bank).
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        let naive = TrajectorySweep::unbanked(
+            self.transpiler,
+            self.marked.clone(),
+            faults.len(),
+            |_| self.model.clone(),
+            self.point_base,
+            self.shots,
+        )?;
         Ok(naive.run_shots(faults))
     }
 
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.physical, 0..self.prefix_pos)
-    }
-
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.physical, self.prefix_pos..self.physical.size())
-    }
-}
-
-struct TrajectoryPrepared<'a> {
-    executor: &'a TrajectoryExecutor,
-    sweep: TrajectorySweep,
-}
-
-impl PreparedSweep for TrajectoryPrepared<'_> {
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault]))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[fault])
-    }
-
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        // No cell-major engine: one-cell blocks spread the grid's cells
-        // across the grid threads.
-        Ok(replay_grid_blocks(
-            grid,
-            threads,
-            1,
-            |fault| self.sweep.replay(&[fault]),
-            |_| unreachable!("width-1 grids form one-cell blocks only"),
-        ))
-    }
-
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
-    }
-
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for TrajectoryPrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self.sweep.replay(&[first, second]))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[first, second])
+    fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
+        (&self.physical, self.prefix_pos)
     }
 }
 
@@ -1257,12 +1129,8 @@ impl SweepExecutor for TrajectoryExecutor {
         qc: &QuantumCircuit,
         point: InjectionPoint,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        let sweep = TrajectorySweep::prepare(self, marked, 1, point, None, BANK_BYTES)?;
-        Ok(Box::new(TrajectoryPrepared {
-            executor: self,
-            sweep,
-        }))
+        let sweep = TrajectorySweep::prepare(self, qc, point, None, BANK_BYTES)?;
+        Ok(Box::new(Prepared(sweep)))
     }
 
     fn prepare_double<'a>(
@@ -1271,12 +1139,8 @@ impl SweepExecutor for TrajectoryExecutor {
         point: InjectionPoint,
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        let sweep = TrajectorySweep::prepare(self, marked, 2, point, Some(neighbor), BANK_BYTES)?;
-        Ok(Box::new(TrajectoryPrepared {
-            executor: self,
-            sweep,
-        }))
+        let sweep = TrajectorySweep::prepare(self, qc, point, Some(neighbor), BANK_BYTES)?;
+        Ok(Box::new(Prepared(sweep)))
     }
 }
 
@@ -1448,10 +1312,8 @@ mod tests {
             FaultParams::shift(PI, 0.0),
             FaultParams::shift(FRAC_PI_2, PI),
         ];
-        let marked = mark_injection_site(&qc, point).unwrap();
-        let banked =
-            TrajectorySweep::prepare(&ex, marked.clone(), 1, point, None, u64::MAX).unwrap();
-        let recomputed = TrajectorySweep::prepare(&ex, marked, 1, point, None, 0).unwrap();
+        let banked = TrajectorySweep::prepare(&ex, &qc, point, None, u64::MAX).unwrap();
+        let recomputed = TrajectorySweep::prepare(&ex, &qc, point, None, 0).unwrap();
         assert!(matches!(banked.bank, PrefixBank::Banked(_)));
         assert!(matches!(recomputed.bank, PrefixBank::Recompute));
         for &fault in &faults {

@@ -9,7 +9,8 @@
 //! 3. [`HardwareExecutor`] — stands in for "physical execution on the
 //!    available IBM-Q machine": the noisy pipeline plus per-job calibration
 //!    drift and finite-shot sampling (1024 shots, as the paper uses). See
-//!    DESIGN.md §4 for the substitution rationale.
+//!    PAPER.md, "Execution scenarios (§IV-B)", for the substitution
+//!    rationale.
 //!
 //! A fourth backend, [`TrajectoryExecutor`], targets the widths the exact
 //! density path cannot reach: it runs scenario 2's noise model through
@@ -17,6 +18,7 @@
 //! an `O(1/√shots)` statistical error instead of `4^n` memory.
 
 use crate::error::ExecError;
+use crate::mapping::{extract_splice_sites, SpliceSite};
 use crate::prepare_cache::PrepareCache;
 use parking_lot::Mutex;
 use qufi_noise::{simulate, BackendCalibration, NoiseModel};
@@ -47,16 +49,6 @@ pub trait Executor: Sync {
     fn name(&self) -> &str;
 }
 
-impl<E: Executor + ?Sized> Executor for &E {
-    fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        (**self).execute(qc)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 /// Scenario 1: exact noiseless statevector simulation of the logical
 /// circuit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,7 +67,7 @@ impl Executor for IdealExecutor {
 
 /// Remaps a physical circuit onto the compact register `0..active.len()`
 /// (position of each physical qubit within `active`).
-pub(crate) fn compact_circuit(qc: &QuantumCircuit, active: &[usize]) -> QuantumCircuit {
+fn compact_circuit(qc: &QuantumCircuit, active: &[usize]) -> QuantumCircuit {
     let mut pos = vec![usize::MAX; qc.num_qubits()];
     for (i, &p) in active.iter().enumerate() {
         pos[p] = i;
@@ -101,6 +93,34 @@ pub(crate) fn compact_circuit(qc: &QuantumCircuit, active: &[usize]) -> QuantumC
         }
     }
     out
+}
+
+/// Transpiles `qc` onto the device and compacts the result onto the
+/// device qubits it occupies: the stripped compact circuit, its splice
+/// sites (which must number `n_sites`) and those device qubits, in
+/// compact order. The first step of every transpiling
+/// [`Executor::execute`] (no markers), sweep prepare and naive replay;
+/// its two phases are timed as the `prepare.transpile_ns` and
+/// `prepare.compact_ns` spans.
+pub(crate) fn compile(
+    transpiler: &Transpiler,
+    qc: &QuantumCircuit,
+    n_sites: usize,
+) -> Result<(QuantumCircuit, Vec<SpliceSite>, Vec<usize>), ExecError> {
+    let transpile_span = qufi_obs::span("prepare.transpile_ns");
+    let result = transpiler.run(qc)?;
+    transpile_span.finish();
+    let compact_span = qufi_obs::span("prepare.compact_ns");
+    let active = result.active_physical_qubits();
+    let (circuit, sites) = extract_splice_sites(&compact_circuit(result.circuit(), &active));
+    compact_span.finish();
+    if sites.len() != n_sites {
+        return Err(ExecError::Engine(format!(
+            "expected {n_sites} splice markers after transpilation, found {}",
+            sites.len()
+        )));
+    }
+    Ok((circuit, sites, active))
 }
 
 /// Scenario 2: noisy density-matrix simulation after transpilation onto a
@@ -152,11 +172,8 @@ impl NoisyExecutor {
 
 impl Executor for NoisyExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        let result = self.transpiler.run(qc)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let model = self.model_for(&active);
-        Ok(simulate::run_noisy(&compact, &model)?)
+        let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
+        Ok(simulate::run_noisy(&compact, &self.model_for(&active))?)
     }
 
     fn name(&self) -> &str {
@@ -238,9 +255,7 @@ impl HardwareExecutor {
 
 impl Executor for HardwareExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        let result = self.transpiler.run(qc)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
+        let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
         // Each job sees a slightly different machine and its own shot noise.
         let (cal, mut sample_rng) = {
             let mut rng = self.rng.lock();
@@ -331,9 +346,7 @@ impl TrajectoryExecutor {
 
 impl Executor for TrajectoryExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        let result = self.transpiler.run(qc)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
+        let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
         let model = self.model_for(&active);
         // The u64::MAX tag separates the ad-hoc execute stream from the
         // sweep engine's per-point streams (which mix fault-angle bits in

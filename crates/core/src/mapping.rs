@@ -20,7 +20,7 @@
 use crate::campaign::CampaignResult;
 use crate::error::ExecError;
 use crate::fault::{check_double_site, check_injection_point, InjectionPoint};
-use crate::metrics::{mean, record_severity, Severity};
+use crate::metrics::{mean_of, record_severity, Severity};
 use qufi_sim::circuit::Op;
 use qufi_sim::QuantumCircuit;
 
@@ -44,17 +44,21 @@ pub fn qubit_reliability(result: &CampaignResult) -> Vec<QubitReliability> {
         .injected_qubits()
         .into_iter()
         .map(|q| {
-            let records = result.records_for_qubit(q);
-            let qvfs: Vec<f64> = records.iter().map(|r| r.qvf).collect();
-            let sdc = records
+            let qvfs = result
+                .records
                 .iter()
-                .filter(|r| record_severity(r.qvf) == Severity::Sdc)
+                .filter(|r| r.point.qubit == q)
+                .map(|r| r.qvf);
+            let samples = qvfs.clone().count();
+            let sdc = qvfs
+                .clone()
+                .filter(|&qvf| record_severity(qvf) == Severity::Sdc)
                 .count();
             QubitReliability {
                 qubit: q,
-                mean_qvf: mean(&qvfs),
-                sdc_fraction: sdc as f64 / records.len().max(1) as f64,
-                samples: records.len(),
+                mean_qvf: mean_of(qvfs),
+                sdc_fraction: sdc as f64 / samples.max(1) as f64,
+                samples,
             }
         })
         .collect();
@@ -202,7 +206,6 @@ mod tests {
                 grid: FaultGrid::coarse(),
                 points: None,
                 threads: 0,
-                naive: false,
             },
         )
         .expect("campaign")

@@ -134,20 +134,35 @@ pub fn record_severity(qvf: f64) -> Severity {
 
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
+    mean_of(xs.iter().copied())
 }
 
 /// Population standard deviation.
 pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
+    stddev_of(xs.iter().copied())
+}
+
+/// [`mean`] of the values an iterator yields, without collecting them: the
+/// same additions in the same order, so the same bits.
+pub(crate) fn mean_of(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = xs.inspect(|_| n += 1).sum();
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// [`stddev`] of the values an iterator yields, in two passes over a
+/// clone of it instead of a collected copy.
+pub(crate) fn stddev_of(xs: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n = xs.clone().count();
+    if n < 2 {
         return 0.0;
     }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
+    let m = mean_of(xs.clone());
+    (xs.map(|x| (x - m) * (x - m)).sum::<f64>() / n as f64).sqrt()
 }
 
 #[cfg(test)]

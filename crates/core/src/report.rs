@@ -69,8 +69,9 @@ impl Heatmap {
         Heatmap::from_samples(
             &result.grid,
             result
-                .records_for_qubit(qubit)
+                .records
                 .iter()
+                .filter(|r| r.point.qubit == qubit)
                 .map(|r| (r.theta, r.phi, r.qvf)),
         )
     }
@@ -106,13 +107,7 @@ impl Heatmap {
 
     /// Mean over all non-empty cells.
     pub fn mean(&self) -> f64 {
-        let vals: Vec<f64> = self
-            .values
-            .iter()
-            .copied()
-            .filter(|v| !v.is_nan())
-            .collect();
-        crate::metrics::mean(&vals)
+        crate::metrics::mean_of(self.values.iter().copied().filter(|v| !v.is_nan()))
     }
 
     /// Cell-wise difference `self − other` (the ΔQVF map of Fig. 9).

@@ -85,7 +85,6 @@ fn single_campaign_reports_the_lowest_index_error() {
             grid: FaultGrid::coarse(),
             points: Some(POINTS.to_vec()),
             threads,
-            naive: false,
         };
         let err = run_single_campaign(
             &w.circuit,

@@ -6,7 +6,8 @@
 //! this module ships **synthetic** tables whose magnitudes follow published
 //! IBM Falcon r5.11 figures: T1 ≈ 100–180 µs, T2 ≈ 20–140 µs, single-qubit
 //! error ≈ 2–4·10⁻⁴, CX error ≈ 6·10⁻³–1.2·10⁻², readout error 1–4%.
-//! See DESIGN.md §4 for the substitution rationale.
+//! See PAPER.md, "Execution scenarios (§IV-B)", for the substitution
+//! rationale.
 
 use crate::model::{NoiseModel, QubitNoiseSpec};
 use crate::readout::ReadoutError;

@@ -86,6 +86,26 @@ pub fn apply_readout_errors(dist: &ProbDist, errors: &[Option<ReadoutError>]) ->
     out
 }
 
+/// Finishes a run's qubit distribution into the one a program reads:
+/// readout confusion ([`apply_readout_errors`]), then marginalization
+/// through `map`, a circuit's `measurement_map`, onto its `num_clbits`
+/// classical bits. A circuit without measurements (`map` empty) reads the
+/// confused qubit distribution. The one readout finish of the density,
+/// trajectory and batched replay paths.
+pub fn finish_readout(
+    dist: &ProbDist,
+    errors: &[Option<ReadoutError>],
+    map: &[(usize, usize)],
+    num_clbits: usize,
+) -> ProbDist {
+    let confused = apply_readout_errors(dist, errors);
+    if map.is_empty() {
+        confused
+    } else {
+        confused.marginalize(map, num_clbits)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

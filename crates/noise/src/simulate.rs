@@ -12,7 +12,7 @@
 //! same order as a one-shot run and is numerically **bit-identical** to it.
 
 use crate::model::NoiseModel;
-use crate::readout::apply_readout_errors;
+use crate::readout::finish_readout;
 use qufi_math::CMatrix;
 use qufi_sim::circuit::Op;
 use qufi_sim::{DensityMatrix, Gate, ProbDist, QuantumCircuit, SimError};
@@ -315,14 +315,12 @@ impl<'m> NoisyCursor<'m> {
     /// loop can read the distribution and then recycle the cursor's state
     /// buffer ([`NoisyCursor::into_state`]) for the next replay.
     pub fn finish_dist(&self, qc: &QuantumCircuit) -> ProbDist {
-        let mut dist = self.rho.probabilities();
-        dist = apply_readout_errors(&dist, self.model.readout_errors());
-        let map = qc.measurement_map();
-        if map.is_empty() {
-            dist
-        } else {
-            dist.marginalize(&map, qc.num_clbits())
-        }
+        finish_readout(
+            &self.rho.probabilities(),
+            self.model.readout_errors(),
+            &qc.measurement_map(),
+            qc.num_clbits(),
+        )
     }
 }
 

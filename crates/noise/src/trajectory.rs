@@ -23,10 +23,11 @@
 //!
 //! Readout confusion acts on the *averaged* distribution (it is linear in
 //! the state, so this matches applying it per shot) and marginalization
-//! follows, mirroring [`crate::simulate::NoisyCursor::finish_dist`].
+//! follows: the one finish, [`crate::readout::finish_readout`], that
+//! [`crate::simulate::NoisyCursor::finish_dist`] runs too.
 
 use crate::model::NoiseModel;
-use crate::readout::apply_readout_errors;
+use crate::readout::finish_readout;
 use qufi_math::{CMatrix, Complex};
 use qufi_sim::circuit::Op;
 use qufi_sim::{Gate, ProbDist, QuantumCircuit, SimError, Statevector};
@@ -372,14 +373,12 @@ pub fn finish_trajectory_dist(
     model: &NoiseModel,
     qc: &QuantumCircuit,
 ) -> ProbDist {
-    let mut dist = ProbDist::from_probs(mean_probs, num_qubits);
-    dist = apply_readout_errors(&dist, model.readout_errors());
-    let map = qc.measurement_map();
-    if map.is_empty() {
-        dist
-    } else {
-        dist.marginalize(&map, qc.num_clbits())
-    }
+    finish_readout(
+        &ProbDist::from_probs(mean_probs, num_qubits),
+        model.readout_errors(),
+        &qc.measurement_map(),
+        qc.num_clbits(),
+    )
 }
 
 /// Full trajectory execution of `qc` under `model`: `shots` independent

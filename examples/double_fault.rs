@@ -25,7 +25,6 @@ fn main() -> Result<(), ExecError> {
             grid: grid.clone(),
             points: None,
             threads: 0,
-            naive: false,
         },
     )?;
     let double = run_double_campaign(
@@ -37,7 +36,6 @@ fn main() -> Result<(), ExecError> {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         },
     )?;
 

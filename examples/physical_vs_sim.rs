@@ -26,7 +26,6 @@ fn main() -> Result<(), ExecError> {
             grid,
             points: None,
             threads: 0,
-            naive: false,
         };
         let hw = run_single_campaign(&w.circuit, &golden, &hardware, &opts)?.mean_qvf();
         let sim = run_single_campaign(&w.circuit, &golden, &simulation, &opts)?.mean_qvf();

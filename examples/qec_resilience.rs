@@ -24,7 +24,6 @@ fn campaign_on_window(code: &CodeWorkload, ex: &impl SweepExecutor) -> CampaignR
         grid: FaultGrid::paper(),
         points: Some(points),
         threads: 0,
-        naive: false,
     };
     run_single_campaign(
         &code.workload.circuit,

@@ -173,7 +173,6 @@ fn campaign_records_are_identical_with_batching_on_and_off() {
         grid: grid.clone(),
         points: None,
         threads: 0,
-        naive: false,
     };
     let batched = run_single_campaign(&w.circuit, &golden, &ex, &opts).expect("campaign");
     let mut records = Vec::new();

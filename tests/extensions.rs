@@ -30,7 +30,6 @@ fn shot_based_qvf_estimates_track_exact_values() {
         grid,
         points: None,
         threads: 0,
-        naive: false,
     };
     let exact = run_single_campaign(&w.circuit, &w.correct_outputs, &exact_ex, &opts).unwrap();
     let shots = run_single_campaign(&w.circuit, &w.correct_outputs, &shot_ex, &opts).unwrap();
@@ -78,7 +77,6 @@ fn qec_workload_masks_more_faults_than_unprotected() {
                 grid: FaultGrid::coarse(),
                 points: Some(window(c)),
                 threads: 0,
-                naive: false,
             },
         )
         .expect("campaign")

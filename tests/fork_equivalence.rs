@@ -13,6 +13,7 @@
 //! density-matrix oracle re-simulates every configuration from scratch,
 //! which is exactly the cost the engine exists to avoid.
 
+use qufi::core::campaign::run_point_sweep_naive;
 use qufi::core::engine::SweepExecutor;
 use qufi::core::report::records_to_csv;
 use qufi::core::serialize::{campaign_to_json, records_to_json};
@@ -79,8 +80,9 @@ fn hardware_forked_sweep_matches_naive_oracle() {
     assert_executor_equivalence(&ex, "hardware-jakarta");
 }
 
-/// Whole-campaign check: the `CampaignOptions::naive` oracle path and the
-/// default forked path must export byte-identical JSON and CSV artifacts.
+/// Whole-campaign check: the default forked campaign and an oracle
+/// campaign assembled from [`run_point_sweep_naive`] point by point must
+/// export byte-identical JSON and CSV artifacts.
 ///
 /// Takes an executor *factory*: the hardware scenario's fault-free baseline
 /// draws from the executor's shared RNG stream, so each campaign gets a
@@ -91,14 +93,27 @@ fn assert_campaign_export_identical<E: SweepExecutor>(
     label: &str,
 ) {
     let golden = golden_outputs(&w.circuit).expect("golden");
-    let mk = |naive| CampaignOptions {
+    let opts = CampaignOptions {
         grid: coarse(),
         points: None,
         threads: 0,
-        naive,
     };
-    let forked = run_single_campaign(&w.circuit, &golden, &make(), &mk(false)).expect("forked");
-    let naive = run_single_campaign(&w.circuit, &golden, &make(), &mk(true)).expect("naive");
+    let forked = run_single_campaign(&w.circuit, &golden, &make(), &opts).expect("forked");
+    let oracle = make();
+    let baseline_qvf = qvf_from_dist(&oracle.execute(&w.circuit).expect("baseline"), &golden);
+    let records = enumerate_injection_points(&w.circuit)
+        .into_iter()
+        .flat_map(|point| {
+            run_point_sweep_naive(&w.circuit, &golden, &oracle, point, &opts.grid).expect("naive")
+        })
+        .collect();
+    let naive = CampaignResult::from_parts(
+        w.circuit.name.clone(),
+        golden.clone(),
+        baseline_qvf,
+        opts.grid.clone(),
+        records,
+    );
     assert_eq!(
         forked.records.len(),
         naive.records.len(),

@@ -1,10 +1,15 @@
 //! The paper's headline experimental claims, encoded as integration tests.
-//! Each test cites the section of the paper it reproduces. These run on
+//! Each test cites the section of the paper it reproduces. Most run on
 //! coarse grids so the suite stays fast; the `fig*` binaries confirm the
-//! same claims on the full 15° grids.
+//! same claims on the full 15° grids. The §V-B number tests at the end
+//! share one run of `manifests/paper.toml`'s full campaign, and where the
+//! reproduction departs from the paper they pin the reproduction and say
+//! by how much.
 
+use qufi::core::metrics::record_severity;
 use qufi::prelude::*;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 fn noisy() -> NoisyExecutor {
     NoisyExecutor::new(BackendCalibration::jakarta())
@@ -15,7 +20,6 @@ fn campaign(w: &Workload, ex: &impl SweepExecutor, grid: FaultGrid) -> CampaignR
         grid,
         points: None,
         threads: 0,
-        naive: false,
     };
     run_single_campaign(&w.circuit, &w.correct_outputs, ex, &opts).expect("campaign")
 }
@@ -113,7 +117,6 @@ fn qft_concentrates_with_scale_bv_does_not() {
             grid: grid.clone(),
             points: Some(points),
             threads: 0,
-            naive: false,
         };
         run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts)
             .expect("campaign")
@@ -154,7 +157,6 @@ fn double_faults_are_worse_than_single_faults() {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         },
     )
     .expect("double campaign");
@@ -182,7 +184,6 @@ fn hardware_and_simulation_agree() {
             grid,
             points: None,
             threads: 0,
-            naive: false,
         };
         let a = run_single_campaign(&w.circuit, &w.correct_outputs, &hw, &opts)
             .expect("hw campaign")
@@ -207,4 +208,145 @@ fn paper_grid_injection_counts() {
     assert_eq!(grid.len(), 312);
     // BV-4 with secret 101: x + 4 H + 2 CX + 3 H = 10 gates, 12 operand slots.
     assert_eq!(points.len(), 12);
+}
+
+/// `manifests/paper.toml`'s three jobs — bv-4, dj-4 and qft-4 on jakarta,
+/// noisy executor, the paper's 312-configuration grid — with the golden
+/// outputs `qufi run` derives. Run once and shared by the §V-B tests
+/// below; the numbers those tests quote are this campaign's.
+fn paper_campaigns() -> &'static [(&'static str, CampaignResult)] {
+    static RUNS: OnceLock<Vec<(&'static str, CampaignResult)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let ex = noisy();
+        ["bv-4", "dj-4", "qft-4"]
+            .into_iter()
+            .map(|name| {
+                let w = qufi::algos::build_workload(name).expect("registry workload");
+                let golden = golden_outputs(&w.circuit).expect("golden outputs");
+                let opts = CampaignOptions {
+                    grid: FaultGrid::paper(),
+                    points: None,
+                    threads: 0,
+                };
+                let res = run_single_campaign(&w.circuit, &golden, &ex, &opts).expect("campaign");
+                (name, res)
+            })
+            .collect()
+    })
+}
+
+fn is_theta_pi(theta: f64) -> bool {
+    (theta - PI).abs() < 1e-9
+}
+
+/// §V-B: a θ = π shift is a bit flip, which PAPER.md's summary of the
+/// results calls a near-guaranteed SDC. The reproduction classes 58–63% of θ = π
+/// injections SDC (bv-4 173/288, dj-4 195/336, qft-4 405/648; records
+/// classed as exported): most, not nearly all. The test asks for a share
+/// in [0.55, 0.65].
+#[test]
+fn theta_pi_injections_are_mostly_sdc() {
+    for (name, res) in paper_campaigns() {
+        let at_pi: Vec<&InjectionRecord> = res
+            .records
+            .iter()
+            .filter(|r| is_theta_pi(r.theta))
+            .collect();
+        let sdc = at_pi
+            .iter()
+            .filter(|r| record_severity(r.qvf) == Severity::Sdc)
+            .count();
+        let share = sdc as f64 / at_pi.len() as f64;
+        assert!(
+            (0.55..=0.65).contains(&share),
+            "{name}: {sdc}/{} θ = π injections are SDC ({share:.3})",
+            at_pi.len()
+        );
+    }
+}
+
+/// §V-B, the heatmap view of the same claim: in the θ = π row, 15 (bv-4),
+/// 13 (dj-4) and 17 (qft-4) of the 24 φ cells average to an SDC QVF. The
+/// test asks for at least half the row.
+#[test]
+fn theta_pi_heatmap_row_is_mostly_sdc() {
+    for (name, res) in paper_campaigns() {
+        let hm = Heatmap::from_campaign(res);
+        let ti = hm
+            .thetas()
+            .iter()
+            .position(|&t| is_theta_pi(t))
+            .expect("the paper grid reaches θ = π");
+        let sdc_cells = (0..hm.phis().len())
+            .filter(|&pi| Severity::classify(hm.value(pi, ti)) == Severity::Sdc)
+            .count();
+        assert!(
+            sdc_cells >= 12,
+            "{name}: only {sdc_cells}/{} θ = π cells are SDC",
+            hm.phis().len()
+        );
+    }
+}
+
+/// §V-B reports that ~0.9% of injections lower the QVF below the
+/// fault-free baseline, the fault compensating the intrinsic noise. This
+/// does not reproduce under the synthetic jakarta noise model: 0 (bv-4),
+/// 0 (dj-4) and 8 of 8424 (qft-4, all at op 13 on qubit 2, φ = 0)
+/// injections improve on the baseline at checkpoint precision, 0.05% of
+/// the whole campaign. The test pins the reproduction: below 0.2%.
+#[test]
+fn compensating_faults_are_rare() {
+    for (name, res) in paper_campaigns() {
+        let improved = res.improved_fraction();
+        assert!(improved < 0.002, "{name}: improved fraction {improved:.5}");
+    }
+}
+
+/// Pearson correlation of paired samples.
+fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+    let n = xs.len() as f64;
+    let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
+    let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let vx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let vy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
+    cov / (vx * vy).sqrt()
+}
+
+/// §V-B: faults on later gates are more critical than on earlier ones
+/// (PAPER.md's summary of the results). Here "later" is the
+/// injection point's logical `op_index`, the position of the struck gate
+/// in the logical circuit (not its transpiled depth, nor its distance to
+/// measurement). The claim reproduces on qft-4 only: the mean QVF per
+/// `op_index` correlates with `op_index` at r = +0.39 there, but at −0.14
+/// on bv-4 and −0.18 on dj-4. The test pins those signs: r > 0.3 on
+/// qft-4, r < 0 on bv-4 and dj-4.
+#[test]
+fn later_gates_are_more_critical_on_qft_only() {
+    for (name, res) in paper_campaigns() {
+        let mut ops: Vec<usize> = res.records.iter().map(|r| r.point.op_index).collect();
+        ops.sort_unstable();
+        ops.dedup();
+        let mean_qvf: Vec<f64> = ops
+            .iter()
+            .map(|&op| {
+                let qvfs: Vec<f64> = res
+                    .records
+                    .iter()
+                    .filter(|r| r.point.op_index == op)
+                    .map(|r| r.qvf)
+                    .collect();
+                qufi::core::metrics::mean(&qvfs)
+            })
+            .collect();
+        let positions: Vec<f64> = ops.iter().map(|&op| op as f64).collect();
+        let r = pearson(&positions, &mean_qvf);
+        if *name == "qft-4" {
+            assert!(
+                r > 0.3,
+                "{name}: later gates should be more critical, r = {r:+.3}"
+            );
+        } else {
+            assert!(r < 0.0, "{name}: r = {r:+.3}, expected no later-gate trend");
+        }
+    }
 }
