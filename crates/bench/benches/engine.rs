@@ -10,7 +10,7 @@ use qufi_core::fault::{enumerate_injection_points, FaultGrid, FaultParams};
 use qufi_math::CMatrix;
 use qufi_noise::{simulate, BackendCalibration, KrausChannel};
 use qufi_sim::{BatchedDensity, DensityMatrix, Gate, Statevector};
-use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
+use qufi_transpile::{CouplingMap, Transpiler};
 
 fn bench_statevector(c: &mut Criterion) {
     let mut group = c.benchmark_group("statevector");
@@ -225,16 +225,12 @@ fn bench_pipeline(c: &mut Criterion) {
     let cal = BackendCalibration::jakarta();
 
     group.bench_function("transpile_bv4_level3", |b| {
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
-        b.iter(|| t.run(&w.circuit).expect("transpiles"))
-    });
-    group.bench_function("transpile_bv4_level0", |b| {
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level0);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         b.iter(|| t.run(&w.circuit).expect("transpiles"))
     });
     group.bench_function("noisy_run_bv4_raw", |b| {
         let model = cal.noise_model();
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let routed = t.run(&w.circuit).expect("transpiles");
         b.iter(|| simulate::run_noisy(routed.circuit(), &model).expect("runs"))
     });

@@ -35,6 +35,7 @@ use qufi_core::mapping::{qubit_reliability, QubitReliability};
 use qufi_core::report::{write_records_csv, Heatmap};
 use qufi_core::serialize::{json, write_campaign_json, write_heatmap_json};
 use qufi_core::CampaignResult;
+use qufi_obs::json::quote;
 use qufi_serve::store;
 use std::fmt::Write as _;
 use std::fs;
@@ -302,8 +303,8 @@ fn summary_json(
     write!(
         out,
         "{{\"campaign\":{},\"executor\":{},\"seed\":{},\"grid_size\":{grid_size},\"jobs\":[",
-        json::string(&manifest.name),
-        json::string(manifest.executor.keyword()),
+        quote(&manifest.name),
+        quote(manifest.executor.keyword()),
         manifest.seed,
     )?;
     for (i, job) in jobs.iter().enumerate() {
@@ -316,9 +317,9 @@ fn summary_json(
              \"severity\":{{\"masked\":{masked},\"dubious\":{dubious},\"sdc\":{sdc}}},\
              \"improved_fraction\":{},\"complete\":{}}}",
             if i > 0 { "," } else { "" },
-            json::string(&job.meta.id),
-            json::string(&job.meta.workload),
-            json::string(&job.meta.backend),
+            quote(&job.meta.id),
+            quote(&job.meta.workload),
+            quote(&job.meta.backend),
             json::num(job.meta.scale),
             job.points_done,
             job.meta.points_total,

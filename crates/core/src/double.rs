@@ -205,13 +205,13 @@ mod tests {
     use crate::executor::{Executor, IdealExecutor, NoisyExecutor};
     use qufi_algos::bernstein_vazirani;
     use qufi_noise::BackendCalibration;
-    use qufi_transpile::{CouplingMap, OptimizationLevel};
+    use qufi_transpile::CouplingMap;
     use std::f64::consts::PI;
 
     #[test]
     fn neighbor_pairs_on_jakarta() {
         let w = bernstein_vazirani(0b101, 3);
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let pairs = neighbor_pairs(&w.circuit, &t).unwrap();
         assert!(!pairs.is_empty());
         for &(a, b) in &pairs {

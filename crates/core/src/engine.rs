@@ -492,8 +492,10 @@ impl SweepPoint for IdealPrepared {
         let mut batch = BatchedStatevector::broadcast(self.prefix.state(), faults.len());
         batch.apply_matrix_per_cell(&mats, site.qubit);
         advance_batched(&mut batch, &self.circuit, site.index, self.circuit.size());
+        let map = self.circuit.measurement_map();
+        let clbits = self.circuit.num_clbits();
         (0..faults.len())
-            .map(|c| batch.measurement_distribution(c, &self.circuit))
+            .map(|c| finish_readout(&batch.probabilities(c), &[], &map, clbits))
             .collect()
     }
 

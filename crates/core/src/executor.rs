@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use qufi_noise::{simulate, BackendCalibration, NoiseModel};
 use qufi_sim::circuit::Op;
 use qufi_sim::{ProbDist, QuantumCircuit, Statevector};
-use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
+use qufi_transpile::{CouplingMap, Transpiler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -95,6 +95,15 @@ fn compact_circuit(qc: &QuantumCircuit, active: &[usize]) -> QuantumCircuit {
     out
 }
 
+/// The transpiler for a calibrated device: its coupling map, through the
+/// one pipeline every transpiling executor runs.
+fn device_transpiler(calibration: &BackendCalibration) -> Transpiler {
+    Transpiler::new(CouplingMap::from_edges(
+        calibration.num_qubits(),
+        calibration.coupling(),
+    ))
+}
+
 /// Transpiles `qc` onto the device and compacts the result onto the
 /// device qubits it occupies: the stripped compact circuit, its splice
 /// sites (which must number `n_sites`) and those device qubits, in
@@ -140,17 +149,12 @@ pub struct NoisyExecutor {
 }
 
 impl NoisyExecutor {
-    /// Creates a noisy executor at the paper's `optimization_level=3`.
+    /// Creates a noisy executor that transpiles onto the calibration's
+    /// coupling map.
     pub fn new(calibration: BackendCalibration) -> Self {
-        NoisyExecutor::with_level(calibration, OptimizationLevel::Level3)
-    }
-
-    /// Creates a noisy executor at an explicit optimization level.
-    pub fn with_level(calibration: BackendCalibration, level: OptimizationLevel) -> Self {
-        let coupling = CouplingMap::from_edges(calibration.num_qubits(), calibration.coupling());
         let label = format!("noisy-sim({})", calibration.name);
         NoisyExecutor {
-            transpiler: Transpiler::new(coupling, level),
+            transpiler: device_transpiler(&calibration),
             calibration,
             model_cache: PrepareCache::new(MODEL_CACHE_CAP),
             label,
@@ -216,10 +220,9 @@ impl HardwareExecutor {
     ) -> Self {
         assert!(shots > 0, "need at least one shot");
         assert!(drift_sigma >= 0.0, "negative drift");
-        let coupling = CouplingMap::from_edges(calibration.num_qubits(), calibration.coupling());
         let label = format!("hardware({})", calibration.name);
         HardwareExecutor {
-            transpiler: Transpiler::new(coupling, OptimizationLevel::Level3),
+            transpiler: device_transpiler(&calibration),
             base: calibration,
             shots,
             drift_sigma,
@@ -310,10 +313,9 @@ impl TrajectoryExecutor {
     /// Panics if `shots == 0`.
     pub fn with_shots(calibration: BackendCalibration, seed: u64, shots: u64) -> Self {
         assert!(shots > 0, "need at least one shot");
-        let coupling = CouplingMap::from_edges(calibration.num_qubits(), calibration.coupling());
         let label = format!("trajectory({})", calibration.name);
         TrajectoryExecutor {
-            transpiler: Transpiler::new(coupling, OptimizationLevel::Level3),
+            transpiler: device_transpiler(&calibration),
             calibration,
             model_cache: PrepareCache::new(MODEL_CACHE_CAP),
             shots,

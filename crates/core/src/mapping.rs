@@ -239,9 +239,9 @@ mod tests {
 
     #[test]
     fn marker_rides_through_level3_transpilation() {
-        use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
+        use qufi_transpile::{CouplingMap, Transpiler};
         let w = bernstein_vazirani(0b101, 3);
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         for point in crate::fault::enumerate_injection_points(&w.circuit) {
             let marked = mark_injection_site(&w.circuit, point).unwrap();
             let result = t.run(&marked).unwrap();
@@ -259,24 +259,27 @@ mod tests {
 
     #[test]
     fn marker_follows_routing_swaps() {
-        use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
-        // cx(0,2) on a line forces a SWAP; a marker planted after that gate
-        // must land on the *moved* physical seat of logical 0.
-        let mut qc = QuantumCircuit::new(3, 0);
-        qc.cx(0, 2);
+        use qufi_transpile::{CouplingMap, Layout, Transpiler};
+        // On a 4-qubit line the dense layout seats logical 0 on an inner
+        // qubit and logical 3 on an end two hops away, so cx(0,3) forces a
+        // SWAP; a marker planted after that gate must land on the *moved*
+        // physical seat of logical 0.
+        let mut qc = QuantumCircuit::new(4, 0);
+        qc.cx(0, 3);
         let point = InjectionPoint {
             op_index: 0,
             qubit: 0,
         };
         let marked = mark_injection_site(&qc, point).unwrap();
-        let t = Transpiler::new(CouplingMap::line(3), OptimizationLevel::Level1);
-        let result = t.run(&marked).unwrap();
+        let cm = CouplingMap::line(4);
+        let seat = Layout::dense(&cm, 4).physical(0);
+        let result = Transpiler::new(cm).run(&marked).unwrap();
         let (_, sites) = extract_splice_sites(result.circuit());
         assert_eq!(sites.len(), 1);
         // The marker is after the last gate, so its qubit is logical 0's
-        // final physical position (which routing moved off seat 0).
+        // final physical position (which routing moved off its seat).
         assert_eq!(sites[0].qubit, result.physical_qubit(0));
-        assert_ne!(sites[0].qubit, 0, "routing should have moved logical 0");
+        assert_ne!(sites[0].qubit, seat, "routing should have moved logical 0");
     }
 
     #[test]

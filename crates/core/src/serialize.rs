@@ -212,31 +212,10 @@ fn write_qvf_json<W: Write + ?Sized>(out: &mut W, qvf: f64) -> io::Result<()> {
 /// `vendor/README.md`), so machine-readable artifacts are emitted by
 /// hand; the format is plain enough for any consumer. The `write_*` forms
 /// take any sink, so a large document renders without a `String` per
-/// value or for the whole.
+/// value or for the whole. Strings go through the one escaper,
+/// `qufi_obs::json::{quote, write_quoted}`.
 pub mod json {
     use std::io::{self, Write};
-
-    /// Escapes and quotes a string per RFC 8259.
-    pub fn string(s: &str) -> String {
-        super::render_to_string(s.len() + 2, |out| write_string(out, s))
-    }
-
-    /// [`string`], written to `out`.
-    pub(crate) fn write_string<W: Write + ?Sized>(out: &mut W, s: &str) -> io::Result<()> {
-        out.write_all(b"\"")?;
-        for c in s.chars() {
-            match c {
-                '"' => out.write_all(b"\\\"")?,
-                '\\' => out.write_all(b"\\\\")?,
-                '\n' => out.write_all(b"\\n")?,
-                '\r' => out.write_all(b"\\r")?,
-                '\t' => out.write_all(b"\\t")?,
-                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-                c => out.write_all(c.encode_utf8(&mut [0; 4]).as_bytes())?,
-            }
-        }
-        out.write_all(b"\"")
-    }
 
     /// Renders a float: shortest round-trip form, `null` for NaN/∞
     /// (which JSON cannot represent).
@@ -347,7 +326,7 @@ pub fn write_campaign_json<W: Write + ?Sized>(
 ) -> io::Result<()> {
     let (masked, dubious, sdc) = result.severity_counts();
     out.write_all(b"{\"circuit\":")?;
-    json::write_string(out, &result.circuit_name)?;
+    qufi_obs::json::write_quoted(out, &result.circuit_name)?;
     out.write_all(b",\"golden\":[")?;
     for (i, g) in result.golden.iter().enumerate() {
         write!(out, "{}{g}", if i > 0 { "," } else { "" })?;
@@ -598,7 +577,7 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_characters() {
-        assert_eq!(json::string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(qufi_obs::json::quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json::num(f64::NAN), "null");
         assert_eq!(json::num(2.0), "2.0");
     }

@@ -8,7 +8,7 @@
 //! what the recorder wrote; it is not a general-purpose JSON library.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,26 +270,34 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-/// Renders a string with JSON escaping.
+/// Renders a string with JSON escaping: [`write_quoted`] into a `String`.
 #[must_use]
 pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut out = Vec::with_capacity(s.len() + 2);
+    write_quoted(&mut out, s).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("escaping keeps UTF-8 valid")
+}
+
+/// Writes `s` to `out` as a JSON string (RFC 8259): quoted, with `"`, `\`
+/// and control characters escaped.
+///
+/// # Errors
+///
+/// The sink's.
+pub fn write_quoted<W: io::Write + ?Sized>(out: &mut W, s: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_all(b"\\\"")?,
+            '\\' => out.write_all(b"\\\\")?,
+            '\n' => out.write_all(b"\\n")?,
+            '\t' => out.write_all(b"\\t")?,
+            '\r' => out.write_all(b"\\r")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_all(c.encode_utf8(&mut [0; 4]).as_bytes())?,
         }
     }
-    out.push('"');
-    out
+    out.write_all(b"\"")
 }
 
 #[cfg(test)]

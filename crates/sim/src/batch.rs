@@ -21,7 +21,6 @@
 //! [`BatchedDensity`] skip the amplitude groups outside it. The diagonal
 //! stays bit-identical to the unmasked replay (see `kernel.rs`).
 
-use crate::circuit::QuantumCircuit;
 use crate::counts::ProbDist;
 use crate::density::DensityMatrix;
 use crate::gate::Gate;
@@ -229,16 +228,6 @@ impl BatchedStatevector {
                 .collect(),
             self.n,
         )
-    }
-
-    /// One cell's distribution over classical bits (marginalized through the
-    /// circuit's measurement map, like the scalar engine).
-    pub fn measurement_distribution(&self, cell: usize, qc: &QuantumCircuit) -> ProbDist {
-        let map = qc.measurement_map();
-        if map.is_empty() {
-            return self.probabilities(cell);
-        }
-        self.probabilities(cell).marginalize(&map, qc.num_clbits())
     }
 }
 
@@ -548,6 +537,7 @@ impl BatchedDensity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::QuantumCircuit;
     use crate::workspace::EvolutionWorkspace;
 
     fn assert_dist_bitwise(a: &ProbDist, b: &ProbDist, what: &str) {
@@ -596,8 +586,8 @@ mod tests {
                     }
                 }
                 assert_dist_bitwise(
-                    &batch.measurement_distribution(c, &suffix),
-                    &sv.measurement_distribution(&suffix),
+                    &batch.probabilities(c),
+                    &sv.probabilities(),
                     &format!("sv width={width} cell={c}"),
                 );
             }

@@ -1,6 +1,6 @@
 //! Initial layout selection: logical → physical qubit assignment.
 //!
-//! Level-3 transpilation uses a **dense layout**: among connected physical
+//! The transpiler uses a **dense layout**: among connected physical
 //! subgraphs of the right size, pick the one with the most internal edges
 //! (ties broken by total calibration-agnostic degree), which minimizes the
 //! routing SWAPs — the paper's stated reason for using `optimization_level=3`.

@@ -9,30 +9,32 @@
 //! that pipeline:
 //!
 //! 1. **decompose** — rewrite gates outside the routable set (Toffoli).
-//! 2. **layout** ([`layout`]) — choose an initial logical→physical map;
-//!    level 3 uses a dense connected-subgraph search.
-//! 3. **routing** ([`routing`]) — insert SWAPs so every 2-qubit gate acts on
-//!    coupled physical qubits, tracking the evolving layout.
+//! 2. **layout** ([`layout`]) — a dense connected-subgraph search picks
+//!    the initial logical→physical map.
+//! 3. **routing** ([`routing`]) — insert SWAPs along shortest paths so
+//!    every 2-qubit gate acts on coupled physical qubits, tracking the
+//!    evolving layout.
 //! 4. **basis translation** ([`basis`]) — rewrite to the IBM native set
 //!    `{rz, sx, x, cx}` via ZYZ decomposition.
 //! 5. **optimization** ([`optimize`]) — cancel inverse pairs, merge
-//!    rotations, fuse single-qubit runs.
+//!    rotations and resynthesize single-qubit runs in the native basis,
+//!    iterated to a fixpoint.
 //!
-//! The [`Transpiler`] entry point runs the pipeline at a chosen
-//! [`OptimizationLevel`] and returns a [`TranspileResult`] that exposes the
-//! final logical→physical map and the physical-neighbour query QuFI's
-//! double-fault injection needs.
+//! The pipeline has no switches: every campaign transpiles this way. The
+//! [`Transpiler`] entry point runs it for one device and returns a
+//! [`TranspileResult`] that exposes the final logical→physical map and the
+//! physical-neighbour query QuFI's double-fault injection needs.
 //!
 //! # Example
 //!
 //! ```
 //! use qufi_sim::QuantumCircuit;
-//! use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
+//! use qufi_transpile::{CouplingMap, Transpiler};
 //!
 //! let mut qc = QuantumCircuit::new(3, 3);
 //! qc.h(0).cx(0, 2).measure_all(); // 0 and 2 are not coupled on a line
 //! let line = CouplingMap::line(3);
-//! let result = Transpiler::new(line, OptimizationLevel::Level3).run(&qc).unwrap();
+//! let result = Transpiler::new(line).run(&qc).unwrap();
 //! // The routed circuit is semantically equivalent and uses only coupled pairs.
 //! assert!(result.circuit().gate_count() > 0);
 //! ```
@@ -47,6 +49,5 @@ pub mod transpiler;
 
 pub use error::TranspileError;
 pub use layout::Layout;
-pub use routing::RoutingStrategy;
 pub use topology::CouplingMap;
-pub use transpiler::{OptimizationLevel, TranspileResult, Transpiler};
+pub use transpiler::{TranspileResult, Transpiler};

@@ -1,70 +1,32 @@
 //! Peephole optimization passes.
 //!
-//! Three passes mirror the workhorses of Qiskit's higher optimization
-//! levels: inverse-pair cancellation (`H·H`, `CX·CX`, `T·T†` …), rotation
-//! merging (`RZ(a)·RZ(b) → RZ(a+b)`), and single-qubit-run fusion (multiply
-//! the run's matrices, drop it when the product is the identity, otherwise
-//! resynthesize a minimal sequence).
+//! Three passes mirror the workhorses of Qiskit's `optimization_level=3`:
+//! inverse-pair cancellation (`H·H`, `CX·CX`, `T·T†` …), rotation merging
+//! (`RZ(a)·RZ(b) → RZ(a+b)`), and single-qubit-run fusion (multiply the
+//! run's matrices, drop it when the product is the identity, otherwise
+//! resynthesize it in the native `{rz, sx}` basis). [`optimize`] iterates
+//! them to a fixpoint.
 
 use crate::basis::decompose_1q_matrix;
-use qufi_math::{decompose::normalize_angle, zyz_decompose, CMatrix};
+use qufi_math::{decompose::normalize_angle, CMatrix};
 use qufi_sim::circuit::Op;
 use qufi_sim::{Gate, QuantumCircuit};
 
-/// How hard the optimizer works; matches Qiskit's levels in spirit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Level {
-    /// No optimization.
-    Level0,
-    /// Inverse-pair cancellation and rotation merging.
-    Level1,
-    /// Level 1 plus one round of single-qubit-run fusion.
-    Level2,
-    /// All passes iterated to a fixpoint (the paper's setting).
-    #[default]
-    Level3,
+/// Runs the passes to a fixpoint: each round cancels inverse pairs until
+/// none are left, merges rotations and fuses single-qubit runs.
+pub fn optimize(qc: &QuantumCircuit) -> QuantumCircuit {
+    run_to_fixpoint(qc, |c| {
+        fuse_single_qubit_runs(&merge_rotations(&run_to_fixpoint(c, cancel_inverse_pairs)))
+    })
 }
 
-/// Runs the optimization pipeline at the given level. `native` controls
-/// whether fused runs are resynthesized into `{rz, sx}` (true) or a single
-/// `U` gate (false).
-pub fn optimize(qc: &QuantumCircuit, level: Level, native: bool) -> QuantumCircuit {
-    match level {
-        Level::Level0 => qc.clone(),
-        Level::Level1 => {
-            let qc = run_to_fixpoint(qc, cancel_inverse_pairs, 10);
-            merge_rotations(&qc)
-        }
-        Level::Level2 => {
-            let qc = run_to_fixpoint(qc, cancel_inverse_pairs, 10);
-            let qc = merge_rotations(&qc);
-            let qc = fuse_single_qubit_runs(&qc, native);
-            run_to_fixpoint(&qc, cancel_inverse_pairs, 10)
-        }
-        Level::Level3 => {
-            let mut cur = qc.clone();
-            for _ in 0..10 {
-                let next = fuse_single_qubit_runs(
-                    &merge_rotations(&run_to_fixpoint(&cur, cancel_inverse_pairs, 10)),
-                    native,
-                );
-                if next == cur {
-                    break;
-                }
-                cur = next;
-            }
-            cur
-        }
-    }
-}
-
+/// Applies `pass` until the circuit stops changing, at most ten times.
 fn run_to_fixpoint(
     qc: &QuantumCircuit,
-    pass: fn(&QuantumCircuit) -> QuantumCircuit,
-    max_iter: usize,
+    pass: impl Fn(&QuantumCircuit) -> QuantumCircuit,
 ) -> QuantumCircuit {
     let mut cur = qc.clone();
-    for _ in 0..max_iter {
+    for _ in 0..10 {
         let next = pass(&cur);
         if next == cur {
             break;
@@ -214,9 +176,9 @@ fn same_pair(a: &[usize], b: &[usize]) -> bool {
     a.len() == 2 && b.len() == 2 && (a == b || (a[0] == b[1] && a[1] == b[0]))
 }
 
-/// Fuses maximal runs of single-qubit gates into a minimal resynthesis;
-/// identity runs vanish.
-pub fn fuse_single_qubit_runs(qc: &QuantumCircuit, native: bool) -> QuantumCircuit {
+/// Fuses maximal runs of single-qubit gates into at most five native
+/// gates (`rz`, `sx`); identity runs vanish.
+pub fn fuse_single_qubit_runs(qc: &QuantumCircuit) -> QuantumCircuit {
     let mut out = QuantumCircuit::with_name(qc.num_qubits(), qc.num_clbits(), &qc.name);
     let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); qc.num_qubits()];
 
@@ -236,13 +198,8 @@ pub fn fuse_single_qubit_runs(qc: &QuantumCircuit, native: bool) -> QuantumCircu
         if m.approx_eq_up_to_phase(&CMatrix::identity(2), 1e-10) {
             return;
         }
-        if native {
-            for g in decompose_1q_matrix(&m) {
-                out.append(g, &[q]);
-            }
-        } else {
-            let a = zyz_decompose(&m);
-            out.u(a.theta, a.phi, a.lambda, q);
+        for g in decompose_1q_matrix(&m) {
+            out.append(g, &[q]);
         }
     };
 
@@ -359,7 +316,7 @@ mod tests {
         // X H H X -> X X -> nothing (needs two passes).
         let mut qc = QuantumCircuit::new(1, 0);
         qc.x(0).h(0).h(0).x(0);
-        let opt = run_to_fixpoint(&qc, cancel_inverse_pairs, 10);
+        let opt = run_to_fixpoint(&qc, cancel_inverse_pairs);
         assert_eq!(opt.gate_count(), 0);
     }
 
@@ -384,8 +341,9 @@ mod tests {
     fn fuse_collapses_runs() {
         let mut qc = QuantumCircuit::new(1, 0);
         qc.h(0).t(0).h(0).s(0).h(0);
-        let fused = fuse_single_qubit_runs(&qc, false);
-        assert_eq!(fused.gate_count(), 1);
+        let fused = fuse_single_qubit_runs(&qc);
+        // One run resynthesizes to at most rz·sx·rz·sx·rz.
+        assert!(fused.gate_count() <= 5, "{fused}");
         assert!(equivalent(&qc, &fused));
     }
 
@@ -393,7 +351,7 @@ mod tests {
     fn fuse_native_emits_only_native() {
         let mut qc = QuantumCircuit::new(1, 0);
         qc.h(0).t(0).sdg(0);
-        let fused = fuse_single_qubit_runs(&qc, true);
+        let fused = fuse_single_qubit_runs(&qc);
         for op in fused.instructions() {
             if let Op::Gate { gate, .. } = op {
                 assert!(crate::basis::is_native(*gate));
@@ -406,7 +364,7 @@ mod tests {
     fn fuse_respects_two_qubit_boundaries() {
         let mut qc = QuantumCircuit::new(2, 0);
         qc.h(0).cx(0, 1).h(0);
-        let fused = fuse_single_qubit_runs(&qc, false);
+        let fused = fuse_single_qubit_runs(&qc);
         assert_eq!(fused.gate_count(), 3);
         assert!(equivalent(&qc, &fused));
     }
@@ -427,15 +385,8 @@ mod tests {
             .sdg(1)
             .h(1)
             .measure_all();
-        let opt = optimize(&qc, Level::Level3, false);
+        let opt = optimize(&qc);
         assert_eq!(opt.gate_count(), 0, "{opt}");
-    }
-
-    #[test]
-    fn level0_is_identity_transform() {
-        let mut qc = QuantumCircuit::new(1, 0);
-        qc.h(0).h(0);
-        assert_eq!(optimize(&qc, Level::Level0, false), qc);
     }
 
     #[test]
@@ -453,16 +404,14 @@ mod tests {
             .cx(1, 2)
             .y(2)
             .measure_all();
-        for level in [Level::Level1, Level::Level2, Level::Level3] {
-            let opt = optimize(&qc, level, false);
-            let a = Statevector::from_circuit(&qc)
-                .unwrap()
-                .measurement_distribution(&qc);
-            let b = Statevector::from_circuit(&opt)
-                .unwrap()
-                .measurement_distribution(&opt);
-            assert!(a.tv_distance(&b) < 1e-9, "level {level:?} broke circuit");
-            assert!(opt.gate_count() <= qc.gate_count());
-        }
+        let opt = optimize(&qc);
+        let a = Statevector::from_circuit(&qc)
+            .unwrap()
+            .measurement_distribution(&qc);
+        let b = Statevector::from_circuit(&opt)
+            .unwrap()
+            .measurement_distribution(&opt);
+        assert!(a.tv_distance(&b) < 1e-9, "optimization broke circuit");
+        assert!(opt.gate_count() <= qc.gate_count());
     }
 }

@@ -8,37 +8,20 @@ use crate::error::TranspileError;
 use crate::layout::Layout;
 use crate::topology::CouplingMap;
 use qufi_sim::circuit::Op;
-use qufi_sim::QuantumCircuit;
+use qufi_sim::{Gate, QuantumCircuit};
 
-/// The output of routing: the physical circuit and the layout evolution.
+/// The output of routing: the physical circuit and the final layout.
 #[derive(Debug, Clone)]
 pub struct RoutedCircuit {
     /// Circuit over *physical* qubits (width = device size).
     pub circuit: QuantumCircuit,
-    /// Layout before the first gate.
-    pub initial_layout: Layout,
     /// Layout after the last gate (differs when SWAPs were inserted).
     pub final_layout: Layout,
-    /// Number of SWAP gates inserted.
-    pub swaps_inserted: usize,
 }
 
-/// How the router picks SWAPs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingStrategy {
-    /// Walk the first operand along a BFS shortest path (simple, greedy).
-    #[default]
-    ShortestPath,
-    /// SABRE-style lookahead: pick the SWAP that most reduces the summed
-    /// distance of the next `window` two-qubit gates (exponentially
-    /// decayed). Falls back to a shortest-path step when no SWAP improves.
-    Lookahead {
-        /// How many upcoming 2-qubit gates to score.
-        window: usize,
-    },
-}
-
-/// Routes `qc` onto `cm` starting from `initial_layout`.
+/// Routes `qc` onto `cm` starting from `layout`: before each two-qubit
+/// gate on an uncoupled pair, SWAPs walk the first operand along a BFS
+/// shortest path until it is adjacent to the second.
 ///
 /// # Errors
 ///
@@ -47,51 +30,12 @@ pub enum RoutingStrategy {
 pub fn route(
     qc: &QuantumCircuit,
     cm: &CouplingMap,
-    initial_layout: Layout,
-) -> Result<RoutedCircuit, TranspileError> {
-    route_with(qc, cm, initial_layout, RoutingStrategy::ShortestPath)
-}
-
-/// The upcoming 2-qubit gates (as logical pairs) starting at op `from`.
-fn future_pairs(qc: &QuantumCircuit, from: usize, window: usize) -> Vec<(usize, usize)> {
-    qc.ops()[from..]
-        .iter()
-        .filter_map(|op| match op {
-            Op::Gate { qubits, .. } if qubits.len() == 2 => Some((qubits[0], qubits[1])),
-            _ => None,
-        })
-        .take(window)
-        .collect()
-}
-
-/// Decayed distance cost of the pending gates under a layout.
-fn lookahead_cost(cm: &CouplingMap, layout: &Layout, pairs: &[(usize, usize)]) -> f64 {
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(k, &(a, b))| {
-            let d = cm.distance(layout.physical(a), layout.physical(b)) as f64;
-            d * 0.5f64.powi(k as i32)
-        })
-        .sum()
-}
-
-/// Routes with an explicit SWAP-selection strategy.
-///
-/// # Errors
-///
-/// Same failure modes as [`route`].
-pub fn route_with(
-    qc: &QuantumCircuit,
-    cm: &CouplingMap,
-    initial_layout: Layout,
-    strategy: RoutingStrategy,
+    mut layout: Layout,
 ) -> Result<RoutedCircuit, TranspileError> {
     cm.check_capacity(qc.num_qubits())?;
-    let mut layout = initial_layout.clone();
     let mut out = QuantumCircuit::with_name(cm.num_qubits(), qc.num_clbits(), &qc.name);
 
-    for (op_idx, op) in qc.instructions().enumerate() {
+    for op in qc.instructions() {
         match op {
             Op::Gate { gate, qubits } => match qubits.len() {
                 1 => {
@@ -99,71 +43,19 @@ pub fn route_with(
                 }
                 2 => {
                     let (l0, l1) = (qubits[0], qubits[1]);
-                    match strategy {
-                        RoutingStrategy::ShortestPath => {
-                            let mut p0 = layout.physical(l0);
-                            let p1 = layout.physical(l1);
-                            if !cm.are_coupled(p0, p1) {
-                                let path = cm
-                                    .shortest_path(p0, p1)
-                                    .ok_or(TranspileError::DisconnectedTopology)?;
-                                // Walk the first operand toward the second
-                                // until the pair is adjacent.
-                                for &hop in &path[1..path.len() - 1] {
-                                    out.append(qufi_sim::Gate::Swap, &[p0, hop]);
-                                    layout.swap_physical(p0, hop);
-                                    p0 = hop;
-                                }
-                            }
-                        }
-                        RoutingStrategy::Lookahead { window } => {
-                            let pairs = future_pairs(qc, op_idx, window.max(1));
-                            let mut guard = 0usize;
-                            while !cm.are_coupled(layout.physical(l0), layout.physical(l1)) {
-                                let p0 = layout.physical(l0);
-                                let p1 = layout.physical(l1);
-                                guard += 1;
-                                let base = lookahead_cost(cm, &layout, &pairs);
-                                let mut best: Option<(f64, (usize, usize))> = None;
-                                if guard <= 4 * cm.num_qubits() {
-                                    for &p in &[p0, p1] {
-                                        for &nb in cm.neighbors(p) {
-                                            let mut trial = layout.clone();
-                                            trial.swap_physical(p, nb);
-                                            let cost = lookahead_cost(cm, &trial, &pairs);
-                                            let edge = (p.min(nb), p.max(nb));
-                                            let better = match best {
-                                                None => true,
-                                                Some((c, e)) => {
-                                                    cost < c - 1e-12
-                                                        || (cost < c + 1e-12 && edge < e)
-                                                }
-                                            };
-                                            if better {
-                                                best = Some((cost, edge));
-                                            }
-                                        }
-                                    }
-                                }
-                                match best {
-                                    Some((cost, (a, b))) if cost < base - 1e-12 => {
-                                        out.append(qufi_sim::Gate::Swap, &[a, b]);
-                                        layout.swap_physical(a, b);
-                                    }
-                                    _ => {
-                                        // No improving SWAP (or guard blown):
-                                        // take one guaranteed-progress step.
-                                        let path = cm
-                                            .shortest_path(p0, p1)
-                                            .ok_or(TranspileError::DisconnectedTopology)?;
-                                        out.append(qufi_sim::Gate::Swap, &[p0, path[1]]);
-                                        layout.swap_physical(p0, path[1]);
-                                    }
-                                }
-                            }
+                    let mut p0 = layout.physical(l0);
+                    let p1 = layout.physical(l1);
+                    if !cm.are_coupled(p0, p1) {
+                        let path = cm
+                            .shortest_path(p0, p1)
+                            .ok_or(TranspileError::DisconnectedTopology)?;
+                        for &hop in &path[1..path.len() - 1] {
+                            out.append(Gate::Swap, &[p0, hop]);
+                            layout.swap_physical(p0, hop);
+                            p0 = hop;
                         }
                     }
-                    out.append(*gate, &[layout.physical(l0), layout.physical(l1)]);
+                    out.append(*gate, &[p0, p1]);
                 }
                 n => {
                     return Err(TranspileError::UnroutableGate(format!(
@@ -181,24 +73,9 @@ pub fn route_with(
             }
         }
     }
-    let swaps_inserted = out
-        .ops()
-        .iter()
-        .filter(|op| matches!(op, Op::Gate { gate, .. } if matches!(gate, qufi_sim::Gate::Swap)))
-        .count()
-        .saturating_sub(
-            qc.ops()
-                .iter()
-                .filter(
-                    |op| matches!(op, Op::Gate { gate, .. } if matches!(gate, qufi_sim::Gate::Swap)),
-                )
-                .count(),
-        );
     Ok(RoutedCircuit {
         circuit: out,
-        initial_layout,
         final_layout: layout,
-        swaps_inserted,
     })
 }
 
@@ -230,7 +107,6 @@ mod tests {
         qc.h(0).cx(0, 1).measure_all();
         let cm = CouplingMap::line(2);
         let routed = route(&qc, &cm, Layout::trivial(2, 2)).unwrap();
-        assert_eq!(routed.swaps_inserted, 0);
         assert_eq!(routed.circuit.gate_count(), 2);
     }
 
@@ -240,7 +116,8 @@ mod tests {
         qc.h(0).cx(0, 2).measure_all();
         let cm = CouplingMap::line(3);
         let routed = route(&qc, &cm, Layout::trivial(3, 3)).unwrap();
-        assert_eq!(routed.swaps_inserted, 1);
+        // h, one SWAP, cx.
+        assert_eq!(routed.circuit.gate_count(), 3);
         assert_equivalent(&qc, &cm, Layout::trivial(3, 3));
     }
 
@@ -252,7 +129,6 @@ mod tests {
         let routed = route(&qc, &cm, Layout::trivial(3, 3)).unwrap();
         // Logical 0 moved from physical 0 to physical 1.
         assert_eq!(routed.final_layout.physical(0), 1);
-        assert_eq!(routed.initial_layout.physical(0), 0);
     }
 
     #[test]
@@ -303,89 +179,6 @@ mod tests {
             route(&qc, &cm, Layout::trivial(3, 3)),
             Err(TranspileError::UnroutableGate(_))
         ));
-    }
-
-    #[test]
-    fn lookahead_preserves_semantics() {
-        let cm = CouplingMap::line(4);
-        let mut qc = QuantumCircuit::new(4, 4);
-        qc.h(0).cx(0, 3).cx(1, 3).cx(0, 2).measure_all();
-        let routed = route_with(
-            &qc,
-            &cm,
-            Layout::trivial(4, 4),
-            RoutingStrategy::Lookahead { window: 4 },
-        )
-        .unwrap();
-        let golden = Statevector::from_circuit(&qc)
-            .unwrap()
-            .measurement_distribution(&qc);
-        let actual = Statevector::from_circuit(&routed.circuit)
-            .unwrap()
-            .measurement_distribution(&routed.circuit);
-        assert!(golden.tv_distance(&actual) < 1e-9);
-        // Every 2q gate in the output is on a coupled pair.
-        for op in routed.circuit.instructions() {
-            if let Op::Gate { qubits, .. } = op {
-                if qubits.len() == 2 {
-                    assert!(cm.are_coupled(qubits[0], qubits[1]));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lookahead_beats_greedy_on_repeated_distant_pair() {
-        // Greedy walks q0 to q3 and BACK-AND-FORTH state means later gates
-        // benefit from where lookahead parks the qubits: repeating cx(0,3)
-        // twice after a cx(0,1) forces greedy to pay per occurrence while
-        // lookahead's parked layout reuses adjacency.
-        let cm = CouplingMap::line(5);
-        let mut qc = QuantumCircuit::new(5, 0);
-        qc.cx(0, 4).cx(0, 4).cx(0, 4);
-        let greedy = route_with(
-            &qc,
-            &cm,
-            Layout::trivial(5, 5),
-            RoutingStrategy::ShortestPath,
-        )
-        .unwrap();
-        let smart = route_with(
-            &qc,
-            &cm,
-            Layout::trivial(5, 5),
-            RoutingStrategy::Lookahead { window: 8 },
-        )
-        .unwrap();
-        assert!(
-            smart.swaps_inserted <= greedy.swaps_inserted,
-            "lookahead {} vs greedy {}",
-            smart.swaps_inserted,
-            greedy.swaps_inserted
-        );
-        // Both stay correct.
-        let a = Statevector::from_circuit(&greedy.circuit)
-            .unwrap()
-            .probabilities();
-        let b = Statevector::from_circuit(&smart.circuit)
-            .unwrap()
-            .probabilities();
-        assert!(a.tv_distance(&b) < 1e-9);
-    }
-
-    #[test]
-    fn lookahead_on_already_routable_circuit_adds_nothing() {
-        let cm = CouplingMap::ibm_h7();
-        let mut qc = QuantumCircuit::new(2, 0);
-        qc.h(0).cx(0, 1);
-        let routed = route_with(
-            &qc,
-            &cm,
-            Layout::trivial(2, 7),
-            RoutingStrategy::Lookahead { window: 3 },
-        )
-        .unwrap();
-        assert_eq!(routed.swaps_inserted, 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::error::TranspileError;
 /// assert_eq!(cm.num_qubits(), 7);
 /// assert!(cm.are_coupled(1, 3));
 /// assert!(!cm.are_coupled(0, 6));
-/// assert_eq!(cm.distance(0, 6), 4);
+/// assert_eq!(cm.shortest_path(0, 6), Some(vec![0, 1, 3, 5, 6]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CouplingMap {
@@ -142,28 +142,6 @@ impl CouplingMap {
         self.adj[a].binary_search(&b).is_ok()
     }
 
-    /// BFS hop distance between two qubits; `usize::MAX` if unreachable.
-    pub fn distance(&self, from: usize, to: usize) -> usize {
-        if from == to {
-            return 0;
-        }
-        let mut dist = vec![usize::MAX; self.n];
-        dist[from] = 0;
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    if v == to {
-                        return dist[v];
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        usize::MAX
-    }
-
     /// A shortest path from `from` to `to` (inclusive of both endpoints),
     /// or `None` when unreachable.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
@@ -251,15 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn distances_on_h7() {
-        let cm = CouplingMap::ibm_h7();
-        assert_eq!(cm.distance(0, 0), 0);
-        assert_eq!(cm.distance(0, 2), 2);
-        assert_eq!(cm.distance(2, 4), 4);
-        assert_eq!(cm.distance(4, 6), 2);
-    }
-
-    #[test]
     fn shortest_path_endpoints_and_adjacency() {
         let cm = CouplingMap::ibm_h7();
         let p = cm.shortest_path(0, 6).unwrap();
@@ -288,15 +257,14 @@ mod tests {
     #[test]
     fn ring_wraparound_distance() {
         let cm = CouplingMap::ring(6);
-        assert_eq!(cm.distance(0, 5), 1);
-        assert_eq!(cm.distance(0, 3), 3);
+        assert_eq!(cm.shortest_path(0, 5), Some(vec![0, 5]));
+        assert_eq!(cm.shortest_path(0, 3).map(|p| p.len()), Some(4));
     }
 
     #[test]
     fn disconnected_detection() {
         let cm = CouplingMap::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!cm.is_connected());
-        assert_eq!(cm.distance(0, 3), usize::MAX);
         assert!(cm.shortest_path(0, 3).is_none());
         assert!(matches!(
             cm.check_capacity(3),

@@ -1,7 +1,7 @@
 //! The transpilation pipeline and its result object.
 //!
-//! [`Transpiler::run`] chains decomposition → layout → routing → basis
-//! translation → optimization, and [`TranspileResult`] retains the
+//! [`Transpiler::run`] chains decomposition → dense layout → routing →
+//! basis translation → optimization, and [`TranspileResult`] retains the
 //! logical↔physical bookkeeping QuFI needs: "QuFI keeps track of the logical
 //! and physical qubits throughout the transpiling process, and tags the
 //! qubits that are neighbors after the transpiling process" (§IV-C).
@@ -9,26 +9,23 @@
 use crate::basis::{decompose_ccx, translate_to_basis};
 use crate::error::TranspileError;
 use crate::layout::Layout;
-use crate::optimize::{optimize, Level};
-use crate::routing::{route_with, RoutingStrategy};
+use crate::optimize::optimize;
+use crate::routing::route;
 use crate::topology::CouplingMap;
 use qufi_sim::circuit::Op;
 use qufi_sim::QuantumCircuit;
 
-/// Re-export of the optimization [`Level`] under the Qiskit-flavoured name.
-pub type OptimizationLevel = Level;
-
-/// Configures and runs the transpilation pipeline.
+/// Runs the transpilation pipeline for one device.
 ///
 /// # Example
 ///
 /// ```
 /// use qufi_sim::QuantumCircuit;
-/// use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
+/// use qufi_transpile::{CouplingMap, Transpiler};
 ///
 /// let mut qc = QuantumCircuit::new(4, 4);
 /// qc.h(0).cx(0, 3).measure_all();
-/// let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+/// let t = Transpiler::new(CouplingMap::ibm_h7());
 /// let result = t.run(&qc).unwrap();
 /// // Logical qubit 0 now lives on some physical qubit of the device.
 /// let p = result.physical_qubit(0);
@@ -37,24 +34,12 @@ pub type OptimizationLevel = Level;
 #[derive(Debug, Clone)]
 pub struct Transpiler {
     coupling: CouplingMap,
-    level: OptimizationLevel,
-    routing: RoutingStrategy,
 }
 
 impl Transpiler {
-    /// Creates a transpiler for the given device at the given level.
-    pub fn new(coupling: CouplingMap, level: OptimizationLevel) -> Self {
-        Transpiler {
-            coupling,
-            level,
-            routing: RoutingStrategy::ShortestPath,
-        }
-    }
-
-    /// Selects the SWAP-routing strategy (default: shortest-path walking).
-    pub fn with_routing(mut self, strategy: RoutingStrategy) -> Self {
-        self.routing = strategy;
-        self
+    /// Creates a transpiler for the given device.
+    pub fn new(coupling: CouplingMap) -> Self {
+        Transpiler { coupling }
     }
 
     /// Runs the pipeline.
@@ -66,16 +51,9 @@ impl Transpiler {
     pub fn run(&self, qc: &QuantumCircuit) -> Result<TranspileResult, TranspileError> {
         self.coupling.check_capacity(qc.num_qubits())?;
         let decomposed = decompose_ccx(qc);
-        let layout = match self.level {
-            Level::Level0 | Level::Level1 => {
-                Layout::trivial(qc.num_qubits(), self.coupling.num_qubits())
-            }
-            _ => Layout::dense(&self.coupling, qc.num_qubits()),
-        };
-        let routed = route_with(&decomposed, &self.coupling, layout, self.routing)?;
-        let translated = translate_to_basis(&routed.circuit);
-        // `native`: fused runs are resynthesized in the same basis.
-        let optimized = optimize(&translated, self.level, true);
+        let layout = Layout::dense(&self.coupling, qc.num_qubits());
+        let routed = route(&decomposed, &self.coupling, layout)?;
+        let optimized = optimize(&translate_to_basis(&routed.circuit));
         Ok(TranspileResult {
             circuit: optimized,
             final_layout: routed.final_layout,
@@ -179,17 +157,14 @@ mod tests {
     #[test]
     fn all_levels_preserve_semantics_on_h7() {
         let qc = bv3();
-        for level in [Level::Level0, Level::Level1, Level::Level2, Level::Level3] {
-            let t = Transpiler::new(CouplingMap::ibm_h7(), level);
-            let result = t.run(&qc).unwrap();
-            check_equivalence(&qc, &result);
-        }
+        let result = Transpiler::new(CouplingMap::ibm_h7()).run(&qc).unwrap();
+        check_equivalence(&qc, &result);
     }
 
     #[test]
     fn output_uses_only_native_gates_on_coupled_pairs() {
         let qc = bv3();
-        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let result = t.run(&qc).unwrap();
         let cm = CouplingMap::ibm_h7();
         for op in result.circuit().instructions() {
@@ -206,26 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn level3_produces_fewer_or_equal_gates_than_level0() {
-        let qc = bv3();
-        let g0 = Transpiler::new(CouplingMap::ibm_h7(), Level::Level0)
-            .run(&qc)
-            .unwrap()
-            .circuit()
-            .gate_count();
-        let g3 = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3)
-            .run(&qc)
-            .unwrap()
-            .circuit()
-            .gate_count();
-        assert!(g3 <= g0, "level3 ({g3}) worse than level0 ({g0})");
-    }
-
-    #[test]
     fn toffoli_is_transpilable() {
         let mut qc = QuantumCircuit::new(3, 3);
         qc.h(0).h(1).ccx(0, 1, 2).measure_all();
-        let t = Transpiler::new(CouplingMap::line(3), Level::Level2);
+        let t = Transpiler::new(CouplingMap::line(3));
         let result = t.run(&qc).unwrap();
         check_equivalence(&qc, &result);
     }
@@ -233,7 +192,7 @@ mod tests {
     #[test]
     fn neighbor_queries_are_consistent() {
         let qc = bv3();
-        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let result = t.run(&qc).unwrap();
         let pairs = result.coupled_logical_pairs();
         assert!(!pairs.is_empty(), "dense layout must couple some qubits");
@@ -248,7 +207,7 @@ mod tests {
     #[test]
     fn active_qubits_cover_layout() {
         let qc = bv3();
-        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let result = t.run(&qc).unwrap();
         let active = result.active_physical_qubits();
         for l in 0..4 {
@@ -260,7 +219,7 @@ mod tests {
     #[test]
     fn too_wide_circuit_errors() {
         let qc = QuantumCircuit::new(9, 0);
-        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level1);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         assert!(matches!(
             t.run(&qc),
             Err(TranspileError::CircuitTooWide { .. })
@@ -275,7 +234,7 @@ mod tests {
             qc.cx(i, i + 1);
         }
         qc.measure_all();
-        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let result = t.run(&qc).unwrap();
         check_equivalence(&qc, &result);
         assert_eq!(result.active_physical_qubits().len(), 7);

@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use qufi_sim::circuit::Op;
 use qufi_sim::{unitary, Gate, QuantumCircuit, Statevector};
 use qufi_transpile::basis::is_native;
-use qufi_transpile::optimize::{optimize, Level};
-use qufi_transpile::routing::{route_with, RoutingStrategy};
-use qufi_transpile::{CouplingMap, Layout, OptimizationLevel, Transpiler};
+use qufi_transpile::optimize::optimize;
+use qufi_transpile::routing::route;
+use qufi_transpile::{CouplingMap, Layout, Transpiler};
 
 fn arb_gate(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
     let q = 0..n;
@@ -56,20 +56,14 @@ fn arb_device() -> impl Strategy<Value = CouplingMap> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both routing strategies preserve the circuit unitary up to phase.
+    /// Routing preserves the circuit unitary up to phase.
     #[test]
     fn routing_preserves_unitary(
         qc in arb_unitary_circuit(4, 12),
         device in arb_device(),
-        lookahead in any::<bool>(),
     ) {
-        let strategy = if lookahead {
-            RoutingStrategy::Lookahead { window: 4 }
-        } else {
-            RoutingStrategy::ShortestPath
-        };
         let layout = Layout::trivial(4, device.num_qubits());
-        let routed = route_with(&qc, &device, layout, strategy).expect("routes");
+        let routed = route(&qc, &device, layout).expect("routes");
         // Compare distributions from a superposed probe state: run both
         // circuits after H on every logical wire (physical wires for the
         // routed one, through the final layout).
@@ -93,19 +87,16 @@ proptest! {
         }
     }
 
-    /// The optimizer preserves the unitary up to global phase at every level.
+    /// The optimizer preserves the unitary up to global phase.
     #[test]
     fn optimizer_preserves_unitary(qc in arb_unitary_circuit(3, 14)) {
         let reference = unitary::circuit_unitary(&qc).expect("fits");
-        for level in [Level::Level1, Level::Level2, Level::Level3] {
-            let opt = optimize(&qc, level, false);
-            let u = unitary::circuit_unitary(&opt).expect("fits");
-            prop_assert!(
-                u.approx_eq_up_to_phase(&reference, 1e-8),
-                "level {level:?} changed the unitary"
-            );
-            prop_assert!(opt.gate_count() <= qc.gate_count());
-        }
+        let opt = optimize(&qc);
+        let u = unitary::circuit_unitary(&opt).expect("fits");
+        prop_assert!(
+            u.approx_eq_up_to_phase(&reference, 1e-8),
+            "optimization changed the unitary"
+        );
     }
 
     /// The full pipeline emits only native gates and preserves measured
@@ -123,7 +114,7 @@ proptest! {
         measured.measure_all();
         qc = measured;
 
-        let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+        let t = Transpiler::new(CouplingMap::ibm_h7());
         let result = t.run(&qc).expect("transpiles");
         for op in result.circuit().instructions() {
             if let Op::Gate { gate, .. } = op {

@@ -55,5 +55,5 @@ pub mod prelude {
     pub use qufi_core::{qubit_reliability, CampaignResult, ExecError, InjectionRecord};
     pub use qufi_noise::{BackendCalibration, NoiseModel};
     pub use qufi_sim::{Gate, ProbDist, QuantumCircuit};
-    pub use qufi_transpile::{CouplingMap, OptimizationLevel, RoutingStrategy, Transpiler};
+    pub use qufi_transpile::{CouplingMap, Transpiler};
 }

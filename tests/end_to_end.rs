@@ -88,7 +88,7 @@ fn transpiled_faulty_circuit_matches_logical_fault_semantics() {
     let w = bernstein_vazirani(0b101, 3);
     let point = enumerate_injection_points(&w.circuit)[5];
     let faulty = inject_fault(&w.circuit, point, FaultParams::shift(0.7, 1.3)).expect("in range");
-    let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3);
+    let t = Transpiler::new(CouplingMap::ibm_h7());
     let routed = t.run(&faulty).expect("transpiles");
     let logical = IdealExecutor.execute(&faulty).expect("runs");
     let physical = IdealExecutor.execute(routed.circuit()).expect("runs");

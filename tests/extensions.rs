@@ -1,6 +1,6 @@
 //! Integration tests of the extension features layered on the paper's core:
-//! shot-based QVF estimation accuracy, QPE/QEC workloads, campaign
-//! persistence and lookahead routing.
+//! shot-based QVF estimation accuracy, QPE/QEC workloads and campaign
+//! persistence.
 
 use qufi::algos::qec::bit_flip_code;
 use qufi::algos::qpe::quantum_phase_estimation;
@@ -111,14 +111,4 @@ fn campaign_records_roundtrip_through_csv() {
             assert!((a - b).abs() < 1e-5 || (a.is_nan() && b.is_nan()));
         }
     }
-}
-
-#[test]
-fn lookahead_routing_is_usable_by_the_executor_stack() {
-    let w = bernstein_vazirani(0b101, 3);
-    let t = Transpiler::new(CouplingMap::ibm_h7(), OptimizationLevel::Level3)
-        .with_routing(RoutingStrategy::Lookahead { window: 6 });
-    let result = t.run(&w.circuit).expect("transpiles");
-    let dist = IdealExecutor.execute(result.circuit()).expect("runs");
-    assert_eq!(dist.most_probable().0, 0b101);
 }
