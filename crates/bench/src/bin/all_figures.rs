@@ -1,9 +1,12 @@
 //! Runs every figure experiment in sequence (pass `--coarse` to smoke-test).
+//! A figure that fails or cannot be launched does not stop the others, but
+//! the run then exits with status 1.
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
-fn main() {
+fn main() -> ExitCode {
     let coarse = qufi_bench::coarse_requested();
+    let mut failed = Vec::new();
     for fig in [
         "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
     ] {
@@ -16,9 +19,16 @@ fn main() {
             cmd.arg("--coarse");
         }
         match cmd.status() {
-            Ok(s) if s.success() => {}
+            Ok(s) if s.success() => continue,
             Ok(s) => eprintln!("{fig} exited with {s}"),
             Err(e) => eprintln!("could not launch {fig}: {e}"),
         }
+        failed.push(fig);
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("failed figures: {}", failed.join(", "));
+        ExitCode::FAILURE
     }
 }

@@ -31,12 +31,17 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes a CSV artifact and reports the path on stdout.
+/// Writes a CSV artifact and reports the path on stdout. A figure whose
+/// artifact cannot be written has failed: the error goes to stderr and the
+/// binary exits with status 1.
 pub fn write_artifact(name: &str, contents: &str) {
     let path = results_dir().join(name);
     match fs::write(&path, contents) {
         Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  failed to write {}: {e}", path.display()),
+        Err(e) => {
+            eprintln!("  failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 

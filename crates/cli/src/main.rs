@@ -70,6 +70,9 @@ COMMANDS:
              and its checkpoints. See README \"Service & failure model\".
 
 OPTIONS:
+    A command refuses any flag its usage line does not list; --quiet and
+    --verbose apply to every command.
+
     --out DIR      Output directory (default: qufi-runs/<campaign name>)
     --threads N    Override the manifest's worker-thread count
     --budget N     Run only the first N pending points, in manifest order
@@ -140,6 +143,9 @@ fn dispatch(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 struct CommonFlags {
     positional: Vec<String>,
+    /// Every `--flag` given except the global `--quiet`/`--verbose`, for
+    /// [`CommonFlags::only`].
+    given: Vec<String>,
     out: Option<PathBuf>,
     opts: RunOptions,
     dry_run: bool,
@@ -160,6 +166,7 @@ struct CommonFlags {
 fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
     let mut flags = CommonFlags {
         positional: Vec::new(),
+        given: Vec::new(),
         out: None,
         opts: RunOptions::default(),
         dry_run: false,
@@ -178,6 +185,9 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
     };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        if arg.starts_with("--") && !matches!(arg.as_str(), "--quiet" | "--verbose") {
+            flags.given.push(arg.clone());
+        }
         match arg.as_str() {
             "--dry-run" => flags.dry_run = true,
             "--out" => flags.out = Some(PathBuf::from(take_value(&mut iter, "--out")?)),
@@ -233,6 +243,21 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
     Ok(flags)
 }
 
+impl CommonFlags {
+    /// Rejects every flag outside `allowed`, the space-separated flags
+    /// `command`'s usage line lists: a command never ignores a flag it was
+    /// given. `--quiet`/`--verbose` are global (they set the log level).
+    fn only(&self, command: &str, allowed: &str) -> Result<(), CliError> {
+        let listed = |flag: &str| allowed.split_whitespace().any(|a| a == flag);
+        match self.given.iter().find(|f| !listed(f)) {
+            Some(flag) => Err(CliError::usage(format!(
+                "{flag} does not apply to `qufi {command}`"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
 fn take_value(iter: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, CliError> {
     iter.next()
         .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
@@ -273,6 +298,10 @@ fn finish(outcome: qufi_cli::CampaignOutcome, out_dir: &Path, opts: &RunOptions)
 
 fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
+    flags.only(
+        "run",
+        "--out --threads --budget --no-metrics --trace --dry-run",
+    )?;
     let [manifest_path] = &flags.positional[..] else {
         return Err(CliError::usage("run takes exactly one manifest path"));
     };
@@ -291,18 +320,9 @@ fn cmd_run(args: Vec<String>) -> Result<ExitCode, CliError> {
     Ok(finish(outcome, &out_dir, &flags.opts))
 }
 
-/// `--dry-run` must never be silently ignored: outside `qufi run` it would
-/// read as "preview only" while the command does its real work.
-fn reject_dry_run(flags: &CommonFlags) -> Result<(), CliError> {
-    if flags.dry_run {
-        return Err(CliError::usage("--dry-run only applies to `qufi run`"));
-    }
-    Ok(())
-}
-
 fn cmd_resume(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
+    flags.only("resume", "--threads --budget --no-metrics --trace")?;
     let [dir] = &flags.positional[..] else {
         return Err(CliError::usage(
             "resume takes exactly one campaign directory",
@@ -318,7 +338,7 @@ fn cmd_resume(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 fn cmd_export(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
+    flags.only("export", "")?;
     let [dir] = &flags.positional[..] else {
         return Err(CliError::usage(
             "export takes exactly one campaign directory",
@@ -339,7 +359,7 @@ fn cmd_export(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 fn cmd_stats(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
+    flags.only("stats", "--top")?;
     let [dir] = &flags.positional[..] else {
         return Err(CliError::usage(
             "stats takes exactly one campaign directory",
@@ -351,7 +371,7 @@ fn cmd_stats(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 fn cmd_list(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
+    flags.only("list", "")?;
     let (what, rest) = match &flags.positional[..] {
         [what] => (what, None),
         [what, dir] if what == "runs" => (what, Some(PathBuf::from(dir))),
@@ -412,7 +432,6 @@ fn cmd_list(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
     let [sub, target] = &flags.positional[..] else {
         return Err(CliError::usage(
             "shard takes a subcommand and a path: \
@@ -421,6 +440,7 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
     };
     match sub.as_str() {
         "plan" => {
+            flags.only("shard plan", "--out --shards --costs")?;
             let text = std::fs::read_to_string(target)
                 .map_err(|e| CliError::io("reading manifest", target, e))?;
             let manifest = Manifest::from_toml(&text)?;
@@ -441,6 +461,10 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
             Ok(ExitCode::SUCCESS)
         }
         "work" => {
+            flags.only(
+                "shard work",
+                "--worker --shard --lease-timeout-ms --threads",
+            )?;
             let worker = flags.worker.clone().ok_or_else(|| {
                 CliError::usage("shard work needs --worker NAME (unique per process)")
             })?;
@@ -472,6 +496,7 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
             })
         }
         "merge" => {
+            flags.only("shard merge", "")?;
             let report = merge_campaign(Path::new(target))?;
             if !flags.opts.quiet {
                 print!("{}", report.export.summary_table);
@@ -492,7 +517,10 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
 
 fn cmd_serve(args: Vec<String>) -> Result<ExitCode, CliError> {
     let flags = parse_flags(args)?;
-    reject_dry_run(&flags)?;
+    flags.only(
+        "serve",
+        "--addr --out --workers --queue --job-timeout-ms --threads",
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::usage("serve takes no positional arguments"));
     }

@@ -249,6 +249,20 @@ fn the_qufi_binary_runs_lists_and_resumes() {
     // Usage errors exit 1.
     let status = Command::new(bin).args(["frobnicate"]).status().unwrap();
     assert_eq!(status.code(), Some(1));
+    // So does a flag the command does not read, named in the error.
+    let dir_arg = out.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["export", dir_arg, "--threads", "2"], "--threads"),
+        (vec!["shard", "merge", dir_arg, "--budget", "1"], "--budget"),
+    ] {
+        let output = Command::new(bin).args(&args).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{args:?} should be refused");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: stderr does not name {flag}"
+        );
+    }
 
     let _ = fs::remove_dir_all(dir);
 }

@@ -217,16 +217,6 @@ impl CampaignResult {
         improved as f64 / self.records.len() as f64
     }
 
-    /// Records restricted to faults on one qubit (per-qubit heatmaps,
-    /// paper Fig. 6).
-    pub fn records_for_qubit(&self, qubit: usize) -> Vec<InjectionRecord> {
-        self.records
-            .iter()
-            .copied()
-            .filter(|r| r.point.qubit == qubit)
-            .collect()
-    }
-
     /// The distinct qubits that received injections.
     pub fn injected_qubits(&self) -> Vec<usize> {
         let mut qs: Vec<usize> = self.records.iter().map(|r| r.point.qubit).collect();
@@ -634,23 +624,5 @@ mod tests {
         result.merge_records(vec![rec(0, 0.0, 0.9), rec(2, 0.0, 0.7), rec(0, -0.0, 0.8)]);
         let qvfs: Vec<f64> = result.records.iter().map(|r| r.qvf).collect();
         assert_eq!(qvfs, vec![0.2, 0.3, 0.1, 0.7]);
-    }
-
-    #[test]
-    fn per_qubit_filter_partitions_records() {
-        let w = bernstein_vazirani(0b11, 2);
-        let opts = CampaignOptions {
-            grid: FaultGrid::coarse(),
-            points: None,
-            threads: 0,
-        };
-        let res =
-            run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
-        let total: usize = res
-            .injected_qubits()
-            .iter()
-            .map(|&q| res.records_for_qubit(q).len())
-            .sum();
-        assert_eq!(total, res.len());
     }
 }

@@ -53,8 +53,8 @@ use qufi_noise::trajectory::{
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
-    BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, ObservedMask,
-    Op, ProbDist, QuantumCircuit, Statevector,
+    BatchedDensity, BatchedStatevector, DensityMatrix, ObservedMask, Op, ProbDist, QuantumCircuit,
+    Statevector,
 };
 use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
@@ -377,11 +377,11 @@ fn gates_in(qc: &QuantumCircuit, range: std::ops::Range<usize>) -> usize {
         .count()
 }
 
-/// Applies instructions `[from, upto)` of `qc` to a borrowed state — the
-/// cursor-advance loop without cursor ownership, so replays can evolve a
-/// copy of a parked snapshot. Bit-identical to
-/// [`CircuitCursor::advance_to`] by construction (same loop).
-fn advance_state<S: EvolvableState>(state: &mut S, qc: &QuantumCircuit, from: usize, upto: usize) {
+/// Applies the gates among instructions `[from, upto)` of `qc` to `state`,
+/// skipping barriers and measurements exactly as
+/// [`Statevector::from_circuit`] does, so a prefix parked at `from` and
+/// finished here is bit-identical to a straight run.
+fn advance_state(state: &mut Statevector, qc: &QuantumCircuit, from: usize, upto: usize) {
     for op in &qc.ops()[from..upto] {
         if let Op::Gate { gate, qubits } = op {
             state.apply_gate(*gate, qubits);
@@ -425,7 +425,8 @@ fn mark(
 struct IdealPrepared {
     circuit: QuantumCircuit,
     sites: Vec<SpliceSite>,
-    prefix: CircuitCursor<Statevector>,
+    /// The state after instructions `[0, sites[0].index)`.
+    prefix: Statevector,
 }
 
 impl IdealPrepared {
@@ -445,8 +446,8 @@ impl IdealPrepared {
             .map(|qubit| SpliceSite { index, qubit })
             .collect();
         let prefix_span = qufi_obs::span("prepare.prefix_ns");
-        let mut prefix = CircuitCursor::<Statevector>::start(qc).map_err(ExecError::Sim)?;
-        prefix.advance_to(qc, index);
+        let mut prefix = Statevector::new(qc.num_qubits()).map_err(ExecError::Sim)?;
+        advance_state(&mut prefix, qc, 0, index);
         prefix_span.finish();
         Ok(IdealPrepared {
             circuit: qc.clone(),
@@ -458,8 +459,8 @@ impl IdealPrepared {
 
 impl SweepPoint for IdealPrepared {
     fn replay(&self, faults: &[FaultParams]) -> ProbDist {
-        let mut sv = self.prefix.state().clone();
-        let mut pos = self.prefix.position();
+        let mut sv = self.prefix.clone();
+        let mut pos = self.sites[0].index;
         for (site, fault) in self.sites.iter().zip(faults) {
             advance_state(&mut sv, &self.circuit, pos, site.index);
             pos = site.index;
@@ -478,7 +479,7 @@ impl SweepPoint for IdealPrepared {
     /// Single-site points batch; the prefix always stops at the site.
     fn block_width(&self) -> usize {
         if self.sites.len() == 1 {
-            block_width(self.prefix.state().amplitudes().len())
+            block_width(self.prefix.amplitudes().len())
         } else {
             1
         }
@@ -489,18 +490,18 @@ impl SweepPoint for IdealPrepared {
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let site = &self.sites[0];
         let mats = injector_matrices(faults);
-        let mut batch = BatchedStatevector::broadcast(self.prefix.state(), faults.len());
+        let mut batch = BatchedStatevector::broadcast(&self.prefix, faults.len());
         batch.apply_matrix_per_cell(&mats, site.qubit);
         advance_batched(&mut batch, &self.circuit, site.index, self.circuit.size());
         let map = self.circuit.measurement_map();
         let clbits = self.circuit.num_clbits();
         (0..faults.len())
-            .map(|c| finish_readout(&batch.probabilities(c), &[], &map, clbits))
+            .map(|c| finish_readout(batch.probabilities(c), &[], &map, clbits))
             .collect()
     }
 
     fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
-        (&self.circuit, self.prefix.position())
+        (&self.circuit, self.sites[0].index)
     }
 }
 
@@ -775,7 +776,7 @@ impl SweepPoint for PhysicalSweep<'_> {
             .iter()
             .enumerate()
             .map(|(c, fault)| {
-                let exact = finish_readout(&batch.probabilities(c), errors, &map, clbits);
+                let exact = finish_readout(batch.probabilities(c), errors, &map, clbits);
                 self.finish(exact, std::slice::from_ref(fault))
             })
             .collect()

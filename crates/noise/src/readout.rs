@@ -71,19 +71,19 @@ impl ReadoutError {
 
 /// Applies per-qubit readout errors to a distribution over qubit outcomes.
 /// Entry `i` of `errors` applies to bit `i`; `None` means ideal readout.
-pub fn apply_readout_errors(dist: &ProbDist, errors: &[Option<ReadoutError>]) -> ProbDist {
-    let mut out = dist.clone();
+/// Without an error that applies, `dist` comes back as it went in.
+pub fn apply_readout_errors(mut dist: ProbDist, errors: &[Option<ReadoutError>]) -> ProbDist {
     for (bit, err) in errors.iter().enumerate() {
         if bit >= dist.num_bits() {
             break;
         }
         if let Some(e) = err {
             if !e.is_ideal() {
-                out = e.apply_to_qubit(&out, bit);
+                dist = e.apply_to_qubit(&dist, bit);
             }
         }
     }
-    out
+    dist
 }
 
 /// Finishes a run's qubit distribution into the one a program reads:
@@ -93,7 +93,7 @@ pub fn apply_readout_errors(dist: &ProbDist, errors: &[Option<ReadoutError>]) ->
 /// confused qubit distribution. The one readout finish of the density,
 /// trajectory and batched replay paths.
 pub fn finish_readout(
-    dist: &ProbDist,
+    dist: ProbDist,
     errors: &[Option<ReadoutError>],
     map: &[(usize, usize)],
     num_clbits: usize,
@@ -136,7 +136,7 @@ mod tests {
             Some(ReadoutError::ideal()),
         ];
         let d = ProbDist::delta(0b000, 3);
-        let out = apply_readout_errors(&d, &errs);
+        let out = apply_readout_errors(d, &errs);
         // Only bit 0 is scrambled.
         assert!((out.prob(0b000) - 0.5).abs() < 1e-12);
         assert!((out.prob(0b001) - 0.5).abs() < 1e-12);

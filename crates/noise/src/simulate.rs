@@ -316,7 +316,7 @@ impl<'m> NoisyCursor<'m> {
     /// buffer ([`NoisyCursor::into_state`]) for the next replay.
     pub fn finish_dist(&self, qc: &QuantumCircuit) -> ProbDist {
         finish_readout(
-            &self.rho.probabilities(),
+            self.rho.probabilities(),
             self.model.readout_errors(),
             &qc.measurement_map(),
             qc.num_clbits(),
@@ -452,7 +452,7 @@ mod tests {
         for k in 0..=qc.size() {
             let mut prefix = NoisyCursor::start(&qc, &model).unwrap();
             prefix.advance_to(&qc, k);
-            let snapshot = prefix.state().snapshot();
+            let snapshot = prefix.state().clone();
             let mut resumed = NoisyCursor::resume(snapshot, &model, k);
             resumed.advance_to_end(&qc);
             let dist = resumed.finish(&qc);

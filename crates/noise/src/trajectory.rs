@@ -374,7 +374,7 @@ pub fn finish_trajectory_dist(
     qc: &QuantumCircuit,
 ) -> ProbDist {
     finish_readout(
-        &ProbDist::from_probs(mean_probs, num_qubits),
+        ProbDist::from_probs(mean_probs, num_qubits),
         model.readout_errors(),
         &qc.measurement_map(),
         qc.num_clbits(),
@@ -553,7 +553,7 @@ mod tests {
                 let mut rng = SmallRng::seed_from_u64(41);
                 let mut cursor = TrajectoryCursor::start(&plan).unwrap();
                 cursor.advance_planned(&plan, split, &mut rng, &mut ws);
-                let parked = cursor.state().snapshot();
+                let parked = cursor.state().clone();
                 assert_eq!(cursor.position(), split);
                 let mut rng = SmallRng::seed_from_u64(42);
                 let mut resumed = TrajectoryCursor::resume(parked, split);

@@ -56,7 +56,7 @@ pub struct QuantumCircuit {
     num_qubits: usize,
     num_clbits: usize,
     ops: Vec<Op>,
-    /// Optional human-readable name (used in reports and QASM comments).
+    /// Optional human-readable name (used in reports).
     pub name: String,
 }
 

@@ -275,14 +275,6 @@ impl DensityMatrix {
         acc.re
     }
 
-    /// An independent copy of the state — one `memcpy` of the `4^n`-entry
-    /// density buffer. The sweep engine snapshots a prefix evolution once
-    /// and replays many fault suffixes from the copies; mutating a
-    /// snapshot never affects the original.
-    pub fn snapshot(&self) -> DensityMatrix {
-        self.clone()
-    }
-
     /// Raw row-major buffer — the batched replay engine broadcasts it into
     /// a cell-major block.
     pub(crate) fn raw(&self) -> &[Complex] {

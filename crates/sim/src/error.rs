@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-/// Errors produced by circuit construction, simulation or QASM handling.
+/// Errors produced by circuit construction or simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A qubit index was out of range for the circuit/register.
@@ -34,13 +34,6 @@ pub enum SimError {
     /// The circuit contains no measurement but a measured distribution was
     /// requested.
     NoMeasurements,
-    /// OpenQASM parsing failed.
-    QasmParse {
-        /// 1-based line of the failure.
-        line: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
     /// A gate that cannot be inverted symbolically (none currently) or other
     /// unsupported operation.
     Unsupported(String),
@@ -65,9 +58,6 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::NoMeasurements => write!(f, "circuit has no measurements"),
-            SimError::QasmParse { line, reason } => {
-                write!(f, "QASM parse error at line {line}: {reason}")
-            }
             SimError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
         }
     }
@@ -83,11 +73,6 @@ mod tests {
     fn display_messages_are_lowercase_and_concise() {
         let e = SimError::QubitOutOfRange { qubit: 9, width: 4 };
         assert_eq!(e.to_string(), "qubit 9 out of range for width 4");
-        let e = SimError::QasmParse {
-            line: 3,
-            reason: "unknown gate foo".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
     }
 
     #[test]

@@ -11,13 +11,8 @@
 //! * [`DensityMatrix`] — exact mixed-state simulation supporting Kraus
 //!   channels, over which noise models and faults are applied (the
 //!   "simulation of a physical machine" scenario).
-//! * [`CircuitCursor`] — resumable evolution for both engines: run a prefix
-//!   once, snapshot, and replay many suffixes bit-identically (the substrate
-//!   of the forked-state fault-sweep engine in `qufi-core`).
 //! * [`ProbDist`] / [`Counts`] — output probability distributions and
 //!   finite-shot sampling (the paper uses 1024 shots per circuit).
-//! * [`qasm`] — OpenQASM 2.0 export/import so faulty circuits can be run on
-//!   other systems, mirroring QuFI's QASM export capability.
 //!
 //! # Conventions
 //!
@@ -43,12 +38,10 @@
 pub mod batch;
 pub mod circuit;
 pub mod counts;
-pub mod cursor;
 pub mod density;
 pub mod error;
 pub mod gate;
 mod kernel;
-pub mod qasm;
 pub mod statevector;
 pub mod unitary;
 pub mod workspace;
@@ -58,7 +51,6 @@ pub use batch::{
 };
 pub use circuit::{Instruction, Op, QuantumCircuit};
 pub use counts::{Counts, ProbDist};
-pub use cursor::{CircuitCursor, EvolvableState};
 pub use density::DensityMatrix;
 pub use error::SimError;
 pub use gate::Gate;

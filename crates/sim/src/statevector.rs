@@ -144,18 +144,10 @@ impl Statevector {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// An independent copy of the state — one `memcpy` of the `2^n`
-    /// amplitude buffer. The sweep engine snapshots a prefix evolution
-    /// once and replays many fault suffixes from the copies; mutating a
-    /// snapshot never affects the original.
-    pub fn snapshot(&self) -> Statevector {
-        self.clone()
-    }
-
     /// Overwrites this state with a copy of `src`, reusing the existing
     /// amplitude buffer when it is large enough — the allocation-free
-    /// counterpart of [`Statevector::snapshot`] for shot loops that
-    /// restore a parked prefix state into one reused shot state.
+    /// counterpart of [`Clone::clone`] for shot loops that restore a parked
+    /// prefix state into one reused shot state.
     pub fn copy_from(&mut self, src: &Statevector) {
         qufi_obs::add("sim.state_copies", 1);
         self.n = src.n;

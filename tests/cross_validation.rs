@@ -1,11 +1,11 @@
 //! Cross-engine and cross-pass validation: the statevector and
-//! density-matrix simulators, the transpiler, and the QASM serializer must
-//! all agree on circuit semantics. Property-based tests drive random
-//! circuits through every pair of paths.
+//! density-matrix simulators, the transpiler, and the ideal sweep's parked
+//! prefix must all agree on circuit semantics. Property-based tests drive
+//! random circuits through every pair of paths.
 
 use proptest::prelude::*;
 use qufi::prelude::*;
-use qufi::sim::{qasm, DensityMatrix, Statevector};
+use qufi::sim::{DensityMatrix, Statevector};
 
 /// A random gate on up to `n` qubits.
 fn arb_gate(n: usize) -> impl Strategy<Value = (Gate, Vec<usize>)> {
@@ -48,6 +48,27 @@ fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = QuantumCircu
     })
 }
 
+/// A random measured circuit with a full-register barrier after random
+/// gates. Barriers are instructions but not gates, so a prefix that counts
+/// one where it should count the other parks at the wrong place.
+fn arb_barriered_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = QuantumCircuit> {
+    prop::collection::vec((arb_gate(n), any::<bool>()), 1..max_gates).prop_map(move |gates| {
+        let mut qc = QuantumCircuit::new(n, n);
+        for ((g, qs), barrier) in gates {
+            qc.append(g, &qs);
+            if barrier {
+                qc.barrier(&[]);
+            }
+        }
+        qc.measure_all();
+        qc
+    })
+}
+
+fn prob_bits(dist: &ProbDist) -> Vec<u64> {
+    (0..dist.len()).map(|i| dist.prob(i).to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -83,14 +104,27 @@ proptest! {
         );
     }
 
-    /// QASM export/import round-trips semantics.
+    /// The ideal sweep parks the statevector at the injection point once;
+    /// every replay from it equals the naive oracle (the fault spliced in,
+    /// the whole circuit run from scratch) bit for bit, including a replay
+    /// that follows another one.
     #[test]
-    fn qasm_roundtrip(qc in arb_circuit(3, 15)) {
-        let text = qasm::to_qasm(&qc);
-        let back = qasm::from_qasm(&text).expect("parses");
-        let a = Statevector::from_circuit(&qc).expect("fits").measurement_distribution(&qc);
-        let b = Statevector::from_circuit(&back).expect("fits").measurement_distribution(&back);
-        prop_assert!(a.tv_distance(&b) < 1e-9);
+    fn parked_prefix_replays_match_straight_runs(
+        qc in arb_barriered_circuit(4, 20),
+        point_sel in 0usize..64,
+        theta_a in 0.0..std::f64::consts::PI,
+        phi_a in 0.0..(2.0 * std::f64::consts::PI),
+        theta_b in 0.0..std::f64::consts::PI,
+        phi_b in 0.0..(2.0 * std::f64::consts::PI),
+    ) {
+        let points = enumerate_injection_points(&qc);
+        let point = points[point_sel % points.len()];
+        let prepared = IdealExecutor.prepare(&qc, point).expect("in range");
+        for fault in [FaultParams::shift(theta_a, phi_a), FaultParams::shift(theta_b, phi_b)] {
+            let parked = prepared.replay(fault).expect("replays");
+            let straight = prepared.replay_naive(fault).expect("replays");
+            prop_assert_eq!(prob_bits(&parked), prob_bits(&straight));
+        }
     }
 
     /// A (0,0) fault injected anywhere is invisible on every backend path.

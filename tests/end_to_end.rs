@@ -2,7 +2,6 @@
 //! noise → injector → metric → reports.
 
 use qufi::prelude::*;
-use qufi::sim::qasm;
 
 #[test]
 fn every_workload_survives_the_full_noisy_pipeline() {
@@ -63,21 +62,6 @@ fn campaign_to_reports_roundtrip() {
     let csv = qufi::core::report::records_to_csv(&res.records);
     assert_eq!(csv.lines().count(), res.len() + 1);
     assert!(csv.lines().next().expect("header").contains("qvf"));
-}
-
-#[test]
-fn faulty_circuits_export_to_qasm_and_back() {
-    // The paper: faulty circuits "can even be exported as QASM files to
-    // load and execute the circuits on different systems" (§IV-B).
-    let w = bernstein_vazirani(0b101, 3);
-    let point = enumerate_injection_points(&w.circuit)[3];
-    let faulty = inject_fault(&w.circuit, point, FaultParams::shift(1.0, 2.0)).expect("in range");
-    let text = qasm::to_qasm(&faulty);
-    assert!(text.contains("u("), "injector gate missing from QASM");
-    let back = qasm::from_qasm(&text).expect("parses");
-    let a = IdealExecutor.execute(&faulty).expect("runs");
-    let b = IdealExecutor.execute(&back).expect("runs");
-    assert!(a.tv_distance(&b) < 1e-9);
 }
 
 #[test]
