@@ -8,6 +8,7 @@
 //! bit-reproducible no matter how the thread pool interleaves work or
 //! how often a campaign is interrupted and resumed.
 
+use crate::checkpoint::JobMeta;
 use crate::error::CliError;
 use crate::manifest::{ExecutorKind, Manifest};
 use qufi_core::campaign::{golden_outputs, run_point_sweep_parallel};
@@ -123,42 +124,54 @@ impl JobRuntime {
     /// Unknown names (normally caught by manifest validation) and
     /// execution failures of the fault-free circuit.
     pub fn prepare(manifest: &Manifest, spec: &JobSpec) -> Result<Self, CliError> {
-        let workload = qufi_algos::build_workload(&spec.workload)
-            .map_err(|e| CliError::manifest(e.to_string()))?;
-        // Per-point seeds hash (campaign seed, job id, op index, qubit).
-        let seeds = SeedHasher::new()
-            .mix_u64(manifest.seed)
-            .mix_bytes(spec.id().as_bytes())
-            .clone();
-        let executor = match manifest.executor {
-            ExecutorKind::Ideal => JobExecutor::Ideal,
-            ExecutorKind::Noisy => {
-                JobExecutor::Noisy(Box::new(NoisyExecutor::new(scaled_calibration(spec)?)))
-            }
-            ExecutorKind::Hardware => JobExecutor::Hardware {
-                calibration: scaled_calibration(spec)?,
-                shots: manifest.shots,
-                drift: manifest.drift,
-                seeds,
-            },
-            ExecutorKind::Trajectory => JobExecutor::Trajectory {
-                calibration: scaled_calibration(spec)?,
-                shots: manifest.shots,
-                seeds,
-            },
-        };
-        let golden = golden_outputs(&workload.circuit)?;
-        let dist = executor.with_point(BASELINE_POINT, |ex| ex.execute(&workload.circuit))?;
+        let (circuit, executor) = resolve(manifest, spec)?;
+        let golden = golden_outputs(&circuit)?;
+        let dist = executor.with_point(BASELINE_POINT, |ex| ex.execute(&circuit))?;
         let baseline_qvf = qufi_core::metrics::qvf_from_dist(&dist, &golden);
-        let points = enumerate_injection_points(&workload.circuit);
-        Ok(JobRuntime {
-            spec: spec.clone(),
-            circuit: workload.circuit,
+        Ok(JobRuntime::assemble(
+            spec.clone(),
+            circuit,
+            executor,
             golden,
             baseline_qvf,
-            points,
+        ))
+    }
+
+    /// The runtime of a job whose golden outputs and baseline QVF were
+    /// measured by [`JobRuntime::prepare`] when `meta` was written: the
+    /// circuit, executor and points are resolved as `prepare` resolves
+    /// them, and nothing is executed.
+    ///
+    /// # Errors
+    ///
+    /// Unknown workload or backend names.
+    pub fn from_meta(manifest: &Manifest, meta: &JobMeta) -> Result<Self, CliError> {
+        let spec = meta.spec();
+        let (circuit, executor) = resolve(manifest, &spec)?;
+        Ok(JobRuntime::assemble(
+            spec,
+            circuit,
             executor,
-        })
+            meta.golden.clone(),
+            meta.baseline_qvf,
+        ))
+    }
+
+    fn assemble(
+        spec: JobSpec,
+        circuit: QuantumCircuit,
+        executor: JobExecutor,
+        golden: Vec<usize>,
+        baseline_qvf: f64,
+    ) -> Self {
+        JobRuntime {
+            spec,
+            points: enumerate_injection_points(&circuit),
+            circuit,
+            golden,
+            baseline_qvf,
+            executor,
+        }
     }
 
     /// Runs the full grid at one injection point — the scheduling unit.
@@ -193,6 +206,35 @@ impl JobRuntime {
                 run_point_sweep_parallel(&self.circuit, &self.golden, ex, point, grid, grid_threads)
             })
     }
+}
+
+/// The job's workload circuit and executor.
+fn resolve(manifest: &Manifest, spec: &JobSpec) -> Result<(QuantumCircuit, JobExecutor), CliError> {
+    let workload = qufi_algos::build_workload(&spec.workload)
+        .map_err(|e| CliError::manifest(e.to_string()))?;
+    // Per-point seeds hash (campaign seed, job id, op index, qubit).
+    let seeds = SeedHasher::new()
+        .mix_u64(manifest.seed)
+        .mix_bytes(spec.id().as_bytes())
+        .clone();
+    let executor = match manifest.executor {
+        ExecutorKind::Ideal => JobExecutor::Ideal,
+        ExecutorKind::Noisy => {
+            JobExecutor::Noisy(Box::new(NoisyExecutor::new(scaled_calibration(spec)?)))
+        }
+        ExecutorKind::Hardware => JobExecutor::Hardware {
+            calibration: scaled_calibration(spec)?,
+            shots: manifest.shots,
+            drift: manifest.drift,
+            seeds,
+        },
+        ExecutorKind::Trajectory => JobExecutor::Trajectory {
+            calibration: scaled_calibration(spec)?,
+            shots: manifest.shots,
+            seeds,
+        },
+    };
+    Ok((workload.circuit, executor))
 }
 
 impl JobExecutor {
@@ -384,6 +426,29 @@ mod tests {
         let rt2 = JobRuntime::prepare(&m, &jobs[0]).unwrap();
         assert_eq!(rt2.run_point_split(p1, &grid, 2).unwrap(), a);
         assert_eq!(rt2.baseline_qvf, rt.baseline_qvf);
+    }
+
+    #[test]
+    fn from_meta_takes_the_stored_measurements_and_runs_points_alike() {
+        let m = Manifest::from_toml(
+            "[campaign]\nname = \"t\"\nseed = 9\nexecutor = \"trajectory\"\nshots = 64\n\
+             workloads = [\"bv-3\"]\nbackends = [\"lima\"]\n",
+        )
+        .unwrap();
+        let jobs = job_matrix(&m);
+        let rt = JobRuntime::prepare(&m, &jobs[0]).unwrap();
+        // A baseline no execution measured: `from_meta` must carry it over.
+        let mut meta = JobMeta::from_runtime(&rt);
+        meta.baseline_qvf = 0.5;
+        let stored = JobRuntime::from_meta(&m, &meta).unwrap();
+        assert_eq!(JobMeta::from_runtime(&stored), meta);
+        assert_eq!(stored.points, rt.points);
+        let grid = FaultGrid::custom(vec![0.0, 1.0], vec![0.0]);
+        let p = rt.points[1];
+        assert_eq!(
+            stored.run_point(p, &grid).unwrap(),
+            rt.run_point(p, &grid).unwrap()
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The plan document at the campaign root.
 pub const PLAN_FILE: &str = "shard-plan.json";
@@ -76,6 +76,9 @@ pub const MAX_UNIT_FAILURES: u64 = 3;
 const RETRY_ATTEMPTS: u32 = 5;
 const RETRY_BASE: Duration = Duration::from_millis(5);
 const RETRY_CAP: Duration = Duration::from_millis(200);
+/// How often a worker whose outstanding units are all held elsewhere
+/// looks for their done and poison markers between full rescans.
+const MARKER_SLICE: Duration = Duration::from_millis(5);
 
 /// What `shard plan` produced.
 #[derive(Debug)]
@@ -374,6 +377,11 @@ fn poison_path(out_dir: &Path, unit: &str) -> PathBuf {
     out_dir.join(POISONED_DIR).join(format!("{unit}.txt"))
 }
 
+/// Whether `unit` has a done or poison marker: no worker runs it again.
+fn finished(out_dir: &Path, unit: &str) -> bool {
+    done_path(out_dir, unit).exists() || poison_path(out_dir, unit).exists()
+}
+
 fn unit_file(out_dir: &Path, unit: &str, worker: &str) -> PathBuf {
     out_dir
         .join(SHARDS_DIR)
@@ -427,30 +435,35 @@ pub fn work_campaign(out_dir: &Path, opts: &WorkOptions) -> Result<WorkReport, C
     loop {
         let mut outstanding = 0usize;
         let mut progressed = false;
+        // Outstanding units this pass did not finish: held by other
+        // workers, or failed here and released for a retry.
+        let mut unfinished: Vec<&WorkUnit> = Vec::new();
         for unit in &order {
-            if done_path(out_dir, &unit.id).exists() || poison_path(out_dir, &unit.id).exists() {
+            if finished(out_dir, &unit.id) {
                 continue;
             }
             outstanding += 1;
             let lease = match claim_with_retry(&units_dir, &unit.id, &cfg)? {
                 Claim::Acquired(lease) => lease,
-                Claim::Miss(_) => continue,
+                Claim::Miss(_) => {
+                    unfinished.push(unit);
+                    continue;
+                }
             };
             let stolen = lease.took_over;
             let runtime = match runtimes.entry(unit.job.clone()) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    let spec = store
-                        .load_meta(&unit.job)?
-                        .ok_or_else(|| {
-                            CliError::shard(format!(
-                                "unit {} references job {} with no checkpoint metadata; \
-                                 re-run `qufi shard plan`",
-                                unit.id, unit.job
-                            ))
-                        })?
-                        .spec();
-                    e.insert(JobRuntime::prepare(&manifest, &spec)?)
+                    // The plan measured golden outputs and the baseline
+                    // into the job's metadata; workers never re-run them.
+                    let meta = store.load_meta(&unit.job)?.ok_or_else(|| {
+                        CliError::shard(format!(
+                            "unit {} references job {} with no checkpoint metadata; \
+                             re-run `qufi shard plan`",
+                            unit.id, unit.job
+                        ))
+                    })?;
+                    e.insert(JobRuntime::from_meta(&manifest, &meta)?)
                 }
             };
             match execute_unit(out_dir, runtime, &grid, unit, &lease, &cfg, opts) {
@@ -486,6 +499,7 @@ pub fn work_campaign(out_dir: &Path, opts: &WorkOptions) -> Result<WorkReport, C
                         qufi_obs::add("shard.units_poisoned", 1);
                     }
                     release_if_mine(lease);
+                    unfinished.push(unit);
                     continue;
                 }
             }
@@ -498,11 +512,29 @@ pub fn work_campaign(out_dir: &Path, opts: &WorkOptions) -> Result<WorkReport, C
             // Everything left is held by (or poisoned-pending from)
             // other workers; wait for their heartbeats to go stale or
             // their done markers to appear.
-            std::thread::sleep(poll);
+            wait_for_markers(out_dir, &unfinished, poll);
         }
     }
     qufi_obs::flush();
     Ok(report)
+}
+
+/// Sleeps for `poll`, the claim and takeover rescan cadence, but returns
+/// as soon as every unit in `unfinished` has a done or poison marker: the
+/// rescan that follows then finds nothing left, and the worker exits
+/// right after the last unit finishes instead of up to `poll` later.
+fn wait_for_markers(out_dir: &Path, unfinished: &[&WorkUnit], poll: Duration) {
+    let deadline = Instant::now() + poll;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        std::thread::sleep(left.min(MARKER_SLICE));
+        if unfinished.iter().all(|u| finished(out_dir, &u.id)) {
+            return;
+        }
+    }
 }
 
 /// `try_claim` with transient failures retried on the deterministic
@@ -557,9 +589,10 @@ fn with_heartbeat(
 ) -> Result<(), CliError> {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        scope.spawn(|| heartbeat_loop(lease, cfg, &stop));
+        let heartbeat = scope.spawn(|| heartbeat_loop(lease, cfg, &stop));
         let result = panic::catch_unwind(AssertUnwindSafe(body));
         stop.store(true, Ordering::SeqCst);
+        heartbeat.thread().unpark();
         result.unwrap_or_else(|payload| {
             let message =
                 qufi_serve::panic_message(&*payload).unwrap_or_else(|| "unit panicked".to_string());
@@ -568,24 +601,27 @@ fn with_heartbeat(
     })
 }
 
-/// Refreshes the lease on the heartbeat cadence until told to stop.
-/// Refresh failures are logged and retried next beat — a missed beat
-/// only matters if it persists past the takeover timeout, at which
-/// point the dedup merge makes double execution harmless anyway.
+/// Refreshes the lease on the heartbeat cadence until told to stop. The
+/// thread parks between beats and the stopper unparks it, so a stop ends
+/// the loop at once rather than at the next poll of the flag. Refresh
+/// failures are logged and retried next beat — a missed beat only
+/// matters if it persists past the takeover timeout, at which point the
+/// dedup merge makes double execution harmless anyway.
 fn heartbeat_loop(lease: &Lease, cfg: &LeaseConfig, stop: &AtomicBool) {
     let beat = cfg.heartbeat_interval();
-    let slice = Duration::from_millis(5).min(beat);
     loop {
-        let mut waited = Duration::ZERO;
-        while waited < beat {
+        let next = Instant::now() + beat;
+        loop {
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            std::thread::sleep(slice);
-            waited += slice;
-        }
-        if stop.load(Ordering::SeqCst) {
-            return;
+            let left = next.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            // Parking may end early (an unpark or spuriously); the loop
+            // re-checks the flag and the deadline.
+            std::thread::park_timeout(left);
         }
         if let Err(e) = lease.refresh() {
             qufi_obs::add("lease.refresh_failures", 1);
@@ -1021,6 +1057,42 @@ mod tests {
         let report = plan_campaign(&m, &dir, 2, None).unwrap();
         assert_eq!(report.cost_source, "measured");
         assert!(report.plan.units.iter().all(|u| u.cost >= 1));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn waiting_worker_wakes_on_markers_and_keeps_the_rescan_cadence() {
+        let dir = temp_dir("markers");
+        fs::create_dir_all(dir.join(UNITS_DIR)).unwrap();
+        fs::create_dir_all(dir.join(POISONED_DIR)).unwrap();
+        let unit = |id: &str| WorkUnit {
+            id: id.into(),
+            job: "j".into(),
+            point: InjectionPoint {
+                op_index: 0,
+                qubit: 0,
+            },
+            cost: 1,
+            shard: 0,
+        };
+        let (done, poisoned, held) = (unit("u0"), unit("u1"), unit("u2"));
+        fs::write(done_path(&dir, "u0"), "w\n").unwrap();
+        fs::write(poison_path(&dir, "u1"), "failed\n").unwrap();
+
+        let start = Instant::now();
+        wait_for_markers(&dir, &[&done, &poisoned], Duration::from_secs(30));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "finished units must end the wait early"
+        );
+
+        let poll = Duration::from_millis(50);
+        let start = Instant::now();
+        wait_for_markers(&dir, &[&done, &held], poll);
+        assert!(
+            start.elapsed() >= poll,
+            "a unit without a marker keeps the full rescan cadence"
+        );
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -2,7 +2,8 @@
 //! byte under `results/` is identical with metrics on or off, with or
 //! without `--trace`, at any thread count — and the metrics a run *does*
 //! record have to be internally consistent (Σ per-point replay counts =
-//! points × grid size) and nest correctly as a span tree.
+//! points × grid size, trajectory sampler totals as counted per draw) and
+//! nest correctly as a span tree.
 //!
 //! The recorder is process-global, so every scenario runs inside one
 //! `#[test]` (Rust runs tests in one binary concurrently); the `#[ignore]`d
@@ -48,6 +49,35 @@ backends = ["lima"]
 thetas = [0.0, 3.141592653589793]
 phis = [0.0, 3.141592653589793]
 "#;
+
+/// Trajectory (Monte-Carlo statevector) scenario: shot streams and the
+/// sampler's telemetry tallies.
+const TRAJECTORY: &str = r#"
+[campaign]
+name = "metrics-trajectory"
+seed = 5
+shots = 64
+executor = "trajectory"
+workloads = ["bv-3"]
+backends = ["lima"]
+
+[grid]
+thetas = [0.0, 3.141592653589793]
+phis = [0.0, 3.141592653589793]
+"#;
+
+/// The trajectory scenario's sampler counters, as counting each draw,
+/// branch evaluation and state copy where it happens records them. The
+/// shot loops tally these in their workspaces and add each total once,
+/// so the totals must come out the same: `traj.shots` is (8 points × 4
+/// cells + 1 baseline) × 64 shots, and every shot makes 12 draws.
+const TRAJECTORY_COUNTERS: [(&str, u64); 5] = [
+    ("traj.shots", 2112),
+    ("traj.branch_draws", 25344),
+    ("traj.branch_evals", 25730),
+    ("traj.branch_fallback", 0),
+    ("sim.state_copies", 28290),
+];
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -188,6 +218,16 @@ fn check_metrics_consistency(manifest: &Manifest, dir: &Path, tag: &str) {
         .get("campaign.total_ns")
         .unwrap_or_else(|| panic!("{tag}: missing campaign.total_ns"));
     assert_eq!(total.count, 1, "{tag}: exactly one campaign.total_ns span");
+
+    if tag == "trajectory" {
+        for (name, want) in TRAJECTORY_COUNTERS {
+            assert_eq!(
+                counter(name),
+                want,
+                "{tag}: {name} must equal the per-draw count"
+            );
+        }
+    }
 }
 
 fn check_trace(dir: &Path, tag: &str) {
@@ -230,7 +270,11 @@ fn exports_are_byte_identical_with_metrics_on_off_and_any_thread_count() {
             threads: 4,
         },
     ];
-    for (tag, text) in [("noisy", NOISY), ("hardware", HARDWARE)] {
+    for (tag, text) in [
+        ("noisy", NOISY),
+        ("hardware", HARDWARE),
+        ("trajectory", TRAJECTORY),
+    ] {
         let manifest = Manifest::from_toml(text).unwrap();
         let reference = run_variant(&manifest, tag, &variants[0]);
         for v in &variants[1..] {

@@ -1051,11 +1051,11 @@ impl<'a> TrajectorySweep<'a> {
     ) -> Statevector {
         match &self.bank {
             PrefixBank::Banked(bank) => {
-                state.copy_from(&bank[shot as usize]);
+                ws.copy_state(&mut state, &bank[shot as usize]);
                 state
             }
             PrefixBank::Recompute => {
-                state.copy_from(&self.zero);
+                ws.copy_state(&mut state, &self.zero);
                 let mut rng = SmallRng::seed_from_u64(self.prefix_seed(shot));
                 let mut cursor = TrajectoryCursor::resume(state, 0);
                 cursor.advance_planned(&self.plan, self.prefix_pos, &mut rng, ws);

@@ -20,7 +20,7 @@ use qufi_sim::ProbDist;
 ///
 /// let ro = ReadoutError::new(0.02, 0.05);
 /// let d = ProbDist::delta(1, 1); // qubit surely |1>
-/// let noisy = ro.apply_to_qubit(&d, 0);
+/// let noisy = ro.apply_to_qubit(d, 0);
 /// assert!((noisy.prob(0) - 0.05).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,10 +51,12 @@ impl ReadoutError {
         self.p01 == 0.0 && self.p10 == 0.0
     }
 
-    /// Applies the confusion matrix to bit `bit` of a distribution.
-    pub fn apply_to_qubit(&self, dist: &ProbDist, bit: usize) -> ProbDist {
+    /// Applies the confusion matrix to bit `bit` of a distribution, in
+    /// place in its buffer.
+    pub fn apply_to_qubit(&self, dist: ProbDist, bit: usize) -> ProbDist {
         assert!(bit < dist.num_bits(), "bit out of range");
-        let mut probs: Vec<f64> = dist.probs().to_vec();
+        let n_bits = dist.num_bits();
+        let mut probs = dist.into_probs();
         let mask = 1usize << bit;
         for idx in 0..probs.len() {
             if idx & mask != 0 {
@@ -65,7 +67,7 @@ impl ReadoutError {
             probs[idx] = p0 * (1.0 - self.p01) + p1 * self.p10;
             probs[idx | mask] = p0 * self.p01 + p1 * (1.0 - self.p10);
         }
-        ProbDist::from_probs(probs, dist.num_bits())
+        ProbDist::from_probs(probs, n_bits)
     }
 }
 
@@ -79,7 +81,7 @@ pub fn apply_readout_errors(mut dist: ProbDist, errors: &[Option<ReadoutError>])
         }
         if let Some(e) = err {
             if !e.is_ideal() {
-                dist = e.apply_to_qubit(&dist, bit);
+                dist = e.apply_to_qubit(dist, bit);
             }
         }
     }
@@ -114,7 +116,7 @@ mod tests {
     fn confusion_mixes_both_directions() {
         let ro = ReadoutError::new(0.1, 0.2);
         let d = ProbDist::from_probs(vec![0.5, 0.5], 1);
-        let out = ro.apply_to_qubit(&d, 0);
+        let out = ro.apply_to_qubit(d, 0);
         // P(read 0) = 0.5*0.9 + 0.5*0.2 = 0.55
         assert!((out.prob(0) - 0.55).abs() < 1e-12);
         assert!((out.total() - 1.0).abs() < 1e-12);
@@ -124,7 +126,7 @@ mod tests {
     fn applies_to_selected_bit_only() {
         let ro = ReadoutError::new(1.0, 0.0); // always read 1 when 0
         let d = ProbDist::delta(0b00, 2);
-        let out = ro.apply_to_qubit(&d, 1);
+        let out = ro.apply_to_qubit(d, 1);
         assert!((out.prob(0b10) - 1.0).abs() < 1e-12);
     }
 
@@ -146,7 +148,7 @@ mod tests {
     fn total_probability_preserved() {
         let ro = ReadoutError::new(0.03, 0.07);
         let d = ProbDist::from_probs(vec![0.1, 0.2, 0.3, 0.4], 2);
-        let out = ro.apply_to_qubit(&ro.apply_to_qubit(&d, 0), 1);
+        let out = ro.apply_to_qubit(ro.apply_to_qubit(d, 0), 1);
         assert!((out.total() - 1.0).abs() < 1e-12);
     }
 

@@ -96,7 +96,7 @@ proptest! {
         prop_assume!(total > 1e-9);
         let dist = ProbDist::from_probs(raw.iter().map(|p| p / total).collect(), 2);
         let ro = ReadoutError::new(p01, p10);
-        let out = ro.apply_to_qubit(&ro.apply_to_qubit(&dist, 0), 1);
+        let out = ro.apply_to_qubit(ro.apply_to_qubit(dist, 0), 1);
         prop_assert!((out.total() - 1.0).abs() < 1e-9);
         for i in 0..4 {
             prop_assert!(out.prob(i) >= 0.0);

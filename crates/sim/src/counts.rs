@@ -35,16 +35,16 @@ impl ProbDist {
     ///
     /// Panics if `probs.len() != 2^n_bits` or any probability is negative
     /// beyond numerical noise.
-    pub fn from_probs(probs: Vec<f64>, n_bits: usize) -> Self {
+    pub fn from_probs(mut probs: Vec<f64>, n_bits: usize) -> Self {
         assert_eq!(probs.len(), 1 << n_bits, "length must be 2^n_bits");
         assert!(
             probs.iter().all(|&p| p >= -1e-9),
             "negative probability in distribution"
         );
-        ProbDist {
-            probs: probs.iter().map(|&p| p.max(0.0)).collect(),
-            n_bits,
+        for p in &mut probs {
+            *p = p.max(0.0);
         }
+        ProbDist { probs, n_bits }
     }
 
     /// The uniform distribution.
@@ -87,6 +87,11 @@ impl ProbDist {
     #[inline]
     pub fn probs(&self) -> &[f64] {
         &self.probs
+    }
+
+    /// The probabilities by value, indexed by outcome.
+    pub fn into_probs(self) -> Vec<f64> {
+        self.probs
     }
 
     /// Probability of the outcome written as a bitstring (MSB first).

@@ -51,25 +51,35 @@
 //! exactly as every other path does.
 //!
 //! Each kernel reads the zero pattern of the matrix it is handed once per
-//! call; nothing else selects a path. A matrix without zero entries runs
-//! the plain dense loops. Otherwise the 1-qubit kernels run a loop
-//! specialized to the pattern, the 2-qubit kernels walk each row's nonzero
-//! entries padded with zero entries to a common count (where that beats the
-//! dense loop: see [`apply_2q`] and [`batch_apply_2q`]), and the generic
-//! kernels walk a row-sparse list of the nonzero entries.
+//! call, as the kernels with a real-operand walk (below) read whether the
+//! matrix is real; nothing else selects a path. A matrix without zero
+//! entries runs the plain dense loops. Otherwise the 1-qubit kernels run a
+//! loop specialized to the pattern, the 2-qubit kernels walk each row's
+//! nonzero entries padded with zero entries to a common count (where that
+//! beats the dense loop: see [`apply_2q`] and [`batch_apply_2q`]), and the
+//! generic kernels walk a row-sparse list of the nonzero entries.
 //!
-//! The batched kernels make two more exact skips.
+//! Two more skips are exact: real operands, in the scalar 1-qubit and
+//! one-entry-per-row 2-qubit loops and in the batched walks, and
+//! unobservable groups, in the batched density kernels.
 //!
 //! **Real operands.** When every entry's imaginary part is `±0` (every CX,
-//! Pauli, and calibrated relaxation or depolarizing superoperator), the
-//! batched walks — the 1-qubit loop for a matrix with a zero entry, the
-//! padded-row walk and the row-sparse walk — accumulate `acc += ar · g`,
-//! part by part, and drop the `ai · g` products. With `g` finite, `ai · g`
-//! is a signed zero, so `ar·gr − ai·gi` equals `ar·gr` unless both are
-//! zeros, and then the two differ at most in the sign of zero; the same
-//! holds for `ar·gi + ai·gr`. By point 1 above the accumulator is never
-//! `−0`, and by point 3 adding `+0` or `−0` to it gives the same bits. So
-//! each accumulation, and every output, is unchanged.
+//! SWAP, real Pauli product, diagonal Kraus branch, and calibrated
+//! relaxation or depolarizing superoperator), the scalar loops that a
+//! trajectory shot runs — the sixteen 1-qubit pattern loops and the
+//! 2-qubit one-entry-per-row walk — and the batched walks — the 1-qubit
+//! loop for a matrix with a zero entry, the padded-row walk and the
+//! row-sparse walk — accumulate `acc += ar · g`, part by part, and drop
+//! the `ai · g` products. With `g` finite, `ai · g` is a signed zero, so
+//! `ar·gr − ai·gi` equals `ar·gr` unless both are zeros, and then the two
+//! differ at most in the sign of zero; the same holds for `ar·gi + ai·gr`.
+//! By point 1 above the accumulator is never `−0`, and by point 3 adding
+//! `+0` or `−0` to it gives the same bits. So each accumulation, and every
+//! output, is unchanged. The accumulator must start at `+0` here too: a
+//! walk that began from its first product would keep a `−0` product that
+//! the contract turns into `+0`. The scalar 2-qubit full transform and the
+//! generic kernel keep the complex products: no workload runs them often
+//! enough for a real variant to show.
 //!
 //! **Unobservable groups.** A batched density call may take an observed
 //! mask `M` of qubits and skip every amplitude group whose fixed bits have
@@ -94,7 +104,8 @@
 //! Both skips keep the base contract's preconditions: finite amplitudes,
 //! round-to-nearest, and no fused multiply-add. Only the batched density
 //! replay uses masks; the scalar engines compute every entry and stay the
-//! oracle the batched replay is checked against.
+//! oracle the batched replay is checked against, and the dense reference
+//! of `tests/kernel_oracle.rs` checks both engines' real walks.
 
 use qufi_math::Complex;
 use std::ops::Range;
@@ -115,6 +126,27 @@ const MAX_ENTRIES: usize = MAX_GROUP * MAX_GROUP;
 #[inline]
 fn is_zero(z: Complex) -> bool {
     z.re == 0.0 && z.im == 0.0
+}
+
+/// `true` when every entry's imaginary part is `±0` (conjugation keeps
+/// this), so the kernels may take the real-operand walk (see the module
+/// docs).
+#[inline]
+fn is_real(u: &[Complex]) -> bool {
+    u.iter().all(|x| x.im == 0.0)
+}
+
+/// `acc += x · v`; when `REAL` (`x.im` is `±0`) only `acc += x.re · v`,
+/// part by part, whose dropped `x.im · v` products are signed zeros (see
+/// the module docs).
+#[inline(always)]
+fn mac<const REAL: bool>(acc: &mut Complex, x: Complex, v: Complex) {
+    if REAL {
+        acc.re += x.re * v.re;
+        acc.im += x.re * v.im;
+    } else {
+        *acc += x * v;
+    }
 }
 
 /// Applies `u` (a row-major `2^k × 2^k` matrix over the listed flat bit
@@ -184,7 +216,7 @@ impl PaddedRows {
     fn of(u: &[Complex], conj: bool) -> Self {
         let mut p = PaddedRows {
             k: 0,
-            real: u[..16].iter().all(|x| x.im == 0.0),
+            real: is_real(&u[..16]),
             col: [[0; 4]; 4],
             re: [[0.0; 4]; 4],
             im: [[0.0; 4]; 4],
@@ -222,7 +254,7 @@ impl RowSparse {
     fn of(u: &[Complex], group: usize, conj: bool) -> Self {
         let mut s = RowSparse {
             start: [0; MAX_GROUP + 1],
-            real: u[..group * group].iter().all(|x| x.im == 0.0),
+            real: is_real(&u[..group * group]),
             col: [0; MAX_ENTRIES],
             re: [0.0; MAX_ENTRIES],
             im: [0.0; MAX_ENTRIES],
@@ -322,40 +354,51 @@ impl Quad {
 
 /// Specialized single-operand kernel: transforms amplitude pairs in place.
 ///
-/// The matrix's zero pattern picks one of sixteen monomorphizations of
-/// [`apply_1q_nz`], so each runs a branch-free loop over just its nonzero
-/// entries (the all-nonzero one is the plain dense loop).
+/// The matrix's zero pattern and whether it is real pick one of 32
+/// monomorphizations of [`apply_1q_nz`], so each runs a branch-free loop
+/// over just its nonzero entries (the all-nonzero ones are the plain dense
+/// loops).
 fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
     type Kernel = fn(&mut [Complex], &[Complex], usize, bool);
-    const BY_PATTERN: [Kernel; 16] = [
-        apply_1q_nz::<0>,
-        apply_1q_nz::<1>,
-        apply_1q_nz::<2>,
-        apply_1q_nz::<3>,
-        apply_1q_nz::<4>,
-        apply_1q_nz::<5>,
-        apply_1q_nz::<6>,
-        apply_1q_nz::<7>,
-        apply_1q_nz::<8>,
-        apply_1q_nz::<9>,
-        apply_1q_nz::<10>,
-        apply_1q_nz::<11>,
-        apply_1q_nz::<12>,
-        apply_1q_nz::<13>,
-        apply_1q_nz::<14>,
-        apply_1q_nz::<15>,
-    ];
+    macro_rules! by_pattern {
+        ($real:literal) => {
+            [
+                apply_1q_nz::<0, $real>,
+                apply_1q_nz::<1, $real>,
+                apply_1q_nz::<2, $real>,
+                apply_1q_nz::<3, $real>,
+                apply_1q_nz::<4, $real>,
+                apply_1q_nz::<5, $real>,
+                apply_1q_nz::<6, $real>,
+                apply_1q_nz::<7, $real>,
+                apply_1q_nz::<8, $real>,
+                apply_1q_nz::<9, $real>,
+                apply_1q_nz::<10, $real>,
+                apply_1q_nz::<11, $real>,
+                apply_1q_nz::<12, $real>,
+                apply_1q_nz::<13, $real>,
+                apply_1q_nz::<14, $real>,
+                apply_1q_nz::<15, $real>,
+            ]
+        };
+    }
+    const BY_PATTERN: [[Kernel; 16]; 2] = [by_pattern!(false), by_pattern!(true)];
     let pattern = (0..4).fold(0, |p, e| p | (usize::from(!is_zero(u[e])) << e));
-    BY_PATTERN[pattern](data, u, q, conjugate);
+    BY_PATTERN[usize::from(is_real(&u[..4]))][pattern](data, u, q, conjugate);
 }
 
-/// [`apply_1q`] for zero pattern `NZ`: bit `e` set when row-major entry `e`
-/// is nonzero.
+/// [`apply_1q`] for zero pattern `NZ` (bit `e` set when row-major entry `e`
+/// is nonzero), `REAL` when every entry's imaginary part is `±0`.
 ///
 /// Blocks are walked as `chunks_exact_mut(2·bit)` split at `bit`, so the
 /// inner pair loop is a bounds-check-free zip over two slices the compiler
 /// can pipeline and vectorize.
-fn apply_1q_nz<const NZ: u8>(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
+fn apply_1q_nz<const NZ: u8, const REAL: bool>(
+    data: &mut [Complex],
+    u: &[Complex],
+    q: usize,
+    conjugate: bool,
+) {
     let bit = 1usize << q;
     let (u00, u01, u10, u11) = if conjugate {
         (u[0].conj(), u[1].conj(), u[2].conj(), u[3].conj())
@@ -369,17 +412,17 @@ fn apply_1q_nz<const NZ: u8>(data: &mut [Complex], u: &[Complex], q: usize, conj
             let v1 = *p1;
             let mut a0 = Complex::ZERO;
             if NZ & 1 != 0 {
-                a0 += u00 * v0;
+                mac::<REAL>(&mut a0, u00, v0);
             }
             if NZ & 2 != 0 {
-                a0 += u01 * v1;
+                mac::<REAL>(&mut a0, u01, v1);
             }
             let mut a1 = Complex::ZERO;
             if NZ & 4 != 0 {
-                a1 += u10 * v0;
+                mac::<REAL>(&mut a1, u10, v0);
             }
             if NZ & 8 != 0 {
-                a1 += u11 * v1;
+                mac::<REAL>(&mut a1, u11, v1);
             }
             *p0 = a0;
             *p1 = a1;
@@ -396,23 +439,17 @@ fn apply_1q_nz<const NZ: u8>(data: &mut [Complex], u: &[Complex], q: usize, conj
 /// the four chains pipeline instead of serializing on one accumulator, and
 /// the compiler vectorizes them across the four rows. That beats walking
 /// the [`PaddedRows`] entries one product at a time unless each row has at
-/// most one nonzero entry (CX, Pauli products, diagonal matrices), so only
-/// those take the walk.
+/// most one nonzero entry (CX, SWAP, Pauli products, diagonal matrices), so
+/// only those take the walk, [`apply_2q_monomial`].
 fn apply_2q(data: &mut [Complex], u: &[Complex], p_hi: usize, p_lo: usize, conjugate: bool) {
     let quad = Quad::new(p_hi, p_lo);
     let rest = data.len() >> 2;
     let rows = PaddedRows::of(u, conjugate);
     if rows.k <= 1 {
-        for r in 0..rest {
-            let amps = quad.amps(r);
-            let g = amps.map(|a| data[a]);
-            for (row, &a) in amps.iter().enumerate() {
-                let mut acc = Complex::ZERO;
-                for j in 0..rows.k {
-                    acc += Complex::new(rows.re[row][j], rows.im[row][j]) * g[rows.col[row][j]];
-                }
-                data[a] = acc;
-            }
+        if rows.real {
+            apply_2q_monomial::<true>(data, &quad, &rows);
+        } else {
+            apply_2q_monomial::<false>(data, &quad, &rows);
         }
         return;
     }
@@ -435,6 +472,25 @@ fn apply_2q(data: &mut [Complex], u: &[Complex], p_hi: usize, p_lo: usize, conju
         }
         for (row, &a) in amps.iter().enumerate() {
             data[a] = Complex::new(o_re[row], o_im[row]);
+        }
+    }
+}
+
+/// [`apply_2q`] for a matrix with at most one nonzero entry per row, `REAL`
+/// when every entry's imaginary part is `±0`. The four entries and the
+/// group slots they read are hoisted out of the group loop; a row without
+/// a nonzero entry reads slot 0 through its `+0` padding entry.
+fn apply_2q_monomial<const REAL: bool>(data: &mut [Complex], quad: &Quad, rows: &PaddedRows) {
+    let col: [usize; 4] = std::array::from_fn(|row| rows.col[row][0]);
+    let entry: [Complex; 4] =
+        std::array::from_fn(|row| Complex::new(rows.re[row][0], rows.im[row][0]));
+    for r in 0..data.len() >> 2 {
+        let amps = quad.amps(r);
+        let g = amps.map(|a| data[a]);
+        for row in 0..4 {
+            let mut acc = Complex::ZERO;
+            mac::<REAL>(&mut acc, entry[row], g[col[row]]);
+            data[amps[row]] = acc;
         }
     }
 }
@@ -805,7 +861,7 @@ fn batch_apply_1q(
 ) {
     let entries: [Complex; 4] = std::array::from_fn(|e| if conj { u[e].conj() } else { u[e] });
     let dense = entries.iter().all(|&x| !is_zero(x));
-    let real = entries.iter().all(|x| x.im == 0.0);
+    let real = is_real(&entries);
     let mut c0 = 0usize;
     while c0 < width {
         let tile = pow2_tile(width, c0);

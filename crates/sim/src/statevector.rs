@@ -147,9 +147,9 @@ impl Statevector {
     /// Overwrites this state with a copy of `src`, reusing the existing
     /// amplitude buffer when it is large enough — the allocation-free
     /// counterpart of [`Clone::clone`] for shot loops that restore a parked
-    /// prefix state into one reused shot state.
+    /// prefix state into one reused shot state. The trajectory shot loops
+    /// count their copies as `sim.state_copies` themselves.
     pub fn copy_from(&mut self, src: &Statevector) {
-        qufi_obs::add("sim.state_copies", 1);
         self.n = src.n;
         self.amps.clone_from(&src.amps);
     }

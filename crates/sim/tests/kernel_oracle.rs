@@ -19,12 +19,14 @@
 //! order — on operands built to stress the signed-zero argument of
 //! `kernel.rs`.
 //!
-//! The batched kernels also drop the imaginary products of operands whose
-//! imaginary parts are all `±0`, and skip the amplitude groups an observed
-//! mask leaves out. The last two properties check both against the same
-//! reference: real and complex operands through every batched entry point
-//! at widths 1, 3, 8, 15 and 16, and random suffixes replayed with the
-//! masks of `ObservedMask::backward_from_diagonal` and with full masks.
+//! The kernels also drop the imaginary products of operands whose
+//! imaginary parts are all `±0`, and the batched ones skip the amplitude
+//! groups an observed mask leaves out. The last two properties check both
+//! against the same reference: real operands through every scalar entry
+//! point at 4 and 8 qubits, real and complex operands through every
+//! batched entry point at widths 1, 3, 8, 15 and 16, and random suffixes
+//! replayed with the masks of `ObservedMask::backward_from_diagonal` and
+//! with full masks.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
@@ -400,16 +402,23 @@ impl Stream {
         m
     }
 
-    /// A [`Stream::matrix`], half the time with every imaginary part
-    /// replaced by a signed zero: a real operand, which the batched walks
-    /// multiply without the imaginary products.
+    /// A [`Stream::matrix`], half the time a [`Stream::real_matrix`].
     fn operand(&mut self, dim: usize) -> CMatrix {
-        let mut m = self.matrix(dim);
         if self.below(2) == 0 {
-            for row in 0..dim {
-                for col in 0..dim {
-                    m[(row, col)] = Complex::new(m[(row, col)].re, self.signed_zero());
-                }
+            self.real_matrix(dim)
+        } else {
+            self.matrix(dim)
+        }
+    }
+
+    /// A [`Stream::matrix`] with every imaginary part replaced by a signed
+    /// zero: a real operand, which the kernels multiply without the
+    /// imaginary products.
+    fn real_matrix(&mut self, dim: usize) -> CMatrix {
+        let mut m = self.matrix(dim);
+        for row in 0..dim {
+            for col in 0..dim {
+                m[(row, col)] = Complex::new(m[(row, col)].re, self.signed_zero());
             }
         }
         m
@@ -552,6 +561,35 @@ impl DensityOp {
         }
     }
 
+    /// A real unitary-shaped operand on one to four qubits, or a real
+    /// superoperator-shaped operand or Kraus set on one or two
+    /// ([`Stream::real_matrix`]).
+    fn draw_real(s: &mut Stream, n: usize) -> Self {
+        match s.below(3) {
+            0 => {
+                let k = 1 + s.below(4);
+                DensityOp::Unitary(s.real_matrix(1 << k), s.operands(k, n))
+            }
+            1 => {
+                let k = 1 + s.below(2);
+                DensityOp::Superop(s.real_matrix(1 << (2 * k)), s.operands(k, n))
+            }
+            _ => {
+                let k = 1 + s.below(2);
+                let kraus = (0..1 + s.below(3)).map(|_| s.real_matrix(1 << k)).collect();
+                DensityOp::Kraus(kraus, s.operands(k, n))
+            }
+        }
+    }
+
+    fn apply(&self, rho: &mut DensityMatrix, ws: &mut EvolutionWorkspace) {
+        match self {
+            DensityOp::Unitary(u, qs) => rho.apply_unitary(u, qs),
+            DensityOp::Superop(sup, qs) => rho.apply_superoperator(sup, qs),
+            DensityOp::Kraus(kraus, qs) => rho.apply_kraus_with(kraus, qs, ws),
+        }
+    }
+
     fn qubits(&self) -> &[usize] {
         match self {
             DensityOp::Unitary(_, qs) | DensityOp::Superop(_, qs) | DensityOp::Kraus(_, qs) => qs,
@@ -652,11 +690,7 @@ proptest! {
         let mut want = raw_density(&rho0);
         let mut ws = EvolutionWorkspace::new();
         for (i, op) in ops.iter().enumerate() {
-            match op {
-                DensityOp::Unitary(u, qs) => rho.apply_unitary(u, qs),
-                DensityOp::Superop(sup, qs) => rho.apply_superoperator(sup, qs),
-                DensityOp::Kraus(kraus, qs) => rho.apply_kraus_with(kraus, qs, &mut ws),
-            }
+            op.apply(&mut rho, &mut ws);
             op.reference(&mut want, ZN);
             assert_bits(&raw_density(&rho), &want, &format!("density op {i}"));
         }
@@ -703,6 +737,45 @@ proptest! {
 /// a partial paper block (8), one short of full (15), and full.
 const WIDTHS: [usize; 5] = [1, 3, 8, 15, 16];
 
+/// Registers of the scalar real-operand property: the zero-skipping
+/// register, and an 8-qubit one whose operands reach higher bits.
+const REAL_REGISTERS: [usize; 2] = [ZN, 8];
+
+/// `Statevector::apply_matrix` and the `DensityMatrix` unitary,
+/// superoperator and Kraus entry points on an `n`-qubit register, with
+/// real operands and signed-zero amplitudes, against the dense reference
+/// after every operation.
+fn check_scalar_real_operands(s: &mut Stream, n: usize) {
+    let amps: Vec<Complex> = (0..1 << n).map(|_| s.amplitude()).collect();
+    let mut sv = Statevector::from_amplitudes(amps.clone());
+    let mut want = amps.clone();
+    for i in 0..6 {
+        let k = 1 + s.below(4);
+        let (u, qs) = (s.real_matrix(1 << k), s.operands(k, n));
+        sv.apply_matrix(&u, &qs);
+        dense_reference(&mut want, &u, &qs, false);
+        assert_bits(
+            sv.amplitudes(),
+            &want,
+            &format!("{n} qubits: statevector op {i} on {qs:?}"),
+        );
+    }
+
+    let mut rho = DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps));
+    let mut want = raw_density(&rho);
+    let mut ws = EvolutionWorkspace::new();
+    for i in 0..4 {
+        let op = DensityOp::draw_real(s, n);
+        op.apply(&mut rho, &mut ws);
+        op.reference(&mut want, n);
+        assert_bits(
+            &raw_density(&rho),
+            &want,
+            &format!("{n} qubits: density op {i} on {:?}", op.qubits()),
+        );
+    }
+}
+
 /// A batched cell's raw diagonal against a reference density buffer's.
 fn assert_diagonal(got: &[f64], want: &[Complex], what: &str) {
     let dim = got.len();
@@ -719,14 +792,18 @@ fn assert_diagonal(got: &[f64], want: &[Complex], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every batched entry point — shared and per-cell statevector
-    /// matrices, density unitaries, per-cell injectors, superoperators and
-    /// Kraus channels — on a mix of real operands (every imaginary part
-    /// `+0` or `−0`) and complex ones, against the dense reference after
+    /// Every scalar entry point on real operands (every imaginary part
+    /// `+0` or `−0`) at 4 and 8 qubits, and every batched entry point —
+    /// shared and per-cell statevector matrices, density unitaries,
+    /// per-cell injectors, superoperators and Kraus channels — on a mix of
+    /// real operands and complex ones, against the dense reference after
     /// every operation.
     #[test]
     fn real_operand_walks_are_bitwise_exact(seed in 0u64..u64::MAX) {
         let mut s = Stream::new(seed);
+        for n in REAL_REGISTERS {
+            check_scalar_real_operands(&mut s, n);
+        }
         let amps: Vec<Complex> = (0..1 << ZN).map(|_| s.amplitude()).collect();
         let ops: Vec<(CMatrix, Vec<usize>)> = (0..4)
             .map(|_| {
