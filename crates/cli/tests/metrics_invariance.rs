@@ -67,16 +67,23 @@ phis = [0.0, 3.141592653589793]
 "#;
 
 /// The trajectory scenario's sampler counters, as counting each draw,
-/// branch evaluation and state copy where it happens records them. The
-/// shot loops tally these in their workspaces and add each total once,
-/// so the totals must come out the same: `traj.shots` is (8 points × 4
-/// cells + 1 baseline) × 64 shots, and every shot makes 12 draws.
-const TRAJECTORY_COUNTERS: [(&str, u64); 5] = [
+/// branch evaluation, lane continuation and state copy where it happens
+/// records them. The shot loops tally these in their workspaces and add
+/// each total once, so the totals must come out the same: `traj.shots` is
+/// (8 points × 4 cells + 1 baseline) × 64 shots, and every shot makes 12
+/// draws. Shots run as 16-lane batches: in each point's 4-cell block the
+/// first three cells fork the batch's prefix and the last finishes in it
+/// (64 lane copies per forking cell, 1536 in all), and each of the 77
+/// lanes that leave the fast path is extracted and written back (154
+/// copies) and copies once per further branch it evaluates (386, the
+/// evaluations beyond one per draw).
+const TRAJECTORY_COUNTERS: [(&str, u64); 6] = [
     ("traj.shots", 2112),
     ("traj.branch_draws", 25344),
     ("traj.branch_evals", 25730),
     ("traj.branch_fallback", 0),
-    ("sim.state_copies", 28290),
+    ("traj.lane_continuations", 77),
+    ("sim.state_copies", 2076),
 ];
 
 fn temp_dir(tag: &str) -> PathBuf {

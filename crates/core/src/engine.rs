@@ -18,7 +18,7 @@
 //! (statevector prefix of the logical circuit), `PhysicalSweep`
 //! (density-matrix prefix under the noise model, for the noisy scenario
 //! and — plus a finite-shot sampler — the hardware one) and
-//! `TrajectorySweep` (one statevector prefix per shot). One generic
+//! `TrajectorySweep` (shots as the lanes of statevector blocks). One generic
 //! wrapper implements [`PreparedSweep`] and [`PreparedDoubleSweep`] over
 //! all three, so a single fault and the double strike of §III-C take the
 //! same replay code with one or two splice sites.
@@ -49,12 +49,12 @@ use qufi_math::CMatrix;
 use qufi_noise::readout::finish_readout;
 use qufi_noise::simulate::{NoisePlan, NoisyCursor};
 use qufi_noise::trajectory::{
-    finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
+    finish_trajectory_dist, LaneCursor, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
-    BatchedDensity, BatchedStatevector, DensityMatrix, ObservedMask, Op, ProbDist, QuantumCircuit,
-    Statevector,
+    batch_width, BatchedDensity, BatchedStatevector, DensityMatrix, ObservedMask, Op, ProbDist,
+    QuantumCircuit, Statevector,
 };
 use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
@@ -127,8 +127,8 @@ pub trait PreparedSweep: Sync {
     /// arithmetic is computed once per block, its inner loops run stride-1
     /// across cells, and θ-identical cells share one `sin/cos(θ/2)`
     /// evaluation of the injector. A one-cell block takes the scalar
-    /// [`PreparedSweep::replay`] path. Trajectory sweeps have no
-    /// cell-major engine: every block holds one cell.
+    /// [`PreparedSweep::replay`] path. Trajectory blocks instead run each
+    /// shot batch's prefix once and share it among the block's cells.
     ///
     /// Determinism contract: a cell goes through exactly the operation
     /// sequence of [`PreparedSweep::replay`] in either path, the blocks are
@@ -149,24 +149,6 @@ pub trait PreparedSweep: Sync {
 
     /// Gates evolved per replay (the suffix, excluding the injector).
     fn suffix_gates(&self) -> usize;
-}
-
-/// Grid cells evolved per cell-major block. 16 keeps the single-operand
-/// kernels (the bulk of a transpiled suffix) on their widest tile; the
-/// 2q/generic kernels tile the cell axis internally, so a wide block never
-/// hurts them.
-const BLOCK_CELLS: usize = 16;
-const _: () = assert!(BLOCK_CELLS <= qufi_sim::MAX_BATCH_CELLS);
-
-/// Ceiling on `flat state length × block width`: a block holds at most
-/// this many split-complex amplitudes (~64 MiB), shrinking the width for
-/// wide registers instead of ballooning memory.
-const MAX_BATCH_AMPS: usize = 1 << 22;
-
-/// Block width for states of `flat_len` amplitudes: [`BLOCK_CELLS`],
-/// shrunk to the amplitude budget but never below one cell.
-fn block_width(flat_len: usize) -> usize {
-    (MAX_BATCH_AMPS / flat_len.max(1)).clamp(1, BLOCK_CELLS)
 }
 
 /// One injector matrix per cell of a θ-sorted block, hoisting the
@@ -479,7 +461,7 @@ impl SweepPoint for IdealPrepared {
     /// Single-site points batch; the prefix always stops at the site.
     fn block_width(&self) -> usize {
         if self.sites.len() == 1 {
-            block_width(self.prefix.amplitudes().len())
+            batch_width(self.prefix.amplitudes().len())
         } else {
             1
         }
@@ -742,7 +724,7 @@ impl SweepPoint for PhysicalSweep<'_> {
     /// point is not [`batchable`](PhysicalSweep::batchable).
     fn block_width(&self) -> usize {
         if self.batchable() {
-            block_width(self.prefix.dim() * self.prefix.dim())
+            batch_width(self.prefix.dim() * self.prefix.dim())
         } else {
             1
         }
@@ -909,30 +891,15 @@ fn point_seed(seed: u64, point: InjectionPoint, neighbor: Option<usize>) -> u64 
 }
 
 // ---------------------------------------------------------------------------
-// Trajectory executor: per-shot statevector prefixes, Kraus-branch sampling
-// through the suffix, seeds derived per (point, fault angles, shot) so the
-// Monte-Carlo estimate is as schedule-invariant as the exact paths.
+// Trajectory executor: shots in lanes, Kraus-branch sampling through prefix
+// and suffix, seeds derived per (point, shot) for the prefix and per (point,
+// fault angles, shot) for the suffix, so the Monte-Carlo estimate is as
+// schedule-invariant as the exact paths.
 
 /// Stream tag separating per-shot *prefix* seeds from per-(cell, shot)
 /// *suffix* seeds: suffix seeds mix fault-angle bit patterns in this slot,
 /// and no valid angle has the all-ones (NaN) pattern.
 const PREFIX_STREAM_TAG: u64 = u64::MAX;
-
-/// Ceiling on parked prefix-bank memory (amplitude bytes). Above it the
-/// sweep recomputes the prefix per (cell, shot) from the same seed stream
-/// — bit-identical, just slower.
-const BANK_BYTES: u64 = 256 << 20;
-
-/// Where a replay gets shot `s`'s prefix state from.
-enum PrefixBank {
-    /// One parked statevector per shot, computed once at prepare time and
-    /// shared (borrowed) by every grid cell.
-    Banked(Vec<Statevector>),
-    /// The bank would exceed the memory budget: replays re-evolve the
-    /// prefix from `|0…0⟩` under the same per-shot seed, which yields the
-    /// identical state.
-    Recompute,
-}
 
 /// Everything the trajectory replay path shares for one injection point.
 struct TrajectorySweep<'a> {
@@ -948,56 +915,35 @@ struct TrajectorySweep<'a> {
     /// Kraus-operator plan compiled once per point, reused per shot.
     plan: TrajPlan,
     prefix_pos: usize,
-    /// `|0…0⟩` template restored into the shot state when recomputing
-    /// prefixes.
-    zero: Statevector,
-    bank: PrefixBank,
     /// Base for the per-shot prefix and per-(cell, shot) suffix streams.
     point_base: u64,
     shots: u64,
 }
 
 impl<'a> TrajectorySweep<'a> {
-    /// Marks `qc` at `point` (and `neighbor`), transpiles it, compiles the
-    /// Kraus plan, and parks one prefix statevector per shot (or arranges
-    /// seed-identical recompute when the bank would exceed `bank_limit`
-    /// bytes of amplitudes).
+    /// Marks `qc` at `point` (and `neighbor`), transpiles it and compiles
+    /// the Kraus plan. No state is parked: every replay evolves each shot
+    /// batch's prefix from `|0…0⟩`.
     fn prepare(
         executor: &'a TrajectoryExecutor,
         qc: &QuantumCircuit,
         point: InjectionPoint,
         neighbor: Option<usize>,
-        bank_limit: u64,
     ) -> Result<Self, ExecError> {
         let (marked, n_sites) = mark(qc, point, neighbor)?;
-        let mut sweep = TrajectorySweep::unbanked(
+        TrajectorySweep::compile(
             executor.transpiler(),
             marked,
             n_sites,
             |active| executor.model_for(active),
             point_seed(executor.seed(), point, neighbor),
             executor.shots(),
-        )?;
-        let amp_bytes = (std::mem::size_of::<qufi_math::Complex>() as u64)
-            .saturating_mul(1u64 << sweep.physical.num_qubits())
-            .saturating_mul(sweep.shots);
-        if amp_bytes <= bank_limit {
-            let prefix_span = qufi_obs::span("prepare.prefix_ns");
-            let mut ws = TrajWorkspace::new();
-            // `bank` is still `Recompute` here, so this fills the bank
-            // through the exact code path the fallback replays later.
-            let bank = (0..sweep.shots)
-                .map(|shot| sweep.prefix_into(sweep.zero.clone(), shot, &mut ws))
-                .collect();
-            sweep.bank = PrefixBank::Banked(bank);
-            prefix_span.finish();
-        }
-        Ok(sweep)
+        )
     }
 
     /// Transpiles `marked` and compiles the Kraus plan under
-    /// `model_for(active)`: a sweep that recomputes every shot's prefix.
-    fn unbanked(
+    /// `model_for(active)`.
+    fn compile(
         transpiler: &'a Transpiler,
         marked: QuantumCircuit,
         n_sites: usize,
@@ -1010,7 +956,8 @@ impl<'a> TrajectorySweep<'a> {
         let model = model_for(&active);
         let plan = TrajPlan::compile(&physical, &model);
         plan_span.finish();
-        let zero = Statevector::new(physical.num_qubits()).map_err(ExecError::Sim)?;
+        // Surfaces the width error here, so replays cannot fail.
+        LaneCursor::start(&plan, 1).map_err(ExecError::Sim)?;
         Ok(TrajectorySweep {
             transpiler,
             marked,
@@ -1019,8 +966,6 @@ impl<'a> TrajectorySweep<'a> {
             sites,
             model,
             plan,
-            zero,
-            bank: PrefixBank::Recompute,
             point_base,
             shots,
         })
@@ -1038,79 +983,88 @@ impl<'a> TrajectorySweep<'a> {
         fault_seed(self.point_base, faults).mix_u64(shot).finish()
     }
 
-    /// Loads shot `shot`'s prefix state into `state` (buffer reused, no
-    /// allocation): from the bank when parked, otherwise re-evolved from
-    /// `|0…0⟩` under the same per-shot stream — the single code path the
-    /// bank fill itself runs, which is what makes the two modes
-    /// bit-identical.
-    fn prefix_into(
-        &self,
-        mut state: Statevector,
-        shot: u64,
-        ws: &mut TrajWorkspace,
-    ) -> Statevector {
-        match &self.bank {
-            PrefixBank::Banked(bank) => {
-                ws.copy_state(&mut state, &bank[shot as usize]);
-                state
-            }
-            PrefixBank::Recompute => {
-                ws.copy_state(&mut state, &self.zero);
-                let mut rng = SmallRng::seed_from_u64(self.prefix_seed(shot));
-                let mut cursor = TrajectoryCursor::resume(state, 0);
-                cursor.advance_planned(&self.plan, self.prefix_pos, &mut rng, ws);
-                cursor.into_state()
-            }
-        }
-    }
-
-    /// Every shot of one cell through this sweep's plan and sites, in shot
-    /// order, folded by [`ShotAccumulator`]. The shot statevector and the
-    /// branch workspace are allocated once per cell and reused across its
-    /// shots.
-    fn run_shots(&self, faults: &[FaultParams]) -> ProbDist {
+    /// Every shot of every cell (one fault per site each), as lanes of
+    /// shot batches: each batch's prefix is evolved once from `|0…0⟩`
+    /// under the prefix streams, then each cell finishes the suffix under
+    /// its own streams, every cell but the last in a fork of the prefix
+    /// and the last in the prefix's own block (so a one-cell replay holds
+    /// one block). Shots land in each cell's [`ShotAccumulator`] in shot
+    /// order, so every cell is bit-identical to the scalar shot loop of
+    /// [`SweepPoint::replay_naive`].
+    fn run_cells(&self, cells: &[&[FaultParams]]) -> Vec<ProbDist> {
+        qufi_obs::add("traj.shots", self.shots * cells.len() as u64);
         let n = self.physical.num_qubits();
-        let mut acc = ShotAccumulator::new(n, self.shots);
+        let lanes = batch_width(1 << n);
+        let mut accs: Vec<ShotAccumulator> = cells
+            .iter()
+            .map(|_| ShotAccumulator::new(n, self.shots))
+            .collect();
         let mut ws = TrajWorkspace::new();
-        let mut state = self.zero.clone();
-        for shot in 0..self.shots {
-            state = self.prefix_into(state, shot, &mut ws);
-            let mut rng = SmallRng::seed_from_u64(self.suffix_seed(faults, shot));
-            let mut cursor = TrajectoryCursor::resume(state, self.prefix_pos);
-            for (site, fault) in self.sites.iter().zip(faults) {
-                cursor.advance_planned(&self.plan, site.index, &mut rng, &mut ws);
-                cursor.apply_planned_injector(
-                    &self.plan,
-                    fault.injector_gate(),
-                    site.qubit,
-                    &mut rng,
-                    &mut ws,
+        let start = || LaneCursor::start(&self.plan, lanes).expect("width checked at prepare");
+        let (mut prefix, mut fork) = (start(), None);
+        let mut rngs = Vec::with_capacity(lanes);
+        for first in (0..self.shots).step_by(lanes) {
+            let width = (self.shots - first).min(lanes as u64);
+            let shots = first..first + width;
+            prefix.restart(width as usize);
+            rngs.clear();
+            rngs.extend(
+                shots
+                    .clone()
+                    .map(|shot| SmallRng::seed_from_u64(self.prefix_seed(shot))),
+            );
+            prefix.advance_planned(&self.plan, self.prefix_pos, &mut rngs, &mut ws);
+            for (i, (&faults, acc)) in cells.iter().zip(&mut accs).enumerate() {
+                let cursor = if i + 1 < cells.len() {
+                    let fork = fork.get_or_insert_with(start);
+                    fork.fork_from(&prefix, &mut ws);
+                    fork
+                } else {
+                    &mut prefix
+                };
+                rngs.clear();
+                rngs.extend(
+                    shots
+                        .clone()
+                        .map(|shot| SmallRng::seed_from_u64(self.suffix_seed(faults, shot))),
                 );
+                for (site, fault) in self.sites.iter().zip(faults) {
+                    cursor.advance_planned(&self.plan, site.index, &mut rngs, &mut ws);
+                    cursor.apply_planned_injector(
+                        &self.plan,
+                        fault.injector_gate(),
+                        site.qubit,
+                        &mut rngs,
+                        &mut ws,
+                    );
+                }
+                cursor.advance_planned(&self.plan, self.plan.size(), &mut rngs, &mut ws);
+                cursor.accumulate(acc, first);
             }
-            cursor.advance_planned(&self.plan, self.plan.size(), &mut rng, &mut ws);
-            acc.add_shot(shot, cursor.state());
-            state = cursor.into_state();
         }
-        finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
+        accs.iter()
+            .map(|acc| finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical))
+            .collect()
     }
 }
 
 impl SweepPoint for TrajectorySweep<'_> {
-    /// All shots of one `(θ, φ)` cell — prefix from the bank, suffix under
-    /// the cell's seed stream — averaged, confused, and marginalized.
+    /// All shots of one `(θ, φ)` cell (one fault per site), averaged,
+    /// confused, and marginalized: a one-cell [`TrajectorySweep::run_cells`].
     fn replay(&self, faults: &[FaultParams]) -> ProbDist {
-        qufi_obs::add("traj.shots", self.shots);
-        self.run_shots(faults)
+        let mut dists = self.run_cells(&[faults]);
+        dists.pop().expect("one cell in, one distribution out")
     }
 
     /// Re-transpile the marked circuit and recompile the Kraus plan from
-    /// scratch, then run every shot un-banked. The seed streams are the
-    /// same pure functions of `(point, fault angles, shot)`, so this is
-    /// **bit-identical** to [`SweepPoint::replay`] — it independently
-    /// re-derives everything the prepare step amortizes (transpilation,
-    /// plan, prefix bank).
+    /// scratch, then run every shot alone through a scalar
+    /// [`TrajectoryCursor`]: the prefix from `|0…0⟩` under the shot's
+    /// prefix stream, then the suffix under the cell's stream. The streams
+    /// are the same pure functions of `(point, fault angles, shot)`, so
+    /// this is **bit-identical** to [`SweepPoint::replay`] — it shares
+    /// neither the transpilation and plan nor the lanes.
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
-        let naive = TrajectorySweep::unbanked(
+        let naive = TrajectorySweep::compile(
             self.transpiler,
             self.marked.clone(),
             faults.len(),
@@ -1118,7 +1072,48 @@ impl SweepPoint for TrajectorySweep<'_> {
             self.point_base,
             self.shots,
         )?;
-        Ok(naive.run_shots(faults))
+        let n = naive.physical.num_qubits();
+        let mut acc = ShotAccumulator::new(n, naive.shots);
+        let mut ws = TrajWorkspace::new();
+        for shot in 0..naive.shots {
+            let mut cursor = TrajectoryCursor::start(&naive.plan).map_err(ExecError::Sim)?;
+            let mut rng = SmallRng::seed_from_u64(naive.prefix_seed(shot));
+            cursor.advance_planned(&naive.plan, naive.prefix_pos, &mut rng, &mut ws);
+            let mut rng = SmallRng::seed_from_u64(naive.suffix_seed(faults, shot));
+            for (site, fault) in naive.sites.iter().zip(faults) {
+                cursor.advance_planned(&naive.plan, site.index, &mut rng, &mut ws);
+                cursor.apply_planned_injector(
+                    &naive.plan,
+                    fault.injector_gate(),
+                    site.qubit,
+                    &mut rng,
+                    &mut ws,
+                );
+            }
+            cursor.advance_planned(&naive.plan, naive.plan.size(), &mut rng, &mut ws);
+            acc.add_shot(shot, cursor.state());
+        }
+        Ok(finish_trajectory_dist(
+            acc.mean(),
+            n,
+            &naive.model,
+            &naive.physical,
+        ))
+    }
+
+    /// Single-site points replay grids in blocks of cells that share each
+    /// shot batch's prefix.
+    fn block_width(&self) -> usize {
+        if self.sites.len() == 1 {
+            batch_width(1 << self.physical.num_qubits())
+        } else {
+            1
+        }
+    }
+
+    fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
+        let cells: Vec<&[FaultParams]> = faults.iter().map(std::slice::from_ref).collect();
+        self.run_cells(&cells)
     }
 
     fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
@@ -1132,7 +1127,7 @@ impl SweepExecutor for TrajectoryExecutor {
         qc: &QuantumCircuit,
         point: InjectionPoint,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let sweep = TrajectorySweep::prepare(self, qc, point, None, BANK_BYTES)?;
+        let sweep = TrajectorySweep::prepare(self, qc, point, None)?;
         Ok(Box::new(Prepared(sweep)))
     }
 
@@ -1142,7 +1137,7 @@ impl SweepExecutor for TrajectoryExecutor {
         point: InjectionPoint,
         neighbor: usize,
     ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let sweep = TrajectorySweep::prepare(self, qc, point, Some(neighbor), BANK_BYTES)?;
+        let sweep = TrajectorySweep::prepare(self, qc, point, Some(neighbor))?;
         Ok(Box::new(Prepared(sweep)))
     }
 }
@@ -1291,8 +1286,9 @@ mod tests {
 
     #[test]
     fn trajectory_replay_matches_naive_bitwise() {
-        // 130 shots = two full blocks plus a partial tail, so the naive
-        // path exercises the same block-folding edge cases as the fast one.
+        // 130 shots = two full accumulation blocks plus a partial tail, and
+        // eight 16-lane batches plus a ragged batch of 2: the lanes are
+        // checked against the naive path's scalar shot loop at both edges.
         let qc = bv();
         let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 42, 130);
         let prepared = ex.prepare(&qc, some_point()).unwrap();
@@ -1301,30 +1297,6 @@ mod tests {
             let fast = prepared.replay(fault).unwrap();
             let slow = prepared.replay_naive(fault).unwrap();
             assert_bit_identical(&fast, &slow, "trajectory");
-        }
-    }
-
-    #[test]
-    fn trajectory_bank_modes_are_bit_identical() {
-        // The parked prefix bank is a cache, not a semantic switch: forcing
-        // recompute (limit 0) must reproduce the banked path bit for bit.
-        let qc = bv();
-        let ex = TrajectoryExecutor::with_shots(BackendCalibration::lima(), 9, 96);
-        let point = some_point();
-        let faults = [
-            FaultParams::shift(PI, 0.0),
-            FaultParams::shift(FRAC_PI_2, PI),
-        ];
-        let banked = TrajectorySweep::prepare(&ex, &qc, point, None, u64::MAX).unwrap();
-        let recomputed = TrajectorySweep::prepare(&ex, &qc, point, None, 0).unwrap();
-        assert!(matches!(banked.bank, PrefixBank::Banked(_)));
-        assert!(matches!(recomputed.bank, PrefixBank::Recompute));
-        for &fault in &faults {
-            assert_bit_identical(
-                &banked.replay(&[fault]),
-                &recomputed.replay(&[fault]),
-                "bank mode",
-            );
         }
     }
 
@@ -1534,12 +1506,15 @@ mod tests {
 
     #[test]
     fn trajectory_replay_grid_batched_falls_back_to_scalar() {
-        // The trajectory scenario has no cell-major engine: its grid replay
-        // must transparently produce the per-cell results.
+        // A trajectory grid replays in blocks of cells that fork each shot
+        // batch's prefix. 18 cells form a 16-cell block and a 2-cell block,
+        // each re-evolving the prefix; both must reproduce per-cell replays.
         let qc = bv();
         let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 11, 64);
         let prepared = ex.prepare(&qc, some_point()).unwrap();
-        let grid = FaultGrid::custom(vec![0.0, PI], vec![0.3]);
+        let thetas: Vec<f64> = (0..6).map(|i| 0.5 * f64::from(i)).collect();
+        let grid = FaultGrid::custom(thetas, vec![0.3, 2.0, 4.1]);
+        assert_eq!(grid.len(), 18);
         let batched = prepared.replay_grid(&grid, 2).unwrap();
         let scalar: Vec<ProbDist> = grid
             .iter()

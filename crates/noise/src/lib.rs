@@ -52,6 +52,6 @@ pub use model::NoiseModel;
 pub use readout::ReadoutError;
 pub use simulate::{NoisePlan, NoisyCursor};
 pub use trajectory::{
-    finish_trajectory_dist, run_trajectories, ShotAccumulator, TrajPlan, TrajWorkspace,
+    finish_trajectory_dist, run_trajectories, LaneCursor, ShotAccumulator, TrajPlan, TrajWorkspace,
     TrajectoryCursor, SHOT_BLOCK,
 };

@@ -17,36 +17,59 @@
 //!   channels (including pure-unitary ones) consume **no** randomness.
 //!   A shot's outcome is therefore a pure function of its seed.
 //! - **Fixed fold order**: shots accumulate into fixed-size blocks
-//!   ([`SHOT_BLOCK`]) that are folded in block order by
-//!   [`ShotAccumulator::mean`], so the average's bits depend on shot
-//!   indices alone.
+//!   ([`SHOT_BLOCK`]) that fold into the running sum in block order
+//!   ([`ShotAccumulator`]), so the average's bits depend on shot indices
+//!   alone.
 //!
 //! Readout confusion acts on the *averaged* distribution (it is linear in
 //! the state, so this matches applying it per shot) and marginalization
 //! follows: the one finish, [`crate::readout::finish_readout`], that
 //! [`crate::simulate::NoisyCursor::finish_dist`] runs too.
 //!
-//! # Where a shot's time goes
+//! # Shots in lanes
+//!
+//! [`TrajectoryCursor`] runs one shot. [`LaneCursor`] runs up to
+//! `qufi_sim::MAX_BATCH_CELLS` (16) shots in lockstep as the lanes of one
+//! cell-major statevector block, each lane with its own RNG, so gates and
+//! channels run stride-1 across shots while every shot keeps its own
+//! summation order: each lane is bit-identical to that shot run alone
+//! (`trajectory/lane_tests.rs` checks this against the scalar cursor).
 //!
 //! On a routed circuit a shot is mostly CX steps: the CX, then the
 //! two-qubit depolarizing channel and each operand's relaxation channel.
-//! Each of those channels copies the state into the workspace, applies a
-//! branch, sums the branch weight in amplitude order and renormalizes the
-//! winner; the first (identity-like, diagonal) branch wins almost always.
-//! Timed in isolation at 10 qubits on one core of an AVX-512 Xeon, such a
-//! step takes 9.5–11.0 µs: 17% in the CX, 33–35% in the three branch
-//! kernels, 27–30% in the weight sums, 7–8% in the copies and 8–9% in the
-//! swap and renormalization. The CX and the diagonal branches are real
-//! matrices with one entry per row, which the statevector kernels walk
-//! without imaginary products (see `qufi_sim`'s kernel module). The
-//! weight sums stay in amplitude order because `records.json` prints what
-//! they feed at full precision.
+//! Branch 0 of every calibrated channel is diagonal (identity-like) and
+//! wins almost always. The scalar cursor copies the state, applies the
+//! branch, sums its weight and renormalizes; the lanes take two passes
+//! instead. A read-only pass forms each lane's weight `Σₐ|d·ψ[a]|²`, with
+//! each product formed as the scalar kernel forms it and summed in
+//! amplitude order, because `records.json` prints what these sums feed
+//! at full precision. Then one in-place pass applies branch 0 to the lanes
+//! whose draw falls below their weight and scales them by `1/√w`. The
+//! other lanes (0.5% of lane draws on `traj-shard`) are extracted and
+//! continue through the scalar channel code from branch 1.
+//!
+//! # Where a shot's time goes
+//!
+//! Scalar, a routed CX step of one 10-qubit shot took 9.5–11.0 µs on one
+//! core of an AVX-512 Xeon: 17% in the CX, 33–35% in the three branch
+//! kernels, 27–30% in the weight sums and 7–8% in the copies. In lanes, a
+//! 10-qubit block of 16 shots holds 256 KiB, so its passes stream from L2
+//! rather than L1, but every pass is vector work across 16 shots and a
+//! channel makes two passes instead of four. Timed per phase on that core
+//! (`qufi run` of a ghz-10 `traj-shard` manifest at one thread, three
+//! runs), the lanes spend 15–17% in gates, 29–31% in weight passes, 45–47%
+//! in apply-and-scale passes, 7–8% in extracted lanes and under 1% each in
+//! draws, block copies and shot accumulation. A weight pass is bound by
+//! its in-order sums, one dependent add per amplitude in every lane.
 
 use crate::model::NoiseModel;
 use crate::readout::finish_readout;
 use qufi_math::{CMatrix, Complex};
 use qufi_sim::circuit::Op;
-use qufi_sim::{Gate, ProbDist, QuantumCircuit, SimError, Statevector};
+use qufi_sim::{
+    batch_width, BatchedStatevector, Gate, ProbDist, QuantumCircuit, SimError, Statevector,
+    MAX_BATCH_CELLS,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,6 +82,72 @@ pub const SHOT_BLOCK: u64 = 64;
 struct TrajChannel {
     ops: Vec<CMatrix>,
     targets: Vec<usize>,
+    /// The diagonal of branch 0 when every off-diagonal entry is zero (of
+    /// either sign), which holds for every calibrated relaxation and
+    /// depolarizing channel: the lanes then weigh and commit branch 0 in
+    /// two passes over the block.
+    diagonal: Option<Vec<Complex>>,
+}
+
+impl TrajChannel {
+    fn new(ops: Vec<CMatrix>, targets: Vec<usize>) -> Self {
+        let k0 = &ops[0];
+        let dim = k0.rows();
+        let diagonal = (0..dim)
+            .all(|r| (0..dim).all(|c| r == c || (k0[(r, c)].re == 0.0 && k0[(r, c)].im == 0.0)))
+            .then(|| (0..dim).map(|i| k0[(i, i)]).collect());
+        TrajChannel {
+            ops,
+            targets,
+            diagonal,
+        }
+    }
+
+    /// Commits one of branches `from..` to `sv` for the draw `u`, where
+    /// `cumulative` is the summed weight of the branches before `from`.
+    ///
+    /// Branches are evaluated in the model's canonical order into the
+    /// workspace scratch, and the first whose cumulative weight exceeds the
+    /// draw wins and is renormalized. If floating-point shortfall leaves
+    /// the cumulative weight below the draw after the last branch
+    /// (`Σwᵢ = 1` only up to rounding), the last evaluated branch is
+    /// committed.
+    fn sample_from(
+        &self,
+        sv: &mut Statevector,
+        u: f64,
+        from: usize,
+        mut cumulative: f64,
+        ws: &mut TrajWorkspace,
+    ) {
+        debug_assert!(from < self.ops.len(), "no branch left to evaluate");
+        let scratch = ws
+            .scratch
+            .get_or_insert_with(|| Statevector::from_amplitudes(vec![Complex::ONE]));
+        let mut weight = 1.0f64;
+        for op in &self.ops[from..] {
+            ws.evals += 1;
+            ws.copies += 1;
+            scratch.copy_from(sv);
+            scratch.apply_matrix(op, &self.targets);
+            weight = scratch
+                .amplitudes()
+                .iter()
+                .map(|a| a.norm_sqr())
+                .sum::<f64>();
+            cumulative += weight;
+            if u < cumulative {
+                std::mem::swap(sv, scratch);
+                sv.scale(1.0 / weight.sqrt());
+                return;
+            }
+        }
+        // Σwᵢ fell short of the draw by rounding: commit the last branch,
+        // which is still parked in scratch.
+        qufi_obs::add("traj.branch_fallback", 1);
+        std::mem::swap(sv, scratch);
+        sv.scale(1.0 / weight.sqrt());
+    }
 }
 
 /// One compiled gate instruction: its unitary and the Kraus channels that
@@ -103,10 +192,7 @@ impl TrajPlan {
             model
                 .channels_after(gate, qubits)
                 .into_iter()
-                .map(|(ch, targets)| TrajChannel {
-                    ops: ch.kraus_operators().to_vec(),
-                    targets,
-                })
+                .map(|(ch, targets)| TrajChannel::new(ch.kraus_operators().to_vec(), targets))
                 .collect::<Vec<_>>()
         };
         let steps = qc
@@ -143,22 +229,56 @@ impl TrajPlan {
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
     }
+
+    /// The gate steps among instructions `[from, upto)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `upto` is behind `from` or beyond the plan.
+    fn steps(&self, from: usize, upto: usize) -> impl Iterator<Item = &TrajStep> {
+        assert!(upto >= from, "cursor at {from} cannot rewind to {upto}");
+        assert!(
+            upto <= self.size,
+            "advance_planned({upto}) beyond plan of {} instructions",
+            self.size
+        );
+        self.steps[from..upto].iter().flatten()
+    }
+
+    /// The channels a spliced 1-qubit injector gate suffers on `qubit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for multi-qubit gates and for the virtual `rz` (which
+    /// carries no noise and must not be spliced through this path).
+    fn injector(&self, gate: Gate, qubit: usize) -> &[TrajChannel] {
+        assert_eq!(gate.num_qubits(), 1, "injector must be a 1-qubit gate");
+        assert!(
+            !matches!(gate, Gate::Rz(_)),
+            "virtual rz gates carry no noise and cannot use the injector path"
+        );
+        &self.injector_channels[qubit]
+    }
 }
 
 /// Reusable scratch for branch-weight evaluation: candidate branches are
 /// applied to a copy of the state so the winner can be committed by a
-/// buffer swap instead of a recompute. One workspace per shot loop;
-/// after warmup the loop allocates nothing.
+/// buffer swap instead of a recompute, and a lane that leaves the fast
+/// path is extracted into a statevector of its own. One workspace per shot
+/// loop; after warmup the loop allocates nothing.
 ///
 /// The workspace also tallies the loop's `traj.branch_draws`,
-/// `traj.branch_evals` and `sim.state_copies` and adds each to the
-/// telemetry recorder once, when it is dropped, rather than once per
-/// draw, branch and copy.
+/// `traj.branch_evals`, `traj.lane_continuations` and `sim.state_copies`
+/// (every shot state copied: a block copy counts its lanes) and adds each
+/// to the telemetry recorder once, when it is dropped, rather than once
+/// per draw, branch and copy.
 #[derive(Default)]
 pub struct TrajWorkspace {
     scratch: Option<Statevector>,
+    lane: Option<Statevector>,
     draws: u64,
     evals: u64,
+    continuations: u64,
     copies: u64,
 }
 
@@ -167,13 +287,6 @@ impl TrajWorkspace {
     pub fn new() -> Self {
         TrajWorkspace::default()
     }
-
-    /// Overwrites `dst` with a copy of `src`, reusing its buffer, and
-    /// tallies the copy.
-    pub fn copy_state(&mut self, dst: &mut Statevector, src: &Statevector) {
-        self.copies += 1;
-        dst.copy_from(src);
-    }
 }
 
 impl Drop for TrajWorkspace {
@@ -181,6 +294,7 @@ impl Drop for TrajWorkspace {
         for (name, n) in [
             ("traj.branch_draws", self.draws),
             ("traj.branch_evals", self.evals),
+            ("traj.lane_continuations", self.continuations),
             ("sim.state_copies", self.copies),
         ] {
             if n > 0 {
@@ -245,12 +359,9 @@ impl TrajectoryCursor {
     /// Single-operator channels are applied directly — a one-operator
     /// CPTP channel is unitary, so no weight evaluation or RNG draw is
     /// needed (and skipping the draw keeps the per-shot stream fixed).
-    /// Multi-branch channels consume exactly one uniform draw: branches
-    /// are evaluated in the model's canonical order into the workspace
-    /// scratch, and the first whose cumulative weight exceeds the draw
-    /// wins. If floating-point shortfall leaves the cumulative weight
-    /// below the draw after the last branch (`Σwᵢ = 1` only up to
-    /// rounding), the last evaluated branch is committed.
+    /// Multi-branch channels consume exactly one uniform draw and commit
+    /// the first branch whose cumulative weight exceeds it
+    /// (`TrajChannel::sample_from`).
     fn apply_channel<R: Rng>(&mut self, ch: &TrajChannel, rng: &mut R, ws: &mut TrajWorkspace) {
         if let [only] = ch.ops.as_slice() {
             self.sv.apply_matrix(only, &ch.targets);
@@ -258,33 +369,7 @@ impl TrajectoryCursor {
         }
         ws.draws += 1;
         let u: f64 = rng.gen();
-        let scratch = ws
-            .scratch
-            .get_or_insert_with(|| Statevector::from_amplitudes(vec![Complex::ONE]));
-        let mut cumulative = 0.0f64;
-        let mut weight = 1.0f64;
-        for op in &ch.ops {
-            ws.evals += 1;
-            ws.copies += 1;
-            scratch.copy_from(&self.sv);
-            scratch.apply_matrix(op, &ch.targets);
-            weight = scratch
-                .amplitudes()
-                .iter()
-                .map(|a| a.norm_sqr())
-                .sum::<f64>();
-            cumulative += weight;
-            if u < cumulative {
-                std::mem::swap(&mut self.sv, scratch);
-                self.sv.scale(1.0 / weight.sqrt());
-                return;
-            }
-        }
-        // Σwᵢ fell short of the draw by rounding: commit the last branch,
-        // which is still parked in scratch.
-        qufi_obs::add("traj.branch_fallback", 1);
-        std::mem::swap(&mut self.sv, scratch);
-        self.sv.scale(1.0 / weight.sqrt());
+        ch.sample_from(&mut self.sv, u, 0, 0.0, ws);
     }
 
     /// Applies instructions `[position, upto)` through the plan: each
@@ -300,17 +385,7 @@ impl TrajectoryCursor {
         rng: &mut R,
         ws: &mut TrajWorkspace,
     ) {
-        assert!(
-            upto >= self.pos,
-            "cursor at {} cannot rewind to {upto}",
-            self.pos
-        );
-        assert!(
-            upto <= plan.size(),
-            "advance_planned({upto}) beyond plan of {} instructions",
-            plan.size()
-        );
-        for step in plan.steps[self.pos..upto].iter().flatten() {
+        for step in plan.steps(self.pos, upto) {
             self.sv.apply_matrix(&step.matrix, &step.qubits);
             for ch in &step.channels {
                 self.apply_channel(ch, rng, ws);
@@ -337,25 +412,210 @@ impl TrajectoryCursor {
         rng: &mut R,
         ws: &mut TrajWorkspace,
     ) {
-        assert_eq!(gate.num_qubits(), 1, "injector must be a 1-qubit gate");
-        assert!(
-            !matches!(gate, Gate::Rz(_)),
-            "virtual rz gates carry no noise and cannot use the injector path"
-        );
+        let channels = plan.injector(gate, qubit);
         self.sv.apply_matrix(&gate.matrix(), &[qubit]);
-        for ch in &plan.injector_channels[qubit] {
+        for ch in channels {
             self.apply_channel(ch, rng, ws);
         }
     }
 }
 
+/// Up to [`MAX_BATCH_CELLS`] shots of one plan evolving in lockstep as the
+/// lanes of one cell-major [`BatchedStatevector`] block: the lane
+/// counterpart of [`TrajectoryCursor`].
+///
+/// Each lane is one shot with its own RNG, and the lanes see exactly the
+/// operation sequence and draws a [`TrajectoryCursor`] makes for that shot,
+/// so every lane is bit-identical to it:
+///
+/// - A gate, or a channel with one operator, goes through the batched
+///   kernels (bit-identical to the scalar ones under `qufi_sim`'s
+///   arithmetic contract) and draws nothing.
+/// - A multi-branch channel draws once per lane. When its branch 0 is
+///   diagonal, one read-only pass forms every lane's branch-0 weight `w`,
+///   and one in-place pass applies branch 0 to the lanes whose draw is
+///   below `w` and scales them by `1/√w`. A lane whose draw is not below
+///   `w` continues through the scalar channel code from branch 1 with `w`
+///   as its cumulative weight, then is written back. When branch 0 is not
+///   diagonal, every lane takes that scalar code from branch 0.
+pub struct LaneCursor {
+    block: BatchedStatevector,
+    pos: usize,
+}
+
+impl LaneCursor {
+    /// A cursor at instruction 0 of the plan's circuit with `lanes` shots
+    /// in `|0…0⟩`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the register exceeds the statevector
+    /// engine's width limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is 0 or exceeds [`MAX_BATCH_CELLS`].
+    pub fn start(plan: &TrajPlan, lanes: usize) -> Result<Self, SimError> {
+        Ok(LaneCursor {
+            block: BatchedStatevector::broadcast(&Statevector::new(plan.num_qubits())?, lanes),
+            pos: 0,
+        })
+    }
+
+    /// Returns to instruction 0 with `lanes` shots in `|0…0⟩`, reusing the
+    /// block's buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is 0 or exceeds [`MAX_BATCH_CELLS`].
+    pub fn restart(&mut self, lanes: usize) {
+        self.block.reset(lanes);
+        self.pos = 0;
+    }
+
+    /// Overwrites this cursor with a copy of `src`'s lanes and position,
+    /// reusing the block's buffers; tallies one state copy per lane.
+    pub fn fork_from(&mut self, src: &LaneCursor, ws: &mut TrajWorkspace) {
+        ws.copies += src.lanes() as u64;
+        self.block.copy_from(&src.block);
+        self.pos = src.pos;
+    }
+
+    /// Number of lanes (shots) in the block.
+    fn lanes(&self) -> usize {
+        self.block.width()
+    }
+
+    /// Applies instructions `[position, upto)` through the plan to every
+    /// lane, lane `i` drawing from `rngs[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `upto` is behind the cursor or beyond the plan, or
+    /// when there is not one RNG per lane.
+    pub fn advance_planned<R: Rng>(
+        &mut self,
+        plan: &TrajPlan,
+        upto: usize,
+        rngs: &mut [R],
+        ws: &mut TrajWorkspace,
+    ) {
+        assert_eq!(rngs.len(), self.lanes(), "one RNG per lane");
+        for step in plan.steps(self.pos, upto) {
+            self.block.apply_matrix(&step.matrix, &step.qubits);
+            for ch in &step.channels {
+                self.apply_channel(ch, rngs, ws);
+            }
+        }
+        self.pos = upto;
+    }
+
+    /// The lane counterpart of [`TrajectoryCursor::apply_planned_injector`]:
+    /// one injector gate shared by every lane, then its channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics for multi-qubit gates, for the virtual `rz`, or when there
+    /// is not one RNG per lane.
+    pub fn apply_planned_injector<R: Rng>(
+        &mut self,
+        plan: &TrajPlan,
+        gate: Gate,
+        qubit: usize,
+        rngs: &mut [R],
+        ws: &mut TrajWorkspace,
+    ) {
+        assert_eq!(rngs.len(), self.lanes(), "one RNG per lane");
+        let channels = plan.injector(gate, qubit);
+        self.block.apply_matrix(&gate.matrix(), &[qubit]);
+        for ch in channels {
+            self.apply_channel(ch, rngs, ws);
+        }
+    }
+
+    /// Adds every lane to `acc` as shots `first, first + 1, …`, in shot
+    /// order.
+    pub fn accumulate(&self, acc: &mut ShotAccumulator, first: u64) {
+        for lane in 0..self.lanes() {
+            acc.add_with(first + lane as u64, |row| {
+                self.block.add_probabilities(lane, row)
+            });
+        }
+    }
+
+    /// Samples one branch of `ch` in every lane (see [`LaneCursor`]).
+    fn apply_channel<R: Rng>(&mut self, ch: &TrajChannel, rngs: &mut [R], ws: &mut TrajWorkspace) {
+        if let [only] = ch.ops.as_slice() {
+            self.block.apply_matrix(only, &ch.targets);
+            return;
+        }
+        let lanes = self.lanes();
+        ws.draws += lanes as u64;
+        let mut draws = [0.0f64; MAX_BATCH_CELLS];
+        for (u, rng) in draws.iter_mut().zip(rngs.iter_mut()) {
+            *u = rng.gen();
+        }
+        let Some(diagonal) = &ch.diagonal else {
+            for (lane, &u) in draws[..lanes].iter().enumerate() {
+                self.continue_lane(lane, ch, u, 0, 0.0, ws);
+            }
+            return;
+        };
+        ws.evals += lanes as u64;
+        let mut weights = [0.0f64; MAX_BATCH_CELLS];
+        self.block
+            .diagonal_weights(diagonal, &ch.targets, &mut weights[..lanes]);
+        // `0 + w = w` for a weight, which is never `−0`: a lane accepts
+        // branch 0 exactly when the scalar cumulative sum would.
+        let mut scale = [None; MAX_BATCH_CELLS];
+        for ((s, &u), &w) in scale.iter_mut().zip(&draws).zip(&weights).take(lanes) {
+            if u < w {
+                *s = Some(1.0 / w.sqrt());
+            }
+        }
+        self.block
+            .apply_diagonal_scaled(diagonal, &ch.targets, &scale[..lanes]);
+        for lane in 0..lanes {
+            if scale[lane].is_none() {
+                self.continue_lane(lane, ch, draws[lane], 1, weights[lane], ws);
+            }
+        }
+    }
+
+    /// Runs lane `lane` through the scalar channel code from branch `from`
+    /// with the summed weight `cumulative` of the branches before it.
+    fn continue_lane(
+        &mut self,
+        lane: usize,
+        ch: &TrajChannel,
+        u: f64,
+        from: usize,
+        cumulative: f64,
+        ws: &mut TrajWorkspace,
+    ) {
+        ws.continuations += 1;
+        ws.copies += 2;
+        let mut sv = ws
+            .lane
+            .take()
+            .unwrap_or_else(|| Statevector::from_amplitudes(vec![Complex::ONE]));
+        self.block.extract_cell(lane, &mut sv);
+        ch.sample_from(&mut sv, u, from, cumulative, ws);
+        self.block.store_cell(lane, &sv);
+        ws.lane = Some(sv);
+    }
+}
+
 /// Accumulates per-shot probability vectors into [`SHOT_BLOCK`]-sized
-/// partial sums so the fold order is fixed by shot *index*: the
-/// [`mean`](ShotAccumulator::mean) folds the partials in block order.
+/// partial sums so the fold order is fixed by shot *index*: each partial
+/// folds into the running sum as soon as its last shot lands, so the sum
+/// is `0 + p₀ + p₁ + …` in block order and a cell holds two rows.
 pub struct ShotAccumulator {
-    dim: usize,
     shots: u64,
-    blocks: Vec<Vec<f64>>,
+    /// The next shot index to land.
+    next: u64,
+    partial: Vec<f64>,
+    sum: Vec<f64>,
 }
 
 impl ShotAccumulator {
@@ -369,42 +629,62 @@ impl ShotAccumulator {
         assert!(shots > 0, "trajectory execution needs at least one shot");
         let dim = 1usize << num_qubits;
         ShotAccumulator {
-            dim,
             shots,
-            blocks: vec![vec![0.0; dim]; shots.div_ceil(SHOT_BLOCK) as usize],
+            next: 0,
+            partial: vec![0.0; dim],
+            sum: vec![0.0; dim],
         }
     }
 
-    /// Adds shot `shot`'s Born-rule probabilities. Shots **must** be
-    /// added in increasing index order within each block, so the
-    /// per-block FP sums are fixed.
+    /// Adds shot `shot`'s Born-rule probabilities.
     ///
     /// # Panics
     ///
-    /// Panics when the shot lies past the last block or the state width
-    /// disagrees.
+    /// Panics unless `shot` is the next shot in index order, or when the
+    /// state width disagrees.
     pub fn add_shot(&mut self, shot: u64, sv: &Statevector) {
-        assert_eq!(sv.amplitudes().len(), self.dim, "state width mismatch");
-        let partial = &mut self.blocks[(shot / SHOT_BLOCK) as usize];
-        for (acc, a) in partial.iter_mut().zip(sv.amplitudes()) {
-            *acc += a.norm_sqr();
+        assert_eq!(
+            sv.amplitudes().len(),
+            self.sum.len(),
+            "state width mismatch"
+        );
+        self.add_with(shot, |partial| {
+            for (acc, a) in partial.iter_mut().zip(sv.amplitudes()) {
+                *acc += a.norm_sqr();
+            }
+        });
+    }
+
+    /// Lands shot `shot`, whose probabilities `add` adds to the current
+    /// partial row, and folds the partial into the sum when it was the
+    /// block's last shot.
+    fn add_with(&mut self, shot: u64, add: impl FnOnce(&mut [f64])) {
+        assert_eq!(shot, self.next, "shots must land in index order");
+        assert!(
+            shot < self.shots,
+            "shot {shot} past the last of {}",
+            self.shots
+        );
+        add(&mut self.partial);
+        self.next += 1;
+        if self.next.is_multiple_of(SHOT_BLOCK) || self.next == self.shots {
+            for (s, p) in self.sum.iter_mut().zip(&mut self.partial) {
+                *s += *p;
+                *p = 0.0;
+            }
         }
     }
 
     /// The mean probability vector: block partials folded strictly in
     /// block order, divided by the shot count last.
+    ///
+    /// # Panics
+    ///
+    /// Panics before every shot has landed.
     pub fn mean(&self) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.dim];
-        for block in &self.blocks {
-            for (a, &p) in acc.iter_mut().zip(block) {
-                *a += p;
-            }
-        }
+        assert_eq!(self.next, self.shots, "mean before every shot landed");
         let inv = 1.0 / self.shots as f64;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        acc
+        self.sum.iter().map(|s| s * inv).collect()
     }
 }
 
@@ -452,16 +732,22 @@ pub fn run_trajectories(
     mut seed_for_shot: impl FnMut(u64) -> u64,
 ) -> Result<ProbDist, SimError> {
     let plan = TrajPlan::compile(qc, model);
-    // Surface the width error before any shot work.
-    TrajectoryCursor::start(&plan)?;
+    // Surfaces the width error before any shot work.
+    let mut cursor = LaneCursor::start(&plan, 1)?;
+    let lanes = batch_width(1 << plan.num_qubits());
     qufi_obs::add("traj.shots", shots);
     let mut acc = ShotAccumulator::new(qc.num_qubits(), shots);
     let mut ws = TrajWorkspace::new();
-    for shot in 0..shots {
-        let mut rng = SmallRng::seed_from_u64(seed_for_shot(shot));
-        let mut cursor = TrajectoryCursor::start(&plan)?;
-        cursor.advance_planned(&plan, plan.size(), &mut rng, &mut ws);
-        acc.add_shot(shot, cursor.state());
+    let mut rngs = Vec::with_capacity(lanes);
+    for first in (0..shots).step_by(lanes) {
+        let width = (shots - first).min(lanes as u64);
+        cursor.restart(width as usize);
+        rngs.clear();
+        rngs.extend(
+            (first..first + width).map(|shot| SmallRng::seed_from_u64(seed_for_shot(shot))),
+        );
+        cursor.advance_planned(&plan, plan.size(), &mut rngs, &mut ws);
+        cursor.accumulate(&mut acc, first);
     }
     Ok(finish_trajectory_dist(
         acc.mean(),
@@ -470,6 +756,9 @@ pub fn run_trajectories(
         qc,
     ))
 }
+
+#[cfg(test)]
+mod lane_tests;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,8 @@
-//! The TCP front end: a nonblocking accept loop feeding per-connection
+//! The TCP front end: a blocking accept loop feeding per-connection
 //! threads, each reading newline-delimited JSON frames under a byte cap
-//! and a read deadline. Degradation is graded, never silent:
+//! and a read deadline. A `shutdown` request, once answered, wakes the
+//! accept loop with one connection of its own so the loop sees the drain.
+//! Degradation is graded, never silent:
 //!
 //! * malformed frame → `bad_request`, connection stays open;
 //! * frame over the cap → `too_large`, connection closes (the stream
@@ -15,13 +17,14 @@ use crate::store::{atomic_write, Store};
 use crate::worker;
 use crate::{protocol, Config, JobHandler};
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// How often the accept loop re-checks the drain flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long the accept loop backs off after an accept error (say, out of
+/// file descriptors) before it accepts again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(20);
 
 /// A running daemon. Construct with [`Server::start`], block on
 /// [`Server::wait`]; a `shutdown` protocol op ends the wait.
@@ -45,7 +48,6 @@ impl Server {
         let store = Store::open(&cfg.dir)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         atomic_write(&cfg.dir.join("serve.addr"), addr.to_string().as_bytes())?;
         qufi_obs::log::info(&format!("serve: listening on {addr}"));
 
@@ -66,7 +68,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::Builder::new()
             .name("qufi-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared))
+            .spawn(move || accept_loop(&listener, addr, &accept_shared))
             .expect("spawn accept thread");
 
         Ok(Server {
@@ -108,13 +110,18 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Accepts until the daemon drains. The loop blocks in `accept`, so the
+/// connection that answers a `shutdown` opens one more connection to
+/// `addr` ([`wake_accept`]) after its reply, and the loop checks the drain
+/// flag after every accept.
+fn accept_loop(listener: &TcpListener, addr: SocketAddr, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.draining() {
             qufi_obs::flush();
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if !shared.conn_acquire() {
                     // Shed at the door: answer, then close. Writes are
@@ -126,7 +133,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let spawned = thread::Builder::new()
                     .name("qufi-serve-conn".to_string())
                     .spawn(move || {
-                        handle_conn(stream, &conn_shared);
+                        handle_conn(stream, addr, &conn_shared);
                         conn_shared.conn_release();
                         qufi_obs::flush();
                     });
@@ -140,9 +147,28 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     qufi_obs::log::warn(&format!("serve: connection thread spawn failed: {e}"));
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_RETRY),
         }
+    }
+}
+
+/// Opens (and drops) one connection to the daemon's own listen address,
+/// so an accept loop blocked in `accept` returns and sees the drain flag.
+/// An unspecified bind address (`0.0.0.0`, `::`) is reached on loopback.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    match TcpStream::connect(target) {
+        // Refused: an earlier shutdown already ended the loop and closed
+        // the listener.
+        Ok(_) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => {}
+        Err(e) => qufi_obs::log::warn(&format!("serve: could not wake the accept loop: {e}")),
     }
 }
 
@@ -196,13 +222,14 @@ fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, cap: usize) -> Frame {
     }
 }
 
-fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_conn(mut stream: TcpStream, addr: SocketAddr, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(shared.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
     // One-line replies must not wait out Nagle + delayed ACK.
     let _ = stream.set_nodelay(true);
     let mut buf = Vec::new();
     loop {
+        let mut wake = false;
         let response = match read_frame(&mut stream, &mut buf, shared.cfg.max_request) {
             Frame::Eof => return,
             Frame::Torn => {
@@ -235,10 +262,17 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
                     qufi_obs::add("serve.req.bad", 1);
                     protocol::error("bad_request", &message)
                 }
-                Ok(request) => dispatch(shared, request),
+                Ok(request) => {
+                    wake = matches!(request, protocol::Request::Shutdown { .. });
+                    dispatch(shared, request)
+                }
             },
         };
-        if stream.write_all(response.as_bytes()).is_err() {
+        let written = stream.write_all(response.as_bytes());
+        if wake {
+            wake_accept(addr);
+        }
+        if written.is_err() {
             return;
         }
     }

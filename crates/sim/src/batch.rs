@@ -14,6 +14,14 @@
 //! alone. The engine layer relies on this to keep batched campaign exports
 //! byte-identical to the scalar path at any batch width.
 //!
+//! The trajectory engine runs Monte-Carlo shots as the cells ("lanes") of
+//! a [`BatchedStatevector`]: it resets a block to `|0…0⟩`, copies blocks,
+//! moves single cells to and from a [`Statevector`], adds a cell's
+//! probabilities to an accumulator row, and weighs and commits diagonal
+//! Kraus branches per cell ([`BatchedStatevector::diagonal_weights`],
+//! [`BatchedStatevector::apply_diagonal_scaled`]), each bit-identical to
+//! the scalar statevector path.
+//!
 //! A replay that reads ρ only through its diagonal need not compute every
 //! entry. [`ObservedMask::backward_from_diagonal`] gives each operation of
 //! such a replay the qubits whose row and column bits may still differ in
@@ -25,13 +33,26 @@ use crate::counts::ProbDist;
 use crate::density::DensityMatrix;
 use crate::gate::Gate;
 use crate::kernel::{
-    batch_apply_1q_per_cell, batch_apply_matrix_on_bits, Observed, MAX_KERNEL_QUBITS,
+    batch_apply_1q_per_cell, batch_apply_diagonal_scaled, batch_apply_matrix_on_bits,
+    batch_diagonal_weights, Observed, MAX_KERNEL_QUBITS,
 };
 use crate::statevector::Statevector;
 use qufi_math::{CMatrix, Complex};
 
 /// Largest supported batch width (cells per block).
 pub const MAX_BATCH_CELLS: usize = crate::kernel::MAX_BATCH_CELLS;
+
+/// Ceiling on `flat state length × block width`: a block holds at most
+/// this many split-complex amplitudes (~64 MiB).
+const MAX_BATCH_AMPS: usize = 1 << 22;
+
+/// Cells per block for states of `flat_len` amplitudes: [`MAX_BATCH_CELLS`]
+/// (which keeps the single-operand kernels on their widest tile), shrunk
+/// so a block stays within a ~64 MiB amplitude budget instead of
+/// ballooning memory for wide registers, but never below one cell.
+pub fn batch_width(flat_len: usize) -> usize {
+    (MAX_BATCH_AMPS / flat_len.max(1)).clamp(1, MAX_BATCH_CELLS)
+}
 
 /// The shared cell-major split-complex buffer: `width` states of `1 << m`
 /// amplitudes each, amplitude-major × cell-minor.
@@ -61,6 +82,11 @@ impl CellBlock {
     fn at(&self, amp: usize, cell: usize) -> (f64, f64) {
         let i = amp * self.width + cell;
         (self.re[i], self.im[i])
+    }
+
+    /// Number of amplitudes per cell.
+    fn amps(&self) -> usize {
+        self.re.len() / self.width
     }
 }
 
@@ -228,6 +254,150 @@ impl BatchedStatevector {
                 .collect(),
             self.n,
         )
+    }
+
+    /// Number of cells (lanes) in the block.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.block.width
+    }
+
+    /// Sets the block to `width` cells of `|0…0⟩`, reusing its buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` is 0 or exceeds [`MAX_BATCH_CELLS`].
+    pub fn reset(&mut self, width: usize) {
+        assert!(
+            (1..=MAX_BATCH_CELLS).contains(&width),
+            "batch width must be 1..={MAX_BATCH_CELLS}"
+        );
+        let len = width << self.n;
+        for buf in [&mut self.block.re, &mut self.block.im] {
+            buf.clear();
+            buf.resize(len, 0.0);
+        }
+        self.block.re[..width].fill(1.0);
+        self.block.width = width;
+    }
+
+    /// Overwrites this block with a copy of `src`, reusing its buffers.
+    pub fn copy_from(&mut self, src: &BatchedStatevector) {
+        self.block.re.clone_from(&src.block.re);
+        self.block.im.clone_from(&src.block.im);
+        self.block.width = src.block.width;
+        self.n = src.n;
+    }
+
+    /// Copies cell `cell` into `sv`, reusing its buffer when `sv` has as
+    /// many qubits as the block's cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cell` is out of range.
+    pub fn extract_cell(&self, cell: usize, sv: &mut Statevector) {
+        assert!(cell < self.block.width, "cell {cell} out of range");
+        if sv.num_qubits() != self.n {
+            *sv = Statevector::from_amplitudes(vec![Complex::ZERO; 1 << self.n]);
+        }
+        for (a, z) in sv.amplitudes_mut().iter_mut().enumerate() {
+            let (re, im) = self.block.at(a, cell);
+            *z = Complex::new(re, im);
+        }
+    }
+
+    /// Overwrites cell `cell` with `sv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cell` is out of range or `sv` has another width.
+    pub fn store_cell(&mut self, cell: usize, sv: &Statevector) {
+        assert!(cell < self.block.width, "cell {cell} out of range");
+        assert_eq!(sv.num_qubits(), self.n, "state width mismatch");
+        let width = self.block.width;
+        for (a, z) in sv.amplitudes().iter().enumerate() {
+            self.block.re[a * width + cell] = z.re;
+            self.block.im[a * width + cell] = z.im;
+        }
+    }
+
+    /// Adds cell `cell`'s Born-rule probabilities to `row`, amplitude by
+    /// amplitude: `row[a] += re² + im²`, as a scalar shot adds its
+    /// `norm_sqr`s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cell` is out of range or `row` has another length.
+    pub fn add_probabilities(&self, cell: usize, row: &mut [f64]) {
+        assert!(cell < self.block.width, "cell {cell} out of range");
+        assert_eq!(row.len(), self.block.amps(), "row length mismatch");
+        for (a, acc) in row.iter_mut().enumerate() {
+            let (re, im) = self.block.at(a, cell);
+            *acc += re * re + im * im;
+        }
+    }
+
+    /// Each cell's weight `Σₐ |d·ψ[a]|²` under the diagonal matrix whose
+    /// entries are `diag` (first operand the most significant index bit),
+    /// acting on `qubits`: the squared norm that applying `diag` would
+    /// leave, without applying it. `weights` gets one entry per cell.
+    ///
+    /// Each weight is bit-identical to applying the full matrix to that
+    /// cell alone with [`Statevector::apply_matrix`] and summing the
+    /// amplitudes' `norm_sqr` in index order (see `kernel.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit is out of range, `diag` does not have
+    /// `2^|qubits|` entries or `weights` is not one per cell.
+    pub fn diagonal_weights(&self, diag: &[Complex], qubits: &[usize], weights: &mut [f64]) {
+        self.check_diagonal(diag, qubits);
+        batch_diagonal_weights(
+            &self.block.re,
+            &self.block.im,
+            self.block.width,
+            diag,
+            qubits,
+            weights,
+        );
+    }
+
+    /// Applies the diagonal matrix `diag` on `qubits` to every cell `c`
+    /// with `scale[c] = Some(s)`, then multiplies that cell by `s`; cells
+    /// with `None` are left as they are. A chosen cell is bit-identical to
+    /// [`Statevector::apply_matrix`] of the full matrix followed by
+    /// [`Statevector::scale`] by `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a qubit is out of range, `diag` does not have
+    /// `2^|qubits|` entries or `scale` is not one per cell.
+    pub fn apply_diagonal_scaled(
+        &mut self,
+        diag: &[Complex],
+        qubits: &[usize],
+        scale: &[Option<f64>],
+    ) {
+        self.check_diagonal(diag, qubits);
+        batch_apply_diagonal_scaled(
+            &mut self.block.re,
+            &mut self.block.im,
+            self.block.width,
+            diag,
+            qubits,
+            scale,
+        );
+    }
+
+    fn check_diagonal(&self, diag: &[Complex], qubits: &[usize]) {
+        assert!(
+            (1..=MAX_KERNEL_QUBITS).contains(&qubits.len()),
+            "a diagonal acts on 1..={MAX_KERNEL_QUBITS} qubits"
+        );
+        for &q in qubits {
+            assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
+        }
+        assert_eq!(diag.len(), 1 << qubits.len(), "diagonal size mismatch");
     }
 }
 

@@ -81,6 +81,20 @@
 //! generic kernel keep the complex products: no workload runs them often
 //! enough for a real variant to show.
 //!
+//! **Diagonal lane passes.** The trajectory lanes weigh and commit a
+//! diagonal Kraus branch in two batched passes rather than through
+//! [`apply_matrix_on_bits`]: [`batch_diagonal_weights`] and
+//! [`batch_apply_diagonal_scaled`]. Both form each product exactly as the
+//! scalar kernels form that output amplitude under this contract: `+0 +
+//! d·ψ[a]` from the row's lone entry, with the real walk when every entry's
+//! imaginary part is `±0`, and `+0` for a zero entry (whose product is a
+//! signed zero, so computing it gives the skipped entry's bits). A weight
+//! then sums the products' `re² + im²` in ascending amplitude order from a
+//! zero, like a scalar sum over the branch-applied state (no term is `−0`,
+//! so the sign of the starting zero does not matter), and a committed lane
+//! multiplies each product by `1/√w` part by part, like
+//! `Statevector::scale`.
+//!
 //! **Unobservable groups.** A batched density call may take an observed
 //! mask `M` of qubits and skip every amplitude group whose fixed bits have
 //! `(row ⊕ col)` outside `M` — a group's fixed bits fix `row ⊕ col` on every
@@ -1284,6 +1298,179 @@ fn batch_generic_tile<const T: usize>(
         }
         row0 += rows;
     }
+}
+
+/// The entry of a diagonal matrix over flat bit `positions` (the first
+/// operand the most significant matrix bit) that multiplies amplitude `a`.
+#[inline(always)]
+fn diagonal_index(a: usize, positions: &[usize]) -> usize {
+    positions.iter().fold(0, |m, &q| m << 1 | (a >> q & 1))
+}
+
+/// Runs `$body` once per amplitude of a diagonal pass over cells
+/// `$c0..$c0 + T`, in ascending amplitude order, with `$e` bound to the
+/// amplitude's diagonal entry and `$at` to the flat index of its first
+/// cell. Consecutive amplitudes below the lowest operand bit share an
+/// entry, so the entry is looked up once per such run.
+macro_rules! for_each_diagonal_amp {
+    (
+        $amps:expr, $width:expr, $c0:expr, $diag:expr, $positions:expr,
+        |$e:ident, $at:ident| $body:block
+    ) => {{
+        let (amps, width, c0, diag, positions): (usize, usize, usize, &[Complex], &[usize]) =
+            ($amps, $width, $c0, $diag, $positions);
+        let run = 1usize << positions.iter().min().expect("a diagonal pass has operands");
+        for a0 in (0..amps).step_by(run) {
+            let $e = diag[diagonal_index(a0, positions)];
+            for a in a0..a0 + run {
+                let $at = a * width + c0;
+                $body
+            }
+        }
+    }};
+}
+
+/// `+0 + e·x` in every one of `T` cells: the output amplitude a scalar
+/// kernel forms from the lone nonzero entry `e` of a diagonal row (or `+0`
+/// for a zero entry, whose products are signed zeros).
+#[inline(always)]
+fn diagonal_product<const T: usize, const REAL: bool>(
+    e: Complex,
+    x_re: &[f64; T],
+    x_im: &[f64; T],
+) -> ([f64; T], [f64; T]) {
+    let (mut p_re, mut p_im) = ([0.0f64; T], [0.0f64; T]);
+    entry_mac::<T, REAL>(&mut p_re, &mut p_im, e.re, e.im, x_re, x_im);
+    (p_re, p_im)
+}
+
+/// Each cell's weight `Σₐ |d·ψ[a]|²` under the diagonal matrix `diag` on
+/// flat bit `positions`, written to `weights[cell]`. The buffer is not
+/// modified.
+///
+/// Each product `d·ψ[a]` is formed as the scalar kernels form that output
+/// amplitude under the module's arithmetic contract (`+0 + d·ψ[a]`, the
+/// real walk when every entry's imaginary part is `±0`, and `+0` for a zero
+/// entry), and each weight sums the products' norms in ascending amplitude
+/// order from a zero, as a scalar sum over the branch-applied state does.
+/// So every weight is bit-identical to applying the matrix to that cell
+/// alone and summing its squared norms.
+pub(crate) fn batch_diagonal_weights(
+    re: &[f64],
+    im: &[f64],
+    width: usize,
+    diag: &[Complex],
+    positions: &[usize],
+    weights: &mut [f64],
+) {
+    debug_assert_eq!(
+        diag.len(),
+        1usize << positions.len(),
+        "diagonal size mismatch"
+    );
+    assert_eq!(weights.len(), width, "one weight per cell");
+    let real = is_real(diag);
+    let mut c0 = 0usize;
+    while c0 < width {
+        let tile = pow2_tile(width, c0);
+        if real {
+            dispatch_pow2!(
+                tile => diagonal_weights_tile::<_, true>(re, im, width, c0, diag, positions, weights)
+            );
+        } else {
+            dispatch_pow2!(
+                tile => diagonal_weights_tile::<_, false>(re, im, width, c0, diag, positions, weights)
+            );
+        }
+        c0 += tile;
+    }
+}
+
+/// One tile of [`batch_diagonal_weights`].
+#[inline(never)] // each tile's amplitude loop compiles on its own, not inside the dispatcher
+fn diagonal_weights_tile<const T: usize, const REAL: bool>(
+    re: &[f64],
+    im: &[f64],
+    width: usize,
+    c0: usize,
+    diag: &[Complex],
+    positions: &[usize],
+    weights: &mut [f64],
+) {
+    let mut w = [0.0f64; T];
+    for_each_diagonal_amp!(re.len() / width, width, c0, diag, positions, |e, at| {
+        let x_re: &[f64; T] = re[at..at + T].try_into().expect("tile of T lanes");
+        let x_im: &[f64; T] = im[at..at + T].try_into().expect("tile of T lanes");
+        let (p_re, p_im) = diagonal_product::<T, REAL>(e, x_re, x_im);
+        for c in 0..T {
+            w[c] += p_re[c] * p_re[c] + p_im[c] * p_im[c];
+        }
+    });
+    weights[c0..c0 + T].copy_from_slice(&w);
+}
+
+/// Applies the diagonal matrix `diag` on flat bit `positions` to every cell
+/// `c` with `scale[c] = Some(s)` and multiplies each of its amplitudes by
+/// `s`: `ψ[a] ↦ (+0 + d·ψ[a])·s`, part by part. Cells with `None` keep their
+/// amplitudes. The products are formed as in [`batch_diagonal_weights`], so
+/// a chosen cell is bit-identical to applying the matrix to it alone and
+/// then scaling it by `s`.
+pub(crate) fn batch_apply_diagonal_scaled(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    diag: &[Complex],
+    positions: &[usize],
+    scale: &[Option<f64>],
+) {
+    debug_assert_eq!(
+        diag.len(),
+        1usize << positions.len(),
+        "diagonal size mismatch"
+    );
+    assert_eq!(scale.len(), width, "one scale per cell");
+    let real = is_real(diag);
+    let mut c0 = 0usize;
+    while c0 < width {
+        let tile = pow2_tile(width, c0);
+        if scale[c0..c0 + tile].iter().any(Option::is_some) {
+            if real {
+                dispatch_pow2!(
+                    tile => diagonal_apply_tile::<_, true>(re, im, width, c0, diag, positions, scale)
+                );
+            } else {
+                dispatch_pow2!(
+                    tile => diagonal_apply_tile::<_, false>(re, im, width, c0, diag, positions, scale)
+                );
+            }
+        }
+        c0 += tile;
+    }
+}
+
+/// One tile of [`batch_apply_diagonal_scaled`].
+#[inline(never)] // each tile's amplitude loop compiles on its own, not inside the dispatcher
+fn diagonal_apply_tile<const T: usize, const REAL: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
+    width: usize,
+    c0: usize,
+    diag: &[Complex],
+    positions: &[usize],
+    scale: &[Option<f64>],
+) {
+    let chosen: [bool; T] = std::array::from_fn(|c| scale[c0 + c].is_some());
+    let s: [f64; T] = std::array::from_fn(|c| scale[c0 + c].unwrap_or(1.0));
+    for_each_diagonal_amp!(re.len() / width, width, c0, diag, positions, |e, at| {
+        let x_re = tile_mut::<T>(re, at);
+        let x_im = tile_mut::<T>(im, at);
+        let (g_re, g_im) = (*x_re, *x_im);
+        let (p_re, p_im) = diagonal_product::<T, REAL>(e, &g_re, &g_im);
+        for c in 0..T {
+            x_re[c] = if chosen[c] { p_re[c] * s[c] } else { g_re[c] };
+            x_im[c] = if chosen[c] { p_im[c] * s[c] } else { g_im[c] };
+        }
+    });
 }
 
 /// One register tile of [`batch_apply_generic`]'s row-sparse walk: cells

@@ -47,7 +47,7 @@ pub mod unitary;
 pub mod workspace;
 
 pub use batch::{
-    BatchWorkspace, BatchedDensity, BatchedStatevector, ObservedMask, MAX_BATCH_CELLS,
+    batch_width, BatchWorkspace, BatchedDensity, BatchedStatevector, ObservedMask, MAX_BATCH_CELLS,
 };
 pub use circuit::{Instruction, Op, QuantumCircuit};
 pub use counts::{Counts, ProbDist};

@@ -99,6 +99,13 @@ impl Statevector {
         &self.amps
     }
 
+    /// All amplitudes, mutably: a batched block copies one of its cells in
+    /// here.
+    #[inline]
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
+    }
+
     /// Applies a gate in place.
     ///
     /// # Panics
