@@ -7,9 +7,9 @@ use qufi_core::campaign::{golden_outputs, run_point_sweep, run_point_sweep_naive
 use qufi_core::engine::SweepExecutor;
 use qufi_core::executor::{Executor, NoisyExecutor};
 use qufi_core::fault::{enumerate_injection_points, FaultGrid, FaultParams};
-use qufi_math::CMatrix;
+use qufi_math::{CMatrix, Complex};
 use qufi_noise::{simulate, BackendCalibration, KrausChannel};
-use qufi_sim::{BatchedDensity, DensityMatrix, Gate, Statevector};
+use qufi_sim::{BatchedDensity, BatchedStatevector, DensityMatrix, Gate, Statevector};
 use qufi_transpile::{CouplingMap, Transpiler};
 
 fn bench_statevector(c: &mut Criterion) {
@@ -97,10 +97,17 @@ enum Operand {
 ///
 /// Rows run on a width-16 batched density block (the replay engine's
 /// default width), the scalar density matrix, both at 4 qubits, and a
-/// 10-qubit statevector (the trajectory replay). The 1q operands and the
-/// per-cell injector also run at widths 8 (a paper grid's last block) and
-/// 15. Each iteration applies the operand once to a fresh copy of a
-/// generic state, so repeated channels never decay it into subnormals.
+/// 10-qubit statevector (the scalar trajectory kernels; the 1q unitaries
+/// also at bit 0, `*_bit0`). The 1q operands and the per-cell injector also
+/// run at widths 8 (a paper grid's last block) and 15. Each iteration
+/// applies the operand once to a fresh copy of a generic state, so repeated
+/// channels never decay it into subnormals.
+///
+/// The `lanes16_10q_*` rows are the passes of a routed CX step in the
+/// trajectory lanes (16 shots of 10 qubits, the `jakarta` CX channels): the
+/// CX, the weight pass of the two-qubit depolarizing branch 0 and of a
+/// relaxation branch 0 (`diag(1, c)`), a relaxation commit into every lane,
+/// and a depolarizing commit fused with the next relaxation weight pass.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(200);
@@ -204,20 +211,68 @@ fn bench_kernels(c: &mut Criterion) {
             )
         });
         if let Operand::Unitary(u) = op {
-            group.bench_function(format!("statevector_10q_{name}"), |b| {
-                b.iter_batched(
-                    || sv.clone(),
-                    |mut state| {
-                        state.apply_matrix(u, qubits);
-                        state
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
+            let bit0 = [0usize];
+            let placements = if qubits.len() == 1 {
+                vec![(String::new(), *qubits), ("_bit0".to_owned(), &bit0[..])]
+            } else {
+                vec![(String::new(), *qubits)]
+            };
+            for (suffix, qubits) in placements {
+                group.bench_function(format!("statevector_10q_{name}{suffix}"), |b| {
+                    b.iter_batched(
+                        || sv.clone(),
+                        |mut state| {
+                            state.apply_matrix(u, qubits);
+                            state
+                        },
+                        BatchSize::SmallInput,
+                    )
+                });
+            }
         }
+    }
+
+    let lanes = BatchedStatevector::broadcast(&sv, 16);
+    let channels = model.channels_after(Gate::Cx, &[0, 1]);
+    let branch0 = |i: usize| -> Vec<Complex> {
+        let k0 = &channels[i].0.kraus_operators()[0];
+        (0..k0.rows()).map(|d| k0[(d, d)]).collect()
+    };
+    let (depol, relax) = (branch0(0), branch0(2));
+    let scale = [Some(1.01f64); 16];
+    let mut weights = [0.0f64; 16];
+    let lane_passes: [(&str, LanePass); 5] = [
+        ("cx", &|state, _| state.apply_gate(Gate::Cx, &[0, 1])),
+        ("weigh_depol", &|state, w| {
+            state.diagonal_weights(&depol, &[0, 1], w)
+        }),
+        ("weigh_relax", &|state, w| {
+            state.diagonal_weights(&relax, &[1], w)
+        }),
+        ("commit", &|state, _| {
+            state.apply_diagonal_scaled(&relax, &[1], &scale)
+        }),
+        ("commit_and_weigh", &|state, w| {
+            state.apply_diagonal_scaled_and_weigh((&depol, &[0, 1]), &scale, (&relax, &[0]), w)
+        }),
+    ];
+    for (name, pass) in lane_passes {
+        group.bench_function(format!("lanes16_10q_{name}"), |b| {
+            b.iter_batched(
+                || lanes.clone(),
+                |mut state| {
+                    pass(&mut state, &mut weights);
+                    state
+                },
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }
+
+/// One trajectory lane pass over a block, writing any weights it forms.
+type LanePass<'a> = &'a dyn Fn(&mut BatchedStatevector, &mut [f64]);
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");

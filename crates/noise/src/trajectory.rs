@@ -39,14 +39,19 @@
 //! two-qubit depolarizing channel and each operand's relaxation channel.
 //! Branch 0 of every calibrated channel is diagonal (identity-like) and
 //! wins almost always. The scalar cursor copies the state, applies the
-//! branch, sums its weight and renormalizes; the lanes take two passes
-//! instead. A read-only pass forms each lane's weight `Σₐ|d·ψ[a]|²`, with
-//! each product formed as the scalar kernel forms it and summed in
-//! amplitude order, because `records.json` prints what these sums feed
-//! at full precision. Then one in-place pass applies branch 0 to the lanes
-//! whose draw falls below their weight and scales them by `1/√w`. The
-//! other lanes (0.5% of lane draws on `traj-shard`) are extracted and
-//! continue through the scalar channel code from branch 1.
+//! branch, sums its weight and renormalizes; the lanes pass over the block
+//! instead. A pass forms each lane's weight `Σₐ|d·ψ[a]|²`, with each
+//! product formed as the scalar kernel forms it and summed in amplitude
+//! order, because `records.json` prints what these sums feed at full
+//! precision. The lanes whose draw falls below their weight get branch 0
+//! scaled by `1/√w`, but that commit waits for the next pass over the
+//! block: the next channel's weight pass commits each amplitude before it
+//! weighs it, and a gate or the end of an advance commits in a pass of its
+//! own. So a CX step makes five passes: the CX, one weight pass, two
+//! commit-and-weigh passes and one commit. The other lanes (0.5% of lane
+//! draws on `traj-shard`) are extracted and continue through the scalar
+//! channel code from branch 1 at once, before the commit, which leaves
+//! them as they are.
 //!
 //! # Where a shot's time goes
 //!
@@ -54,13 +59,17 @@
 //! core of an AVX-512 Xeon: 17% in the CX, 33–35% in the three branch
 //! kernels, 27–30% in the weight sums and 7–8% in the copies. In lanes, a
 //! 10-qubit block of 16 shots holds 256 KiB, so its passes stream from L2
-//! rather than L1, but every pass is vector work across 16 shots and a
-//! channel makes two passes instead of four. Timed per phase on that core
-//! (`qufi run` of a ghz-10 `traj-shard` manifest at one thread, three
-//! runs), the lanes spend 15–17% in gates, 29–31% in weight passes, 45–47%
-//! in apply-and-scale passes, 7–8% in extracted lanes and under 1% each in
-//! draws, block copies and shot accumulation. A weight pass is bound by
-//! its in-order sums, one dependent add per amplitude in every lane.
+//! rather than L1, but every pass is vector work across 16 shots, and the
+//! kernels skip what the bits do not need: the CX copies amplitudes, and
+//! the relaxation's unit entry (`diag(1, c)`) is never multiplied. A CX
+//! step of such a block, fastest of 60 rounds of 20, took 38–41 ns per
+//! amplitude (55–60 ns with a separate weight and commit pass per
+//! channel). Timed per phase on that core (`qufi run` of a ghz-10
+//! `traj-shard` manifest at one thread, three runs), the lanes spend
+//! 19–20% in gates, 10–11% in weight-only passes, 43–45% in
+//! commit-and-weigh passes, 16–17% in commit-only passes, 8–9% in
+//! extracted lanes and under 1% each in draws, block copies and shot
+//! accumulation.
 
 use crate::model::NoiseModel;
 use crate::readout::finish_readout;
@@ -85,7 +94,7 @@ struct TrajChannel {
     /// The diagonal of branch 0 when every off-diagonal entry is zero (of
     /// either sign), which holds for every calibrated relaxation and
     /// depolarizing channel: the lanes then weigh and commit branch 0 in
-    /// two passes over the block.
+    /// passes over the block (see [`LaneCursor`]).
     diagonal: Option<Vec<Complex>>,
 }
 
@@ -432,15 +441,32 @@ impl TrajectoryCursor {
 ///   kernels (bit-identical to the scalar ones under `qufi_sim`'s
 ///   arithmetic contract) and draws nothing.
 /// - A multi-branch channel draws once per lane. When its branch 0 is
-///   diagonal, one read-only pass forms every lane's branch-0 weight `w`,
-///   and one in-place pass applies branch 0 to the lanes whose draw is
-///   below `w` and scales them by `1/√w`. A lane whose draw is not below
-///   `w` continues through the scalar channel code from branch 1 with `w`
-///   as its cumulative weight, then is written back. When branch 0 is not
-///   diagonal, every lane takes that scalar code from branch 0.
+///   diagonal, one pass forms every lane's branch-0 weight `w`. A lane
+///   whose draw is not below `w` continues at once through the scalar
+///   channel code from branch 1 with `w` as its cumulative weight, then is
+///   written back. The other lanes get branch 0 scaled by `1/√w`, but that
+///   commit is left pending: the next diagonal channel's weight pass
+///   applies it as it goes, and anything else (a gate, a single-operator
+///   channel, a branch 0 that is not diagonal, the end of an advance)
+///   applies it first in a pass of its own. The commit leaves the
+///   continued lanes as they are, so no lane is weighed twice. When branch
+///   0 is not diagonal, every lane takes the scalar code from branch 0.
 pub struct LaneCursor {
     block: BatchedStatevector,
     pos: usize,
+    pending: PendingCommit,
+}
+
+/// The branch-0 commit of the last diagonal channel a [`LaneCursor`]
+/// sampled, not yet applied: its diagonal, its targets and one scale per
+/// lane (`None` for a lane that continued through the scalar code). The
+/// buffers are reused from channel to channel.
+#[derive(Default)]
+struct PendingCommit {
+    active: bool,
+    diagonal: Vec<Complex>,
+    targets: Vec<usize>,
+    scale: [Option<f64>; MAX_BATCH_CELLS],
 }
 
 impl LaneCursor {
@@ -459,6 +485,7 @@ impl LaneCursor {
         Ok(LaneCursor {
             block: BatchedStatevector::broadcast(&Statevector::new(plan.num_qubits())?, lanes),
             pos: 0,
+            pending: PendingCommit::default(),
         })
     }
 
@@ -476,6 +503,10 @@ impl LaneCursor {
     /// Overwrites this cursor with a copy of `src`'s lanes and position,
     /// reusing the block's buffers; tallies one state copy per lane.
     pub fn fork_from(&mut self, src: &LaneCursor, ws: &mut TrajWorkspace) {
+        debug_assert!(
+            !src.pending.active,
+            "public calls end with no commit pending"
+        );
         ws.copies += src.lanes() as u64;
         self.block.copy_from(&src.block);
         self.pos = src.pos;
@@ -502,11 +533,13 @@ impl LaneCursor {
     ) {
         assert_eq!(rngs.len(), self.lanes(), "one RNG per lane");
         for step in plan.steps(self.pos, upto) {
+            self.flush();
             self.block.apply_matrix(&step.matrix, &step.qubits);
             for ch in &step.channels {
                 self.apply_channel(ch, rngs, ws);
             }
         }
+        self.flush();
         self.pos = upto;
     }
 
@@ -531,11 +564,16 @@ impl LaneCursor {
         for ch in channels {
             self.apply_channel(ch, rngs, ws);
         }
+        self.flush();
     }
 
     /// Adds every lane to `acc` as shots `first, first + 1, …`, in shot
     /// order.
     pub fn accumulate(&self, acc: &mut ShotAccumulator, first: u64) {
+        debug_assert!(
+            !self.pending.active,
+            "public calls end with no commit pending"
+        );
         for lane in 0..self.lanes() {
             acc.add_with(first + lane as u64, |row| {
                 self.block.add_probabilities(lane, row)
@@ -543,9 +581,11 @@ impl LaneCursor {
         }
     }
 
-    /// Samples one branch of `ch` in every lane (see [`LaneCursor`]).
+    /// Samples one branch of `ch` in every lane (see [`LaneCursor`]),
+    /// leaving a diagonal branch 0's commit pending.
     fn apply_channel<R: Rng>(&mut self, ch: &TrajChannel, rngs: &mut [R], ws: &mut TrajWorkspace) {
         if let [only] = ch.ops.as_slice() {
+            self.flush();
             self.block.apply_matrix(only, &ch.targets);
             return;
         }
@@ -556,6 +596,7 @@ impl LaneCursor {
             *u = rng.gen();
         }
         let Some(diagonal) = &ch.diagonal else {
+            self.flush();
             for (lane, &u) in draws[..lanes].iter().enumerate() {
                 self.continue_lane(lane, ch, u, 0, 0.0, ws);
             }
@@ -563,22 +604,50 @@ impl LaneCursor {
         };
         ws.evals += lanes as u64;
         let mut weights = [0.0f64; MAX_BATCH_CELLS];
-        self.block
-            .diagonal_weights(diagonal, &ch.targets, &mut weights[..lanes]);
+        let pending = &mut self.pending;
+        if pending.active {
+            self.block.apply_diagonal_scaled_and_weigh(
+                (&pending.diagonal, &pending.targets),
+                &pending.scale[..lanes],
+                (diagonal, &ch.targets),
+                &mut weights[..lanes],
+            );
+        } else {
+            self.block
+                .diagonal_weights(diagonal, &ch.targets, &mut weights[..lanes]);
+        }
         // `0 + w = w` for a weight, which is never `−0`: a lane accepts
         // branch 0 exactly when the scalar cumulative sum would.
-        let mut scale = [None; MAX_BATCH_CELLS];
-        for ((s, &u), &w) in scale.iter_mut().zip(&draws).zip(&weights).take(lanes) {
-            if u < w {
-                *s = Some(1.0 / w.sqrt());
-            }
+        for ((s, &u), &w) in pending
+            .scale
+            .iter_mut()
+            .zip(&draws)
+            .zip(&weights)
+            .take(lanes)
+        {
+            *s = (u < w).then(|| 1.0 / w.sqrt());
         }
-        self.block
-            .apply_diagonal_scaled(diagonal, &ch.targets, &scale[..lanes]);
+        pending.active = true;
+        pending.diagonal.clone_from(diagonal);
+        pending.targets.clone_from(&ch.targets);
         for lane in 0..lanes {
-            if scale[lane].is_none() {
+            if self.pending.scale[lane].is_none() {
                 self.continue_lane(lane, ch, draws[lane], 1, weights[lane], ws);
             }
+        }
+    }
+
+    /// Applies the pending branch-0 commit, if any, in a pass of its own.
+    fn flush(&mut self) {
+        let pending = &mut self.pending;
+        if pending.active {
+            pending.active = false;
+            let lanes = self.block.width();
+            self.block.apply_diagonal_scaled(
+                &pending.diagonal,
+                &pending.targets,
+                &pending.scale[..lanes],
+            );
         }
     }
 

@@ -6,15 +6,33 @@
 //! hand-made channels appended to every step: one whose branch 0 is not
 //! diagonal (every lane takes the scalar code), one whose branch 0 is light
 //! enough that most lanes reject it (the continuation from branch 1), one
-//! with a zero diagonal entry and one with a complex diagonal. Lane counts
-//! 1, 3 and 16 run with shot counts that leave a ragged last batch. Gates
-//! leave no `−0` amplitude behind, so the channels are also applied
-//! directly to states with signed-zero amplitudes.
+//! with a zero diagonal entry, one with a complex diagonal and one with a
+//! complex entry whose real part is exactly `1`. A second set appends
+//! chains of diagonal channels instead, each committing into the next
+//! one's weight pass: calibrated relaxations around a branch 0 that most
+//! lanes reject and around that complex unit-real entry. Lane counts 1, 3
+//! and 16 run with shot counts that leave a ragged last batch. Gates leave
+//! no `−0` amplitude behind, so the channels are also applied directly to
+//! states with signed-zero amplitudes.
 
 use super::*;
 use crate::backend::BackendCalibration;
 use crate::channel::KrausChannel;
 use proptest::prelude::*;
+
+/// A channel on `targets` whose diagonal branch 0 has a complex entry with
+/// real part exactly `1`: a lane pass that took it for a unit entry would
+/// drop its imaginary part.
+fn complex_unit_real(targets: &[usize]) -> TrajChannel {
+    let c = |re: f64, im: f64| Complex::new(re, im);
+    TrajChannel::new(
+        vec![
+            CMatrix::from_2x2(c(1.0, 0.25), c(0.0, 0.0), c(0.0, 0.0), c(0.6, 0.0)),
+            CMatrix::pauli_x().scale_real(0.5),
+        ],
+        targets.to_vec(),
+    )
+}
 
 /// Hand-made channels on `targets` (one or two qubits), appended after
 /// plan steps to reach every branch of the lane code.
@@ -42,6 +60,7 @@ fn hand_made(targets: &[usize]) -> Vec<TrajChannel> {
                     .scale_real(0.9f64.sqrt()),
                 CMatrix::pauli_y().scale_real(0.1f64.sqrt()),
             ]),
+            complex_unit_real(targets),
         ],
         _ => vec![ch(KrausChannel::depolarizing(1.0, 2)
             .kraus_operators()
@@ -49,16 +68,46 @@ fn hand_made(targets: &[usize]) -> Vec<TrajChannel> {
     }
 }
 
-/// `qc` compiled under `model`, with [`hand_made`] channels after every
+/// Back-to-back diagonal channels on `targets` (one or two qubits), so
+/// each commit is applied in the next channel's weight pass: `model`'s
+/// calibrated relaxation on the first target, a branch 0 of weight 1/4
+/// (one target) or 1/16 (two) that most lanes reject, the relaxation on
+/// the last target, [`complex_unit_real`] and the first relaxation again.
+fn chained(targets: &[usize], model: &NoiseModel) -> Vec<TrajChannel> {
+    let relax = |q: usize| {
+        let other = (q + 1) % model.num_qubits();
+        let (ch, t) = model
+            .channels_after(Gate::Cx, &[q, other])
+            .into_iter()
+            .find(|(_, t)| t == &[q])
+            .expect("a calibrated relaxation on every qubit");
+        TrajChannel::new(ch.kraus_operators().to_vec(), t)
+    };
+    let (first, last) = (targets[0], targets[targets.len() - 1]);
+    let rejected = KrausChannel::depolarizing(1.0, targets.len());
+    vec![
+        relax(first),
+        TrajChannel::new(rejected.kraus_operators().to_vec(), targets.to_vec()),
+        relax(last),
+        complex_unit_real(&[first]),
+        relax(first),
+    ]
+}
+
+/// `qc` compiled under `model`, with `extra(targets)` channels after every
 /// step and on every injector.
-fn plan_with_hand_made(qc: &QuantumCircuit, model: &NoiseModel) -> TrajPlan {
+fn plan_with(
+    qc: &QuantumCircuit,
+    model: &NoiseModel,
+    extra: impl Fn(&[usize]) -> Vec<TrajChannel>,
+) -> TrajPlan {
     let mut plan = TrajPlan::compile(qc, model);
     for step in plan.steps.iter_mut().flatten() {
-        let extra = hand_made(&step.qubits[..step.qubits.len().min(2)]);
-        step.channels.extend(extra);
+        step.channels
+            .extend(extra(&step.qubits[..step.qubits.len().min(2)]));
     }
     for (q, channels) in plan.injector_channels.iter_mut().enumerate() {
-        channels.extend(hand_made(&[q]));
+        channels.extend(extra(&[q]));
     }
     plan
 }
@@ -172,8 +221,9 @@ const LANES: [usize; 3] = [1, 3, 16];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random circuits under calibrated models plus the hand-made
-    /// channels: lanes against one scalar shot at a time.
+    /// Random circuits under calibrated models, alone, with the hand-made
+    /// channels and with the chained ones: lanes against one scalar shot
+    /// at a time.
     #[test]
     fn lanes_match_scalar_shots_on_random_circuits(
         n in 2usize..=5,
@@ -191,9 +241,11 @@ proptest! {
             .restrict(&(0..n).collect::<Vec<_>>());
         let qc = circuit(n, &gates);
         let lanes = LANES[lane_pick];
+        let model = cal.noise_model();
         for plan in [
-            TrajPlan::compile(&qc, &cal.noise_model()),
-            plan_with_hand_made(&qc, &cal.noise_model()),
+            TrajPlan::compile(&qc, &model),
+            plan_with(&qc, &model, hand_made),
+            plan_with(&qc, &model, |targets| chained(targets, &model)),
         ] {
             let (lane_states, lane_mean) = run_lanes(&plan, shots, lanes, seed);
             let (scalar_states, scalar_mean) = run_scalar(&plan, shots, seed);
@@ -204,14 +256,16 @@ proptest! {
         }
     }
 
-    /// Every channel, hand-made and calibrated, applied straight to states
-    /// with signed-zero amplitudes: each lane against the scalar channel
-    /// code after every application.
+    /// Every channel, hand-made, chained and calibrated, applied straight
+    /// to states with signed-zero amplitudes: each lane against the scalar
+    /// channel code after every application (the lanes' pending commit
+    /// flushed first), or, back to back, only after the last one.
     #[test]
     fn lane_channels_match_scalar_on_signed_zeros(
         n in 2usize..=4,
         picks in prop::collection::vec((0usize..16, 0usize..4, 0usize..4), 1..8),
         lane_pick in 0usize..3,
+        back_to_back in any::<bool>(),
         seed in 0u64..u64::MAX,
     ) {
         let lanes = LANES[lane_pick];
@@ -235,6 +289,7 @@ proptest! {
             let (a, b) = (a % n, b % n);
             let targets = if which % 2 == 1 && a != b { vec![a, b] } else { vec![a] };
             let mut channels = hand_made(&targets);
+            channels.extend(chained(&targets, &model));
             if let Some((ch, t)) = model.channels_after(
                 if targets.len() == 2 { Gate::Cx } else { Gate::Sx },
                 &targets,
@@ -243,8 +298,14 @@ proptest! {
             }
             let ch = &channels[which % channels.len()];
             lane_cursor.apply_channel(ch, &mut lane_rngs, &mut ws);
-            for (lane, (cursor, rng)) in scalar.iter_mut().zip(&mut scalar_rngs).enumerate() {
+            for (cursor, rng) in scalar.iter_mut().zip(&mut scalar_rngs) {
                 cursor.apply_channel(ch, rng, &mut ws);
+            }
+            if back_to_back && i + 1 < picks.len() {
+                continue;
+            }
+            lane_cursor.flush();
+            for (lane, cursor) in scalar.iter().enumerate() {
                 let mut sv = Statevector::new(0).unwrap();
                 lane_cursor.block.extract_cell(lane, &mut sv);
                 assert_states_bitwise(&sv, cursor.state(), &format!("channel {i}, lane {lane}"));
@@ -266,6 +327,12 @@ fn hand_made_channels_take_the_paths_they_name() {
         .unwrap()
         .iter()
         .any(|d| d.im != 0.0));
+    assert!(one[4]
+        .diagonal
+        .as_ref()
+        .unwrap()
+        .iter()
+        .any(|d| d.re == 1.0 && d.im != 0.0));
     // Calibrated channels all have a diagonal branch 0.
     let model = BackendCalibration::guadalupe().noise_model();
     for (gate, qubits) in [(Gate::Sx, vec![3]), (Gate::Cx, vec![1, 2])] {

@@ -19,8 +19,9 @@
 //! moves single cells to and from a [`Statevector`], adds a cell's
 //! probabilities to an accumulator row, and weighs and commits diagonal
 //! Kraus branches per cell ([`BatchedStatevector::diagonal_weights`],
-//! [`BatchedStatevector::apply_diagonal_scaled`]), each bit-identical to
-//! the scalar statevector path.
+//! [`BatchedStatevector::apply_diagonal_scaled`], and both in one pass,
+//! [`BatchedStatevector::apply_diagonal_scaled_and_weigh`]), each
+//! bit-identical to the scalar statevector path.
 //!
 //! A replay that reads ρ only through its diagonal need not compute every
 //! entry. [`ObservedMask::backward_from_diagonal`] gives each operation of
@@ -33,8 +34,8 @@ use crate::counts::ProbDist;
 use crate::density::DensityMatrix;
 use crate::gate::Gate;
 use crate::kernel::{
-    batch_apply_1q_per_cell, batch_apply_diagonal_scaled, batch_apply_matrix_on_bits,
-    batch_diagonal_weights, Observed, MAX_KERNEL_QUBITS,
+    batch_apply_1q_per_cell, batch_apply_matrix_on_bits, batch_diagonal_pass, LaneDiagonal,
+    Observed, MAX_KERNEL_QUBITS,
 };
 use crate::statevector::Statevector;
 use qufi_math::{CMatrix, Complex};
@@ -340,7 +341,8 @@ impl BatchedStatevector {
     /// Each cell's weight `Σₐ |d·ψ[a]|²` under the diagonal matrix whose
     /// entries are `diag` (first operand the most significant index bit),
     /// acting on `qubits`: the squared norm that applying `diag` would
-    /// leave, without applying it. `weights` gets one entry per cell.
+    /// leave, without applying it. `weights` gets one entry per cell, and
+    /// the block is not modified.
     ///
     /// Each weight is bit-identical to applying the full matrix to that
     /// cell alone with [`Statevector::apply_matrix`] and summing the
@@ -350,15 +352,14 @@ impl BatchedStatevector {
     ///
     /// Panics if a qubit is out of range, `diag` does not have
     /// `2^|qubits|` entries or `weights` is not one per cell.
-    pub fn diagonal_weights(&self, diag: &[Complex], qubits: &[usize], weights: &mut [f64]) {
-        self.check_diagonal(diag, qubits);
-        batch_diagonal_weights(
-            &self.block.re,
-            &self.block.im,
+    pub fn diagonal_weights(&mut self, diag: &[Complex], qubits: &[usize], weights: &mut [f64]) {
+        let weigh = self.lane_diagonal(diag, qubits);
+        batch_diagonal_pass(
+            &mut self.block.re,
+            &mut self.block.im,
             self.block.width,
-            diag,
-            qubits,
-            weights,
+            None,
+            Some((weigh, weights)),
         );
     }
 
@@ -378,18 +379,45 @@ impl BatchedStatevector {
         qubits: &[usize],
         scale: &[Option<f64>],
     ) {
-        self.check_diagonal(diag, qubits);
-        batch_apply_diagonal_scaled(
+        let commit = self.lane_diagonal(diag, qubits);
+        batch_diagonal_pass(
             &mut self.block.re,
             &mut self.block.im,
             self.block.width,
-            diag,
-            qubits,
-            scale,
+            Some((commit, scale)),
+            None,
         );
     }
 
-    fn check_diagonal(&self, diag: &[Complex], qubits: &[usize]) {
+    /// [`BatchedStatevector::apply_diagonal_scaled`] of `commit` on
+    /// `commit_qubits`, then [`BatchedStatevector::diagonal_weights`] of
+    /// `diag` on `qubits`, in one pass over the block: each amplitude is
+    /// committed and stored, then weighed. Bit-identical to the two calls
+    /// made one after the other.
+    ///
+    /// # Panics
+    ///
+    /// Panics as either of the two calls would.
+    pub fn apply_diagonal_scaled_and_weigh(
+        &mut self,
+        (commit, commit_qubits): (&[Complex], &[usize]),
+        scale: &[Option<f64>],
+        (diag, qubits): (&[Complex], &[usize]),
+        weights: &mut [f64],
+    ) {
+        let commit = self.lane_diagonal(commit, commit_qubits);
+        let weigh = self.lane_diagonal(diag, qubits);
+        batch_diagonal_pass(
+            &mut self.block.re,
+            &mut self.block.im,
+            self.block.width,
+            Some((commit, scale)),
+            Some((weigh, weights)),
+        );
+    }
+
+    /// `diag` on `qubits` as a lane pass reads it, after checking both.
+    fn lane_diagonal<'a>(&self, diag: &'a [Complex], qubits: &'a [usize]) -> LaneDiagonal<'a> {
         assert!(
             (1..=MAX_KERNEL_QUBITS).contains(&qubits.len()),
             "a diagonal acts on 1..={MAX_KERNEL_QUBITS} qubits"
@@ -398,6 +426,10 @@ impl BatchedStatevector {
             assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
         }
         assert_eq!(diag.len(), 1 << qubits.len(), "diagonal size mismatch");
+        LaneDiagonal {
+            diag,
+            positions: qubits,
+        }
     }
 }
 

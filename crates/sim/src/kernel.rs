@@ -52,16 +52,19 @@
 //!
 //! Each kernel reads the zero pattern of the matrix it is handed once per
 //! call, as the kernels with a real-operand walk (below) read whether the
-//! matrix is real; nothing else selects a path. A matrix without zero
-//! entries runs the plain dense loops. Otherwise the 1-qubit kernels run a
-//! loop specialized to the pattern, the 2-qubit kernels walk each row's
-//! nonzero entries padded with zero entries to a common count (where that
-//! beats the dense loop: see [`apply_2q`] and [`batch_apply_2q`]), and the
-//! generic kernels walk a row-sparse list of the nonzero entries.
+//! matrix is real and the batched 2-qubit kernel reads whether it is a
+//! permutation of unit entries; nothing else selects a path. A matrix
+//! without zero entries runs the plain dense loops. Otherwise the 1-qubit
+//! kernels run a loop specialized to the pattern, the 2-qubit kernels walk
+//! each row's nonzero entries padded with zero entries to a common count
+//! (where that beats the dense loop: see [`apply_2q`] and
+//! [`batch_apply_2q`]), and the generic kernels walk a row-sparse list of
+//! the nonzero entries.
 //!
-//! Two more skips are exact: real operands, in the scalar 1-qubit and
-//! one-entry-per-row 2-qubit loops and in the batched walks, and
-//! unobservable groups, in the batched density kernels.
+//! Three more skips are exact: real operands, in the scalar 1-qubit and
+//! one-entry-per-row 2-qubit loops and in the batched walks; unit entries,
+//! in the batched 2-qubit walk and the trajectory lanes' diagonal passes;
+//! and unobservable groups, in the batched density kernels.
 //!
 //! **Real operands.** When every entry's imaginary part is `±0` (every CX,
 //! SWAP, real Pauli product, diagonal Kraus branch, and calibrated
@@ -81,20 +84,35 @@
 //! generic kernel keep the complex products: no workload runs them often
 //! enough for a real variant to show.
 //!
-//! **Diagonal lane passes.** The trajectory lanes weigh and commit a
-//! diagonal Kraus branch in two batched passes rather than through
-//! [`apply_matrix_on_bits`]: [`batch_diagonal_weights`] and
-//! [`batch_apply_diagonal_scaled`]. Both form each product exactly as the
-//! scalar kernels form that output amplitude under this contract: `+0 +
-//! d·ψ[a]` from the row's lone entry, with the real walk when every entry's
-//! imaginary part is `±0`, and `+0` for a zero entry (whose product is a
-//! signed zero, so computing it gives the skipped entry's bits). A weight
-//! then sums the products' `re² + im²` in ascending amplitude order from a
-//! zero, like a scalar sum over the branch-applied state (no term is `−0`,
-//! so the sign of the starting zero does not matter), and a committed lane
-//! multiplies each product by `1/√w` part by part, like
-//! `Statevector::scale`.
+//! **Unit entries.** An entry whose real part is exactly `1` and whose
+//! imaginary part is `±0` multiplies a finite `g` into `g` itself: the real
+//! walk forms `1·gr` and `1·gi`, which are `gr` and `gi` bit for bit, signs
+//! of zero included. So an output whose lone entry is a unit entry is
+//! `+0 + g[col]`, part by part, with no multiplication; the `+0` start
+//! stays, since it turns a `−0` part into `+0` as the contract does. The
+//! batched 2-qubit kernel takes this permutation walk, once per call, when
+//! every row of the matrix holds exactly one nonzero entry and it is a unit
+//! entry (CX, SWAP, in the statevector lanes and in both density passes),
+//! and copies each row's column. A unit test must read the imaginary part:
+//! `1 + 0.25i` is not a unit entry.
 //!
+//! **Diagonal lane passes.** The trajectory lanes weigh and commit a
+//! diagonal Kraus branch through [`batch_diagonal_pass`] rather than
+//! through [`apply_matrix_on_bits`]: one ascending pass that commits one
+//! diagonal, weighs one, or both, each amplitude committed and stored
+//! before it is weighed. A committed lane's amplitude is `+0 + d·ψ[a]`
+//! from the row's lone entry, formed per entry kind — `+0 + ψ[a]` for a
+//! unit entry, the real walk for an entry whose imaginary part is `±0`,
+//! the full product otherwise, `+0` for a zero entry (whose product is a
+//! signed zero, so computing it gives the skipped entry's bits) — and
+//! then multiplied by `1/√w` part by part, like `Statevector::scale`. A
+//! weight sums the products' `re² + im²` in ascending amplitude order from
+//! a zero, like a scalar sum over the branch-applied state. Its products
+//! drop the `+0` start: `(+0 + t)² = t²` bit for bit, and no term is `−0`,
+//! so neither that start nor the sign of the starting zero matters. A
+//! unit entry's term is `ψr² + ψi²`, with no multiplication by the entry.
+//! A tile in which every lane commits stores without a per-lane select.
+
 //! **Unobservable groups.** A batched density call may take an observed
 //! mask `M` of qubits and skip every amplitude group whose fixed bits have
 //! `(row ⊕ col)` outside `M` — a group's fixed bits fix `row ⊕ col` on every
@@ -115,11 +133,12 @@
 //!    and the readout, whose `D` is empty, reads only kept diagonal
 //!    entries.
 //!
-//! Both skips keep the base contract's preconditions: finite amplitudes,
+//! Every skip keeps the base contract's preconditions: finite amplitudes,
 //! round-to-nearest, and no fused multiply-add. Only the batched density
 //! replay uses masks; the scalar engines compute every entry and stay the
 //! oracle the batched replay is checked against, and the dense reference
-//! of `tests/kernel_oracle.rs` checks both engines' real walks.
+//! of `tests/kernel_oracle.rs` checks both engines' real walks, the
+//! permutation walk and the lanes' diagonal passes.
 
 use qufi_math::Complex;
 use std::ops::Range;
@@ -148,6 +167,14 @@ fn is_zero(z: Complex) -> bool {
 #[inline]
 fn is_real(u: &[Complex]) -> bool {
     u.iter().all(|x| x.im == 0.0)
+}
+
+/// `true` for a unit entry: real part exactly `1`, imaginary part `±0`
+/// (conjugation keeps this). Its product with a finite amplitude is the
+/// amplitude itself (see the module docs).
+#[inline]
+fn is_unit(x: Complex) -> bool {
+    x.re == 1.0 && x.im == 0.0
 }
 
 /// `acc += x · v`; when `REAL` (`x.im` is `±0`) only `acc += x.re · v`,
@@ -221,6 +248,10 @@ struct PaddedRows {
     k: usize,
     /// Every entry's imaginary part is `±0`.
     real: bool,
+    /// Every row holds exactly one nonzero entry and it is a unit entry
+    /// ([`is_unit`]): CX and SWAP, whose batched walk copies (see the
+    /// module docs).
+    unit: bool,
     col: [[usize; 4]; 4],
     re: [[f64; 4]; 4],
     im: [[f64; 4]; 4],
@@ -231,6 +262,7 @@ impl PaddedRows {
         let mut p = PaddedRows {
             k: 0,
             real: is_real(&u[..16]),
+            unit: true,
             col: [[0; 4]; 4],
             re: [[0.0; 4]; 4],
             im: [[0.0; 4]; 4],
@@ -245,6 +277,7 @@ impl PaddedRows {
                     n += 1;
                 }
             }
+            p.unit &= n == 1 && is_unit(u[row * 4 + p.col[row][0]]);
             p.k = p.k.max(n);
         }
         p
@@ -406,7 +439,8 @@ fn apply_1q(data: &mut [Complex], u: &[Complex], q: usize, conjugate: bool) {
 ///
 /// Blocks are walked as `chunks_exact_mut(2·bit)` split at `bit`, so the
 /// inner pair loop is a bounds-check-free zip over two slices the compiler
-/// can pipeline and vectorize.
+/// can pipeline and vectorize. At bit 0 that loop would run once per block,
+/// so bit 0 walks the `chunks_exact_mut(2)` pairs directly instead.
 fn apply_1q_nz<const NZ: u8, const REAL: bool>(
     data: &mut [Complex],
     u: &[Complex],
@@ -414,34 +448,45 @@ fn apply_1q_nz<const NZ: u8, const REAL: bool>(
     conjugate: bool,
 ) {
     let bit = 1usize << q;
-    let (u00, u01, u10, u11) = if conjugate {
-        (u[0].conj(), u[1].conj(), u[2].conj(), u[3].conj())
-    } else {
-        (u[0], u[1], u[2], u[3])
-    };
+    let e: [Complex; 4] = std::array::from_fn(|i| if conjugate { u[i].conj() } else { u[i] });
+    if q == 0 {
+        for block in data.chunks_exact_mut(2) {
+            let [p0, p1] = block else {
+                unreachable!("chunks of two")
+            };
+            pair_1q::<NZ, REAL>(p0, p1, &e);
+        }
+        return;
+    }
     for block in data.chunks_exact_mut(bit << 1) {
         let (lo, hi) = block.split_at_mut(bit);
         for (p0, p1) in lo.iter_mut().zip(hi.iter_mut()) {
-            let v0 = *p0;
-            let v1 = *p1;
-            let mut a0 = Complex::ZERO;
-            if NZ & 1 != 0 {
-                mac::<REAL>(&mut a0, u00, v0);
-            }
-            if NZ & 2 != 0 {
-                mac::<REAL>(&mut a0, u01, v1);
-            }
-            let mut a1 = Complex::ZERO;
-            if NZ & 4 != 0 {
-                mac::<REAL>(&mut a1, u10, v0);
-            }
-            if NZ & 8 != 0 {
-                mac::<REAL>(&mut a1, u11, v1);
-            }
-            *p0 = a0;
-            *p1 = a1;
+            pair_1q::<NZ, REAL>(p0, p1, &e);
         }
     }
+}
+
+/// One amplitude pair of [`apply_1q_nz`] under the row-major entries `e`.
+#[inline(always)]
+fn pair_1q<const NZ: u8, const REAL: bool>(p0: &mut Complex, p1: &mut Complex, e: &[Complex; 4]) {
+    let v0 = *p0;
+    let v1 = *p1;
+    let mut a0 = Complex::ZERO;
+    if NZ & 1 != 0 {
+        mac::<REAL>(&mut a0, e[0], v0);
+    }
+    if NZ & 2 != 0 {
+        mac::<REAL>(&mut a0, e[1], v1);
+    }
+    let mut a1 = Complex::ZERO;
+    if NZ & 4 != 0 {
+        mac::<REAL>(&mut a1, e[2], v0);
+    }
+    if NZ & 8 != 0 {
+        mac::<REAL>(&mut a1, e[3], v1);
+    }
+    *p0 = a0;
+    *p1 = a1;
 }
 
 /// Specialized two-operand kernel: 4-amplitude gather, 4×4 transform,
@@ -583,9 +628,9 @@ fn apply_generic(data: &mut [Complex], u: &[Complex], positions: &[usize], m: us
 // vectorizes *across cells*. Each cell's own operation sequence is exactly
 // the scalar kernels' (the module's arithmetic contract), so a batched cell
 // is bit-identical to a scalar replay of the same state. Zero-entry, real-
-// operand and observed-group decisions sit outside the cell loops: a skipped
-// entry or group costs at most one branch per amplitude group, never work
-// per cell.
+// operand, unit-entry and observed-group decisions sit outside the cell
+// loops: a skipped entry or group costs at most one branch per amplitude
+// group, never work per cell.
 //
 // Every kernel runs its cell loops at a compile-time width: it walks the
 // cells in `const T` tiles, powers of two ([`pow2_tile`]) or register tiles
@@ -716,15 +761,15 @@ fn pow2_tile(width: usize, c0: usize) -> usize {
 
 /// Expands `match tile` over the [`pow2_tile`] sizes so each arm calls the
 /// tile kernel with a `const T` equal to the runtime tile (and, when given,
-/// a second const argument after it).
+/// the const arguments after it).
 macro_rules! dispatch_pow2 {
-    ($tile:expr => $f:ident $(::<_, $flag:tt>)? ($($args:expr),* $(,)?)) => {
+    ($tile:expr => $f:ident $(::<_ $(, $flag:tt)+>)? ($($args:expr),* $(,)?)) => {
         match $tile {
-            1 => $f::<1 $(, $flag)?>($($args),*),
-            2 => $f::<2 $(, $flag)?>($($args),*),
-            4 => $f::<4 $(, $flag)?>($($args),*),
-            8 => $f::<8 $(, $flag)?>($($args),*),
-            16 => $f::<16 $(, $flag)?>($($args),*),
+            1 => $f::<1 $($(, $flag)+)?>($($args),*),
+            2 => $f::<2 $($(, $flag)+)?>($($args),*),
+            4 => $f::<4 $($(, $flag)+)?>($($args),*),
+            8 => $f::<8 $($(, $flag)+)?>($($args),*),
+            16 => $f::<16 $($(, $flag)+)?>($($args),*),
             _ => unreachable!("pow2 tiles are powers of two up to MAX_BATCH_CELLS"),
         }
     };
@@ -1032,7 +1077,10 @@ fn batch_1q_per_cell_tile<const T: usize>(
 /// multiply-add is a vector operation across cells, so a matrix whose rows
 /// have fewer than four nonzero entries each walks its [`PaddedRows`] in
 /// [`batch_2q_padded_tile`]s; the full transform is walked in
-/// [`BATCH_TILE_2Q`]-cell register tiles.
+/// [`BATCH_TILE_2Q`]-cell register tiles. The walk is chosen once per
+/// call: a permutation of unit entries (CX, SWAP) copies each row's column,
+/// a real matrix drops the imaginary products, and any other multiplies in
+/// full.
 #[allow(clippy::too_many_arguments)] // the batched kernel signature plus filter
 fn batch_apply_2q(
     re: &mut [f64],
@@ -1047,10 +1095,12 @@ fn batch_apply_2q(
     let quad = Quad::new(p_hi, p_lo);
     let rows = PaddedRows::of(u, conj);
     if rows.k < 4 {
-        if rows.real {
-            batch_2q_walk::<true>(re, im, width, &quad, &rows, observed);
+        if rows.unit {
+            batch_2q_walk::<UNIT_ENTRY>(re, im, width, &quad, &rows, observed);
+        } else if rows.real {
+            batch_2q_walk::<REAL_ENTRY>(re, im, width, &quad, &rows, observed);
         } else {
-            batch_2q_walk::<false>(re, im, width, &quad, &rows, observed);
+            batch_2q_walk::<COMPLEX_ENTRY>(re, im, width, &quad, &rows, observed);
         }
         return;
     }
@@ -1070,9 +1120,9 @@ fn batch_apply_2q(
     }
 }
 
-/// [`batch_apply_2q`]'s [`PaddedRows`] walk, `REAL` when every entry's
-/// imaginary part is `±0`.
-fn batch_2q_walk<const REAL: bool>(
+/// [`batch_apply_2q`]'s [`PaddedRows`] walk over entries of kind `KIND`
+/// (every entry's, see [`UNIT_ENTRY`]).
+fn batch_2q_walk<const KIND: u8>(
     re: &mut [f64],
     im: &mut [f64],
     width: usize,
@@ -1090,7 +1140,7 @@ fn batch_2q_walk<const REAL: bool>(
         while c0 < width {
             let tile = pow2_tile(width, c0);
             dispatch_pow2!(
-                tile => batch_2q_padded_tile::<_, REAL>(re, im, width, c0, &amps, rows)
+                tile => batch_2q_padded_tile::<_, KIND>(re, im, width, c0, &amps, rows)
             );
             c0 += tile;
         }
@@ -1135,8 +1185,9 @@ fn batch_2q_tile<const T: usize>(
 
 /// One register tile of [`batch_apply_2q`]'s [`PaddedRows`] walk: cells
 /// `c0..c0 + T` of a gathered 4-amplitude group, one output row at a time.
+/// Under [`UNIT_ENTRY`] each row is `+0 + g[col]` of its lone column.
 #[inline(always)]
-fn batch_2q_padded_tile<const T: usize, const REAL: bool>(
+fn batch_2q_padded_tile<const T: usize, const KIND: u8>(
     re: &mut [f64],
     im: &mut [f64],
     width: usize,
@@ -1154,16 +1205,23 @@ fn batch_2q_padded_tile<const T: usize, const REAL: bool>(
     for (row, &a) in amps.iter().enumerate() {
         let mut o_re = [0.0f64; T];
         let mut o_im = [0.0f64; T];
-        for j in 0..rows.k {
-            let col = rows.col[row][j];
-            entry_mac::<T, REAL>(
-                &mut o_re,
-                &mut o_im,
-                rows.re[row][j],
-                rows.im[row][j],
-                &g_re[col],
-                &g_im[col],
-            );
+        if KIND == UNIT_ENTRY {
+            let col = rows.col[row][0];
+            for c in 0..T {
+                o_re[c] += g_re[col][c];
+                o_im[c] += g_im[col][c];
+            }
+        } else {
+            for j in 0..rows.k {
+                let col = rows.col[row][j];
+                let (er, ei) = (rows.re[row][j], rows.im[row][j]);
+                let (gr, gi) = (&g_re[col], &g_im[col]);
+                if KIND == REAL_ENTRY {
+                    entry_mac::<T, true>(&mut o_re, &mut o_im, er, ei, gr, gi);
+                } else {
+                    entry_mac::<T, false>(&mut o_re, &mut o_im, er, ei, gr, gi);
+                }
+            }
         }
         let base = a * width + c0;
         re[base..base + T].copy_from_slice(&o_re);
@@ -1300,177 +1358,238 @@ fn batch_generic_tile<const T: usize>(
     }
 }
 
-/// The entry of a diagonal matrix over flat bit `positions` (the first
-/// operand the most significant matrix bit) that multiplies amplitude `a`.
+/// How a walk multiplies by a matrix entry: a unit entry ([`is_unit`])
+/// passes the amplitude through, a real one (imaginary part `±0`) drops
+/// the `ai·g` products, a complex one multiplies in full (see the module
+/// docs). A kernel monomorphizes its walk over these.
+const UNIT_ENTRY: u8 = 0;
+const REAL_ENTRY: u8 = 1;
+const COMPLEX_ENTRY: u8 = 2;
+
+/// The kind of entry `x` (see [`UNIT_ENTRY`]).
 #[inline(always)]
-fn diagonal_index(a: usize, positions: &[usize]) -> usize {
-    positions.iter().fold(0, |m, &q| m << 1 | (a >> q & 1))
+fn entry_kind(x: Complex) -> u8 {
+    if is_unit(x) {
+        UNIT_ENTRY
+    } else if x.im == 0.0 {
+        REAL_ENTRY
+    } else {
+        COMPLEX_ENTRY
+    }
 }
 
-/// Runs `$body` once per amplitude of a diagonal pass over cells
-/// `$c0..$c0 + T`, in ascending amplitude order, with `$e` bound to the
-/// amplitude's diagonal entry and `$at` to the flat index of its first
-/// cell. Consecutive amplitudes below the lowest operand bit share an
-/// entry, so the entry is looked up once per such run.
-macro_rules! for_each_diagonal_amp {
-    (
-        $amps:expr, $width:expr, $c0:expr, $diag:expr, $positions:expr,
-        |$e:ident, $at:ident| $body:block
-    ) => {{
-        let (amps, width, c0, diag, positions): (usize, usize, usize, &[Complex], &[usize]) =
-            ($amps, $width, $c0, $diag, $positions);
-        let run = 1usize << positions.iter().min().expect("a diagonal pass has operands");
-        for a0 in (0..amps).step_by(run) {
-            let $e = diag[diagonal_index(a0, positions)];
-            for a in a0..a0 + run {
-                let $at = a * width + c0;
-                $body
-            }
-        }
-    }};
+/// A diagonal matrix `diag` on flat bit `positions` (the first operand the
+/// most significant matrix bit), as the lane passes read it.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneDiagonal<'a> {
+    pub(crate) diag: &'a [Complex],
+    pub(crate) positions: &'a [usize],
 }
 
-/// `+0 + e·x` in every one of `T` cells: the output amplitude a scalar
-/// kernel forms from the lone nonzero entry `e` of a diagonal row (or `+0`
-/// for a zero entry, whose products are signed zeros).
+impl LaneDiagonal<'_> {
+    /// The entry that multiplies amplitude `a`.
+    #[inline(always)]
+    fn entry(&self, a: usize) -> Complex {
+        self.diag[self.positions.iter().fold(0, |m, &q| m << 1 | (a >> q & 1))]
+    }
+
+    /// The lowest operand bit: amplitudes below it share an entry.
+    fn low_bit(&self) -> usize {
+        *self
+            .positions
+            .iter()
+            .min()
+            .expect("a diagonal pass has operands")
+    }
+}
+
+/// `e·x` in every one of `T` cells, for an entry `e` of kind `K`, each part
+/// formed as a walk of the module's contract forms it but without the `+0`
+/// start: the two differ at most in the sign of a zero.
 #[inline(always)]
-fn diagonal_product<const T: usize, const REAL: bool>(
+fn lane_product<const T: usize, const K: u8>(
     e: Complex,
     x_re: &[f64; T],
     x_im: &[f64; T],
 ) -> ([f64; T], [f64; T]) {
-    let (mut p_re, mut p_im) = ([0.0f64; T], [0.0f64; T]);
-    entry_mac::<T, REAL>(&mut p_re, &mut p_im, e.re, e.im, x_re, x_im);
-    (p_re, p_im)
+    match K {
+        UNIT_ENTRY => (*x_re, *x_im),
+        REAL_ENTRY => (
+            std::array::from_fn(|c| e.re * x_re[c]),
+            std::array::from_fn(|c| e.re * x_im[c]),
+        ),
+        _ => (
+            std::array::from_fn(|c| e.re * x_re[c] - e.im * x_im[c]),
+            std::array::from_fn(|c| e.re * x_im[c] + e.im * x_re[c]),
+        ),
+    }
 }
 
-/// Each cell's weight `Σₐ |d·ψ[a]|²` under the diagonal matrix `diag` on
-/// flat bit `positions`, written to `weights[cell]`. The buffer is not
-/// modified.
+/// One ascending pass over a lane block that commits a diagonal branch,
+/// weighs one, or both.
 ///
-/// Each product `d·ψ[a]` is formed as the scalar kernels form that output
-/// amplitude under the module's arithmetic contract (`+0 + d·ψ[a]`, the
-/// real walk when every entry's imaginary part is `±0`, and `+0` for a zero
-/// entry), and each weight sums the products' norms in ascending amplitude
-/// order from a zero, as a scalar sum over the branch-applied state does.
-/// So every weight is bit-identical to applying the matrix to that cell
-/// alone and summing its squared norms.
-pub(crate) fn batch_diagonal_weights(
-    re: &[f64],
-    im: &[f64],
+/// `commit` applies its diagonal to every cell `c` with `scale[c] = Some(s)`
+/// and multiplies the result by `s`: `ψ[a] ↦ (+0 + d·ψ[a])·s`, part by part,
+/// which is bit-identical to applying the matrix to that cell alone and
+/// then scaling it by `s`. Cells with `None` keep their amplitudes.
+///
+/// `weigh` writes each cell's weight `Σₐ |d·ψ[a]|²` to `weights[cell]`,
+/// where `ψ` is the state after the commit: the products' `re² + im²` in
+/// ascending amplitude order from a zero, which is bit-identical to
+/// applying the matrix to that cell alone and summing its `norm_sqr`s.
+/// (`(+0 + t)² = t²` bit for bit, and no term is `−0`, so neither the
+/// product's `+0` start nor the sign of the starting zero matters.)
+///
+/// Each amplitude is committed and stored before it is weighed.
+pub(crate) fn batch_diagonal_pass(
+    re: &mut [f64],
+    im: &mut [f64],
     width: usize,
-    diag: &[Complex],
-    positions: &[usize],
-    weights: &mut [f64],
+    commit: Option<(LaneDiagonal<'_>, &[Option<f64>])>,
+    weigh: Option<(LaneDiagonal<'_>, &mut [f64])>,
 ) {
-    debug_assert_eq!(
-        diag.len(),
-        1usize << positions.len(),
-        "diagonal size mismatch"
-    );
-    assert_eq!(weights.len(), width, "one weight per cell");
-    let real = is_real(diag);
+    const NONE: LaneDiagonal<'static> = LaneDiagonal {
+        diag: &[],
+        positions: &[],
+    };
+    let unchosen = [None; MAX_BATCH_CELLS];
+    let (cd, scale) = match commit {
+        Some((d, scale)) => {
+            debug_assert_eq!(d.diag.len(), 1 << d.positions.len(), "diagonal size");
+            assert_eq!(scale.len(), width, "one scale per cell");
+            (d, scale)
+        }
+        None => (NONE, &unchosen[..width]),
+    };
+    let weighs = weigh.is_some();
+    let (wd, weights) = match weigh {
+        Some((d, weights)) => {
+            debug_assert_eq!(d.diag.len(), 1 << d.positions.len(), "diagonal size");
+            assert_eq!(weights.len(), width, "one weight per cell");
+            (d, weights)
+        }
+        None => (NONE, &mut [][..]),
+    };
     let mut c0 = 0usize;
     while c0 < width {
         let tile = pow2_tile(width, c0);
-        if real {
-            dispatch_pow2!(
-                tile => diagonal_weights_tile::<_, true>(re, im, width, c0, diag, positions, weights)
-            );
-        } else {
-            dispatch_pow2!(
-                tile => diagonal_weights_tile::<_, false>(re, im, width, c0, diag, positions, weights)
-            );
+        let chosen = scale[c0..c0 + tile].iter().filter(|s| s.is_some()).count();
+        macro_rules! pass {
+            ($commit:tt, $weigh:tt, $all:tt) => {
+                dispatch_pow2!(tile => diagonal_pass_tile::<_, $commit, $weigh, $all>(
+                    re, im, width, c0, &cd, scale, &wd, weights
+                ))
+            };
+        }
+        match (chosen, weighs) {
+            (0, false) => {}
+            (0, true) => pass!(false, true, false),
+            (n, false) if n == tile => pass!(true, false, true),
+            (_, false) => pass!(true, false, false),
+            (n, true) if n == tile => pass!(true, true, true),
+            (_, true) => pass!(true, true, false),
         }
         c0 += tile;
     }
 }
 
-/// One tile of [`batch_diagonal_weights`].
+/// One tile of [`batch_diagonal_pass`], cells `c0..c0 + T`: commits `cd`
+/// when `COMMIT`, weighs `wd` when `WEIGH`, and stores the committed value
+/// without a per-lane select when `ALL` (every lane of the tile commits).
+/// The entries are looked up once per run of amplitudes that share them.
+/// A full tile walks a run of unit and real entries at their kinds. Any
+/// other run, and every run of a narrower tile (only a ragged last shot
+/// batch has them), takes the complex walk for both entries, which gives
+/// the same bits; a narrower tile also keeps its select.
 #[inline(never)] // each tile's amplitude loop compiles on its own, not inside the dispatcher
-fn diagonal_weights_tile<const T: usize, const REAL: bool>(
-    re: &[f64],
-    im: &[f64],
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn diagonal_pass_tile<const T: usize, const COMMIT: bool, const WEIGH: bool, const ALL: bool>(
+    re: &mut [f64],
+    im: &mut [f64],
     width: usize,
     c0: usize,
-    diag: &[Complex],
-    positions: &[usize],
+    cd: &LaneDiagonal<'_>,
+    scale: &[Option<f64>],
+    wd: &LaneDiagonal<'_>,
     weights: &mut [f64],
 ) {
+    let full = T == MAX_BATCH_CELLS;
+    let chosen: [bool; T] = std::array::from_fn(|c| (ALL && full) || scale[c0 + c].is_some());
+    let s: [f64; T] = std::array::from_fn(|c| scale[c0 + c].unwrap_or(1.0));
     let mut w = [0.0f64; T];
-    for_each_diagonal_amp!(re.len() / width, width, c0, diag, positions, |e, at| {
-        let x_re: &[f64; T] = re[at..at + T].try_into().expect("tile of T lanes");
-        let x_im: &[f64; T] = im[at..at + T].try_into().expect("tile of T lanes");
-        let (p_re, p_im) = diagonal_product::<T, REAL>(e, x_re, x_im);
+    let low = match (COMMIT, WEIGH) {
+        (true, true) => cd.low_bit().min(wd.low_bit()),
+        (true, false) => cd.low_bit(),
+        _ => wd.low_bit(),
+    };
+    let run = 1usize << low;
+    let amps = re.len() / width;
+    for a0 in (0..amps).step_by(run) {
+        let ec = if COMMIT { cd.entry(a0) } else { Complex::ONE };
+        let ew = if WEIGH { wd.entry(a0) } else { Complex::ONE };
+        macro_rules! walk {
+            ($ck:expr, $wk:expr) => {
+                for a in a0..a0 + run {
+                    let at = a * width + c0;
+                    diagonal_step::<T, COMMIT, WEIGH, $ck, $wk>(
+                        tile_mut(re, at),
+                        tile_mut(im, at),
+                        ec,
+                        &s,
+                        &chosen,
+                        ew,
+                        &mut w,
+                    );
+                }
+            };
+        }
+        match (full, entry_kind(ec), entry_kind(ew)) {
+            (true, UNIT_ENTRY, UNIT_ENTRY) => walk!(UNIT_ENTRY, UNIT_ENTRY),
+            (true, UNIT_ENTRY, REAL_ENTRY) => walk!(UNIT_ENTRY, REAL_ENTRY),
+            (true, REAL_ENTRY, UNIT_ENTRY) => walk!(REAL_ENTRY, UNIT_ENTRY),
+            (true, REAL_ENTRY, REAL_ENTRY) => walk!(REAL_ENTRY, REAL_ENTRY),
+            _ => walk!(COMPLEX_ENTRY, COMPLEX_ENTRY),
+        }
+    }
+    if WEIGH {
+        weights[c0..c0 + T].copy_from_slice(&w);
+    }
+}
+
+/// One amplitude of a [`diagonal_pass_tile`] in its `T` lanes: commit the
+/// entry `ec` of kind `CK` into the lanes `chosen` marks and scale them by
+/// `s`, store, then add the weight term of the entry `ew` of kind `WK`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
+fn diagonal_step<
+    const T: usize,
+    const COMMIT: bool,
+    const WEIGH: bool,
+    const CK: u8,
+    const WK: u8,
+>(
+    x_re: &mut [f64; T],
+    x_im: &mut [f64; T],
+    ec: Complex,
+    s: &[f64; T],
+    chosen: &[bool; T],
+    ew: Complex,
+    w: &mut [f64; T],
+) {
+    if COMMIT {
+        let (p_re, p_im) = lane_product::<T, CK>(ec, x_re, x_im);
+        for c in 0..T {
+            let (q_re, q_im) = ((0.0 + p_re[c]) * s[c], (0.0 + p_im[c]) * s[c]);
+            x_re[c] = if chosen[c] { q_re } else { x_re[c] };
+            x_im[c] = if chosen[c] { q_im } else { x_im[c] };
+        }
+    }
+    if WEIGH {
+        let (p_re, p_im) = lane_product::<T, WK>(ew, x_re, x_im);
         for c in 0..T {
             w[c] += p_re[c] * p_re[c] + p_im[c] * p_im[c];
         }
-    });
-    weights[c0..c0 + T].copy_from_slice(&w);
-}
-
-/// Applies the diagonal matrix `diag` on flat bit `positions` to every cell
-/// `c` with `scale[c] = Some(s)` and multiplies each of its amplitudes by
-/// `s`: `ψ[a] ↦ (+0 + d·ψ[a])·s`, part by part. Cells with `None` keep their
-/// amplitudes. The products are formed as in [`batch_diagonal_weights`], so
-/// a chosen cell is bit-identical to applying the matrix to it alone and
-/// then scaling it by `s`.
-pub(crate) fn batch_apply_diagonal_scaled(
-    re: &mut [f64],
-    im: &mut [f64],
-    width: usize,
-    diag: &[Complex],
-    positions: &[usize],
-    scale: &[Option<f64>],
-) {
-    debug_assert_eq!(
-        diag.len(),
-        1usize << positions.len(),
-        "diagonal size mismatch"
-    );
-    assert_eq!(scale.len(), width, "one scale per cell");
-    let real = is_real(diag);
-    let mut c0 = 0usize;
-    while c0 < width {
-        let tile = pow2_tile(width, c0);
-        if scale[c0..c0 + tile].iter().any(Option::is_some) {
-            if real {
-                dispatch_pow2!(
-                    tile => diagonal_apply_tile::<_, true>(re, im, width, c0, diag, positions, scale)
-                );
-            } else {
-                dispatch_pow2!(
-                    tile => diagonal_apply_tile::<_, false>(re, im, width, c0, diag, positions, scale)
-                );
-            }
-        }
-        c0 += tile;
     }
-}
-
-/// One tile of [`batch_apply_diagonal_scaled`].
-#[inline(never)] // each tile's amplitude loop compiles on its own, not inside the dispatcher
-fn diagonal_apply_tile<const T: usize, const REAL: bool>(
-    re: &mut [f64],
-    im: &mut [f64],
-    width: usize,
-    c0: usize,
-    diag: &[Complex],
-    positions: &[usize],
-    scale: &[Option<f64>],
-) {
-    let chosen: [bool; T] = std::array::from_fn(|c| scale[c0 + c].is_some());
-    let s: [f64; T] = std::array::from_fn(|c| scale[c0 + c].unwrap_or(1.0));
-    for_each_diagonal_amp!(re.len() / width, width, c0, diag, positions, |e, at| {
-        let x_re = tile_mut::<T>(re, at);
-        let x_im = tile_mut::<T>(im, at);
-        let (g_re, g_im) = (*x_re, *x_im);
-        let (p_re, p_im) = diagonal_product::<T, REAL>(e, &g_re, &g_im);
-        for c in 0..T {
-            x_re[c] = if chosen[c] { p_re[c] * s[c] } else { g_re[c] };
-            x_im[c] = if chosen[c] { p_im[c] * s[c] } else { g_im[c] };
-        }
-    });
 }
 
 /// One register tile of [`batch_apply_generic`]'s row-sparse walk: cells

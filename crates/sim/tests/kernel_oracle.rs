@@ -21,12 +21,18 @@
 //!
 //! The kernels also drop the imaginary products of operands whose
 //! imaginary parts are all `±0`, and the batched ones skip the amplitude
-//! groups an observed mask leaves out. The last two properties check both
-//! against the same reference: real operands through every scalar entry
-//! point at 4 and 8 qubits, real and complex operands through every
-//! batched entry point at widths 1, 3, 8, 15 and 16, and random suffixes
-//! replayed with the masks of `ObservedMask::backward_from_diagonal` and
-//! with full masks.
+//! groups an observed mask leaves out. Two properties check both against
+//! the same reference: real operands through every scalar entry point at 4
+//! and 8 qubits, real and complex operands through every batched entry
+//! point at widths 1, 3, 8, 15 and 16, and random suffixes replayed with
+//! the masks of `ObservedMask::backward_from_diagonal` and with full masks.
+//!
+//! Unit entries (`1` with a `±0` imaginary part) skip their multiplication
+//! too: the batched two-qubit kernel copies through a permutation of them,
+//! and the trajectory lanes' diagonal passes pass them through. The drawn
+//! matrices include unit entries and unit permutations, and the last
+//! property checks the permuting walk and the lanes' weigh, commit and
+//! commit-and-weigh passes amplitude by amplitude.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
@@ -376,12 +382,18 @@ impl Stream {
         }
     }
 
+    /// A unit entry: `1` with a signed-zero imaginary part.
+    fn unit(&mut self) -> Complex {
+        Complex::new(1.0, self.signed_zero())
+    }
+
     /// A `dim × dim` matrix: fully dense, a random zero pattern, monomial,
-    /// or a random pattern with whole rows zeroed. Zero entries carry
-    /// random signs; nonzero ones are scaled by `1/dim` so repeated
-    /// application stays O(1).
+    /// a random pattern with whole rows zeroed, or a permutation of unit
+    /// entries (CX and SWAP are). Zero entries carry random signs; nonzero
+    /// ones are scaled by `1/dim` so repeated application stays O(1),
+    /// except that one in eight is an exact unit entry.
     fn matrix(&mut self, dim: usize) -> CMatrix {
-        let kind = self.below(4);
+        let kind = self.below(5);
         let perm = self.permutation(dim);
         let zero_rows: Vec<bool> = (0..dim).map(|_| kind == 3 && self.below(2) == 0).collect();
         let mut m = CMatrix::zeros(dim, dim);
@@ -389,17 +401,48 @@ impl Stream {
             for col in 0..dim {
                 let nonzero = match kind {
                     0 => true,
-                    2 => perm[row] == col,
+                    2 | 4 => perm[row] == col,
                     _ => !zero_rows[row] && self.below(2) == 0,
                 };
-                m[(row, col)] = if nonzero {
-                    self.nonzero().scale(1.0 / dim as f64)
-                } else {
+                m[(row, col)] = if !nonzero {
                     self.zero()
+                } else if kind == 4 || self.below(8) == 0 {
+                    self.unit()
+                } else {
+                    self.nonzero().scale(1.0 / dim as f64)
                 };
             }
         }
         m
+    }
+
+    /// The diagonal of a Kraus branch 0 on `k` qubits: `diag(1, c)`
+    /// repeated (a calibrated relaxation branch) one time in three,
+    /// otherwise each entry a unit entry, a real value, a zero, a complex
+    /// value whose real part is exactly `1`, or any nonzero entry.
+    fn diagonal(&mut self, k: usize) -> Vec<Complex> {
+        let dim = 1usize << k;
+        if self.below(3) == 0 {
+            let c = self.value().abs();
+            return (0..dim)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        self.unit()
+                    } else {
+                        Complex::new(c, self.signed_zero())
+                    }
+                })
+                .collect();
+        }
+        (0..dim)
+            .map(|_| match self.below(5) {
+                0 => self.unit(),
+                1 => Complex::new(self.value(), self.signed_zero()),
+                2 => self.zero(),
+                3 => Complex::new(1.0, self.value()),
+                _ => self.nonzero(),
+            })
+            .collect()
     }
 
     /// A [`Stream::matrix`], half the time a [`Stream::real_matrix`].
@@ -928,6 +971,164 @@ proptest! {
             let what = format!("{n} qubits, width {width}, cell {c}");
             assert_diagonal(&full.diagonal(c), &cell, &format!("full masks: {what}"));
             assert_diagonal(&masked.diagonal(c), &cell, &format!("backward masks: {what}"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Unit entries and the trajectory lanes' diagonal passes are bitwise exact
+// ---------------------------------------------------------------------------
+
+/// `diag` as a full matrix whose off-diagonal entries are signed zeros, for
+/// the dense reference.
+fn diagonal_matrix(s: &mut Stream, diag: &[Complex]) -> CMatrix {
+    let dim = diag.len();
+    let mut m = CMatrix::zeros(dim, dim);
+    for row in 0..dim {
+        for col in 0..dim {
+            m[(row, col)] = if row == col { diag[row] } else { s.zero() };
+        }
+    }
+    m
+}
+
+/// `cell` after the dense reference applies `m` on `qubits`.
+fn reference_applied(cell: &[Complex], m: &CMatrix, qubits: &[usize]) -> Vec<Complex> {
+    let mut out = cell.to_vec();
+    dense_reference(&mut out, m, qubits, false);
+    out
+}
+
+/// The squared norm of `cell`, summed in ascending amplitude order.
+fn ascending_norm(cell: &[Complex]) -> f64 {
+    cell.iter().fold(0.0, |w, z| w + z.norm_sqr())
+}
+
+/// The cells of `batch`, extracted.
+fn cells_of(batch: &BatchedStatevector) -> Vec<Vec<Complex>> {
+    (0..batch.width())
+        .map(|c| {
+            let mut sv = Statevector::new(0).expect("fits");
+            batch.extract_cell(c, &mut sv);
+            sv.amplitudes().to_vec()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Unit entries through the batched statevector, at widths 1, 3, 8, 15
+    /// and 16 on 2–5 qubits whose amplitudes carry signed zeros, against
+    /// the dense reference, amplitude by amplitude: a two-qubit operand
+    /// (half the time a permutation, mostly of unit entries, so the
+    /// permutation walk runs) applied to every cell, then the trajectory
+    /// lanes' diagonal passes — weigh, commit, and commit then weigh in one
+    /// pass — whose reference applies the diagonal densely, sums
+    /// `norm_sqr` in ascending order and then scales. Entries whose real
+    /// part is `1` and imaginary part is not zero appear in both, the
+    /// diagonals include `diag(1, c)`, and the scales commit every lane,
+    /// none, or some.
+    #[test]
+    fn unit_entries_and_lane_passes_are_bitwise_exact(seed in 0u64..u64::MAX) {
+        let mut s = Stream::new(seed);
+        let n = 2 + s.below(4);
+        for width in WIDTHS {
+            let start: Vec<Vec<Complex>> = (0..width)
+                .map(|_| (0..1 << n).map(|_| s.amplitude()).collect())
+                .collect();
+            let mut batch = BatchedStatevector::broadcast(&Statevector::new(n).expect("fits"), width);
+            for (c, cell) in start.iter().enumerate() {
+                batch.store_cell(c, &Statevector::from_amplitudes(cell.clone()));
+            }
+            let perm = s.permutation(4);
+            let u = if s.below(2) == 0 {
+                let mut m = CMatrix::zeros(4, 4);
+                for (row, &col) in perm.iter().enumerate() {
+                    for c in 0..4 {
+                        m[(row, c)] = match (c == col, s.below(8)) {
+                            (false, _) => s.zero(),
+                            (true, 0) => Complex::new(1.0, s.value()),
+                            (true, _) => s.unit(),
+                        };
+                    }
+                }
+                m
+            } else {
+                s.matrix(4)
+            };
+            let gate_qubits = s.operands(2, n);
+            batch.apply_matrix(&u, &gate_qubits);
+            let cells: Vec<Vec<Complex>> = start
+                .iter()
+                .map(|cell| reference_applied(cell, &u, &gate_qubits))
+                .collect();
+            let what = format!("{n} qubits, width {width}");
+            for (c, (got, want)) in cells_of(&batch).iter().zip(&cells).enumerate() {
+                assert_bits(got, want, &format!("{what}: {u:?} on {gate_qubits:?}, cell {c}"));
+            }
+
+            let (k1, k2) = (1 + s.below(2), 1 + s.below(2));
+            let (d1, q1) = (s.diagonal(k1), s.operands(k1, n));
+            let (d2, q2) = (s.diagonal(k2), s.operands(k2, n));
+            let (m1, m2) = (diagonal_matrix(&mut s, &d1), diagonal_matrix(&mut s, &d2));
+            let accept = s.below(3);
+            let scale: Vec<Option<f64>> = (0..width)
+                .map(|_| match accept {
+                    0 => Some(0.5 + s.value().abs()),
+                    1 => None,
+                    _ => (s.below(2) == 0).then(|| 0.5 + s.value().abs()),
+                })
+                .collect();
+            let committed: Vec<Vec<Complex>> = cells
+                .iter()
+                .zip(&scale)
+                .map(|(cell, sc)| match sc {
+                    Some(f) => reference_applied(cell, &m1, &q1)
+                        .iter()
+                        .map(|z| z.scale(*f))
+                        .collect(),
+                    None => cell.clone(),
+                })
+                .collect();
+            let weights_of = |cells: &[Vec<Complex>]| -> Vec<f64> {
+                cells.iter().map(|cell| ascending_norm(&reference_applied(cell, &m2, &q2))).collect()
+            };
+            let check_weights = |got: &[f64], want: &[f64], pass: &str| {
+                for (c, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{what}: {pass} weight of cell {c}: batched {g} vs dense reference {w}"
+                    );
+                }
+            };
+
+            let mut weights = vec![0.0f64; width];
+            let mut weigh = batch.clone();
+            weigh.diagonal_weights(&d2, &q2, &mut weights);
+            check_weights(&weights, &weights_of(&cells), &format!("{d2:?} on {q2:?}"));
+            for (c, (got, want)) in cells_of(&weigh).iter().zip(&cells).enumerate() {
+                assert_bits(got, want, &format!("{what}: weigh leaves cell {c}"));
+            }
+
+            let mut commit = batch.clone();
+            commit.apply_diagonal_scaled(&d1, &q1, &scale);
+            for (c, (got, want)) in cells_of(&commit).iter().zip(&committed).enumerate() {
+                assert_bits(got, want, &format!("{what}: commit {d1:?} on {q1:?}, cell {c}"));
+            }
+
+            let mut fused = batch.clone();
+            weights.fill(-1.0);
+            fused.apply_diagonal_scaled_and_weigh((&d1, &q1), &scale, (&d2, &q2), &mut weights);
+            for (c, (got, want)) in cells_of(&fused).iter().zip(&committed).enumerate() {
+                assert_bits(got, want, &format!("{what}: commit-and-weigh {d1:?} on {q1:?}, cell {c}"));
+            }
+            check_weights(
+                &weights,
+                &weights_of(&committed),
+                &format!("commit {d1:?} on {q1:?} and weigh {d2:?} on {q2:?}"),
+            );
         }
     }
 }
