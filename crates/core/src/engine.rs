@@ -18,10 +18,14 @@
 //! (statevector prefix of the logical circuit), `PhysicalSweep`
 //! (density-matrix prefix under the noise model, for the noisy scenario
 //! and — plus a finite-shot sampler — the hardware one) and
-//! `TrajectorySweep` (shots as the lanes of statevector blocks). One generic
-//! wrapper implements [`PreparedSweep`] and [`PreparedDoubleSweep`] over
-//! all three, so a single fault and the double strike of §III-C take the
-//! same replay code with one or two splice sites.
+//! `TrajectorySweep` (shots as the lanes of statevector blocks). The two
+//! transpiling types share one `CompiledPoint`: the physical circuit, its
+//! splice sites, the restricted noise model and the plan compiled against
+//! it ([`qufi_noise::plan`]), built by one constructor that the naive
+//! replays reuse. One generic wrapper implements [`PreparedSweep`] and
+//! [`PreparedDoubleSweep`] over all three, so a single fault and the
+//! double strike of §III-C take the same replay code with one or two
+//! splice sites.
 //!
 //! Because the prefix/suffix evolution applies exactly the same operation
 //! sequence as a straight run (see [`qufi_noise::simulate::NoisyCursor`]),
@@ -46,15 +50,17 @@ use crate::fault::{
 };
 use crate::mapping::{mark_double_injection_site, mark_injection_site, SpliceSite};
 use qufi_math::CMatrix;
+use qufi_noise::plan::{Plan, PlanChannel};
 use qufi_noise::readout::finish_readout;
-use qufi_noise::simulate::{NoisePlan, NoisyCursor};
+use qufi_noise::simulate::NoisyCursor;
 use qufi_noise::trajectory::{
-    finish_trajectory_dist, LaneCursor, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
+    finish_trajectory_dist, LaneCursor, ShotAccumulator, TrajChannel, TrajWorkspace,
+    TrajectoryCursor,
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
-    batch_width, BatchedDensity, BatchedStatevector, DensityMatrix, ObservedMask, Op, ProbDist,
-    QuantumCircuit, Statevector,
+    batch_width, BatchedDensity, BatchedStatevector, DensityMatrix, Gate, ObservedMask, Op,
+    ProbDist, QuantumCircuit, Statevector,
 };
 use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
@@ -273,15 +279,11 @@ trait SweepPoint: Sync {
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError>;
 
     /// Cells per grid block: one unless the point has a cell-major engine.
-    fn block_width(&self) -> usize {
-        1
-    }
+    fn block_width(&self) -> usize;
 
     /// One θ-sorted block of two or more cells, each bit-identical to its
     /// [`SweepPoint::replay`]. Reached only when the block width exceeds 1.
-    fn replay_block(&self, _faults: &[FaultParams]) -> Vec<ProbDist> {
-        unreachable!("width-1 grids form one-cell blocks only")
-    }
+    fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist>;
 
     /// The circuit the replays run on and the instruction index the parked
     /// prefix reached.
@@ -509,8 +511,66 @@ impl SweepExecutor for IdealExecutor {
 }
 
 // ---------------------------------------------------------------------------
-// Transpiling executors: marker through the pipeline, density-matrix
-// prefix forking under the noise model.
+// Transpiling executors: marker through the pipeline, then the point
+// compiled against the restricted noise model.
+
+/// A marked point compiled for a transpiling scenario: the physical
+/// circuit the replays run on, its splice sites, the restricted noise
+/// model, and the plan compiled against that model (channel
+/// superoperators for the noisy and hardware scenarios, Kraus operators
+/// for the trajectory one).
+struct CompiledPoint<'a, C> {
+    /// Re-transpiles `marked` for every naive replay.
+    transpiler: &'a Transpiler,
+    /// Marked logical circuit.
+    marked: QuantumCircuit,
+    /// Stripped compact physical circuit the replays run on.
+    physical: QuantumCircuit,
+    /// Splice sites in compact physical coordinates, program order.
+    sites: Vec<SpliceSite>,
+    model: NoiseModel,
+    /// The physical circuit compiled against the model: resolved once per
+    /// point, reused per replay.
+    plan: Plan<C>,
+}
+
+impl<'a, C: PlanChannel> CompiledPoint<'a, C> {
+    /// Transpiles `marked`, which holds `n_sites` splice markers, recovers
+    /// the physical splice sites and compiles the plan under
+    /// `model_for(active)`.
+    fn new(
+        transpiler: &'a Transpiler,
+        marked: QuantumCircuit,
+        n_sites: usize,
+        model_for: impl FnOnce(&[usize]) -> NoiseModel,
+    ) -> Result<Self, ExecError> {
+        let (physical, sites, active) = compile(transpiler, &marked, n_sites)?;
+        let plan_span = qufi_obs::span("prepare.plan_ns");
+        let model = model_for(&active);
+        let plan = Plan::compile(&physical, &model);
+        plan_span.finish();
+        Ok(CompiledPoint {
+            transpiler,
+            marked,
+            physical,
+            sites,
+            model,
+            plan,
+        })
+    }
+
+    /// The point compiled afresh from its marked circuit under the same
+    /// model: what a naive replay runs on, sharing no transpilation and no
+    /// plan with the fast path.
+    fn recompile(&self) -> Result<Self, ExecError> {
+        CompiledPoint::new(
+            self.transpiler,
+            self.marked.clone(),
+            self.sites.len(),
+            |_| self.model.clone(),
+        )
+    }
+}
 
 /// One batched density operation of a single-site suffix, in application
 /// order (see [`PhysicalSweep::suffix_ops`]).
@@ -553,24 +613,12 @@ impl Sampler {
     }
 }
 
-/// The noisy and hardware scenarios' parked point: the stripped compact
-/// physical circuit, its splice sites, the noise model, and the parked
-/// prefix state.
+/// The noisy and hardware scenarios' parked point: the compiled point and
+/// its density-matrix prefix.
 struct PhysicalSweep<'a> {
-    /// Re-transpiles `marked` for every naive replay.
-    transpiler: &'a Transpiler,
-    /// Marked logical circuit.
-    marked: QuantumCircuit,
-    /// Stripped compact physical circuit the replays run on.
-    physical: QuantumCircuit,
-    /// Splice sites in compact physical coordinates, program order.
-    sites: Vec<SpliceSite>,
-    model: NoiseModel,
-    /// The physical circuit compiled against the model: gate matrices and
-    /// channel superoperators resolved once per point, reused per replay.
-    plan: NoisePlan,
+    compiled: CompiledPoint<'a, (CMatrix, Vec<usize>)>,
+    /// The state after instructions `[0, sites[0].index)`.
     prefix: DensityMatrix,
-    prefix_pos: usize,
     /// One observed mask per [`PhysicalSweep::suffix_ops`] entry when the
     /// point is [`batchable`](PhysicalSweep::batchable), else empty.
     masks: Vec<ObservedMask>,
@@ -580,9 +628,8 @@ struct PhysicalSweep<'a> {
 }
 
 impl<'a> PhysicalSweep<'a> {
-    /// Marks `qc` at `point` (and `neighbor`), transpiles it, recovers the
-    /// physical splice sites and parks the prefix evolution under
-    /// `model_for(active)`.
+    /// Marks `qc` at `point` (and `neighbor`), compiles it under
+    /// `model_for(active)` and parks the prefix evolution.
     fn prepare(
         transpiler: &'a Transpiler,
         qc: &QuantumCircuit,
@@ -592,26 +639,16 @@ impl<'a> PhysicalSweep<'a> {
         sampler: Option<Sampler>,
     ) -> Result<Self, ExecError> {
         let (marked, n_sites) = mark(qc, point, neighbor)?;
-        let (physical, sites, active) = compile(transpiler, &marked, n_sites)?;
-        let plan_span = qufi_obs::span("prepare.plan_ns");
-        let model = model_for(&active);
-        let plan = NoisePlan::compile(&physical, &model);
-        plan_span.finish();
+        let compiled = CompiledPoint::new(transpiler, marked, n_sites, model_for)?;
         let prefix_span = qufi_obs::span("prepare.prefix_ns");
-        let mut cursor = NoisyCursor::start(&physical, &model).map_err(ExecError::Sim)?;
-        cursor.advance_planned(&plan, sites[0].index);
-        let prefix_pos = cursor.position();
+        let mut cursor =
+            NoisyCursor::start(&compiled.physical, &compiled.model).map_err(ExecError::Sim)?;
+        cursor.advance_planned(&compiled.plan, compiled.sites[0].index);
         let prefix = cursor.into_state();
         prefix_span.finish();
         let mut sweep = PhysicalSweep {
-            transpiler,
-            marked,
-            physical,
-            sites,
-            model,
-            plan,
+            compiled,
             prefix,
-            prefix_pos,
             masks: Vec::new(),
             sampler,
         };
@@ -674,9 +711,9 @@ impl<'a> PhysicalSweep<'a> {
     }
 
     /// Whether the batched single-fault path applies: exactly one splice
-    /// site, with the parked prefix advanced exactly to it.
+    /// site.
     fn batchable(&self) -> bool {
-        self.sites.len() == 1 && self.prefix_pos == self.sites[0].index
+        self.compiled.sites.len() == 1
     }
 
     /// The batched suffix of a [`batchable`](PhysicalSweep::batchable)
@@ -684,17 +721,17 @@ impl<'a> PhysicalSweep<'a> {
     /// step's unitary and channels — the sequence
     /// [`SweepPoint::replay`] applies through the cursor.
     fn suffix_ops(&self) -> impl Iterator<Item = SuffixOp<'_>> {
-        let site = &self.sites[0];
+        let CompiledPoint { sites, plan, .. } = &self.compiled;
+        let site = &sites[0];
+        // Every cell's injector is a `U` gate, and the plan's injector
+        // channels do not depend on its angles.
+        let injector_channels = plan.injector(Gate::U(0.0, 0.0, 0.0), site.qubit);
         std::iter::once(SuffixOp::Injector(&site.qubit))
-            .chain(SuffixOp::channels(self.plan.injector_channels(site.qubit)))
-            .chain(
-                self.plan
-                    .planned_steps(self.prefix_pos, self.physical.size())
-                    .flat_map(|(matrix, qubits, chs)| {
-                        std::iter::once(SuffixOp::Unitary(matrix, qubits))
-                            .chain(SuffixOp::channels(chs))
-                    }),
-            )
+            .chain(SuffixOp::channels(injector_channels))
+            .chain(plan.steps(site.index, plan.size()).flat_map(|step| {
+                std::iter::once(SuffixOp::Unitary(&step.matrix, &step.qubits))
+                    .chain(SuffixOp::channels(&step.channels))
+            }))
     }
 }
 
@@ -702,21 +739,29 @@ impl SweepPoint for PhysicalSweep<'_> {
     /// Fork the parked state, splice the injectors, finish the suffix
     /// through the compiled plan.
     fn replay(&self, faults: &[FaultParams]) -> ProbDist {
-        let mut cur = NoisyCursor::resume(self.prefix.clone(), &self.model, self.prefix_pos);
-        for (site, fault) in self.sites.iter().zip(faults) {
-            cur.advance_planned(&self.plan, site.index);
-            cur.apply_planned_injector(&self.plan, fault.injector_gate(), site.qubit);
+        let CompiledPoint {
+            physical,
+            sites,
+            model,
+            plan,
+            ..
+        } = &self.compiled;
+        let mut cur = NoisyCursor::resume(self.prefix.clone(), model, sites[0].index);
+        for (site, fault) in sites.iter().zip(faults) {
+            cur.advance_planned(plan, site.index);
+            cur.apply_planned_injector(plan, fault.injector_gate(), site.qubit);
         }
-        cur.advance_planned(&self.plan, self.physical.size());
-        self.finish(cur.finish_dist(&self.physical), faults)
+        cur.advance_planned(plan, plan.size());
+        self.finish(cur.finish_dist(physical), faults)
     }
 
     /// The full pre-engine pipeline: re-transpile the marked circuit,
-    /// splice, and simulate the whole faulty circuit from `|0…0⟩`.
+    /// splice, and simulate the whole faulty circuit from `|0…0⟩` through
+    /// the unplanned [`qufi_noise::simulate::run_noisy`].
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
-        let (physical, sites, _) = compile(self.transpiler, &self.marked, faults.len())?;
-        let faulty = splice_faults(&physical, &sites, faults);
-        let exact = qufi_noise::simulate::run_noisy(&faulty, &self.model)?;
+        let naive = self.compiled.recompile()?;
+        let faulty = splice_faults(&naive.physical, &naive.sites, faults);
+        let exact = qufi_noise::simulate::run_noisy(&faulty, &naive.model)?;
         Ok(self.finish(exact, faults))
     }
 
@@ -751,9 +796,9 @@ impl SweepPoint for PhysicalSweep<'_> {
         let (groups, skipped) = batch.group_counts();
         qufi_obs::add("replay.batch.groups", groups);
         qufi_obs::add("replay.batch.groups_skipped", skipped);
-        let map = self.physical.measurement_map();
-        let errors = self.model.readout_errors();
-        let clbits = self.physical.num_clbits();
+        let map = self.compiled.physical.measurement_map();
+        let errors = self.compiled.model.readout_errors();
+        let clbits = self.compiled.physical.num_clbits();
         faults
             .iter()
             .enumerate()
@@ -765,7 +810,7 @@ impl SweepPoint for PhysicalSweep<'_> {
     }
 
     fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
-        (&self.physical, self.prefix_pos)
+        (&self.compiled.physical, self.compiled.sites[0].index)
     }
 }
 
@@ -903,27 +948,16 @@ const PREFIX_STREAM_TAG: u64 = u64::MAX;
 
 /// Everything the trajectory replay path shares for one injection point.
 struct TrajectorySweep<'a> {
-    /// Re-transpiles `marked` for every naive replay.
-    transpiler: &'a Transpiler,
-    /// Marked logical circuit.
-    marked: QuantumCircuit,
-    /// Stripped compact physical circuit the replays run on.
-    physical: QuantumCircuit,
-    /// Splice sites in compact physical coordinates, program order.
-    sites: Vec<SpliceSite>,
-    model: NoiseModel,
-    /// Kraus-operator plan compiled once per point, reused per shot.
-    plan: TrajPlan,
-    prefix_pos: usize,
+    compiled: CompiledPoint<'a, TrajChannel>,
     /// Base for the per-shot prefix and per-(cell, shot) suffix streams.
     point_base: u64,
     shots: u64,
 }
 
 impl<'a> TrajectorySweep<'a> {
-    /// Marks `qc` at `point` (and `neighbor`), transpiles it and compiles
-    /// the Kraus plan. No state is parked: every replay evolves each shot
-    /// batch's prefix from `|0…0⟩`.
+    /// Marks `qc` at `point` (and `neighbor`) and compiles it under the
+    /// executor's model. No state is parked: every replay evolves each
+    /// shot batch's prefix from `|0…0⟩`.
     fn prepare(
         executor: &'a TrajectoryExecutor,
         qc: &QuantumCircuit,
@@ -931,43 +965,16 @@ impl<'a> TrajectorySweep<'a> {
         neighbor: Option<usize>,
     ) -> Result<Self, ExecError> {
         let (marked, n_sites) = mark(qc, point, neighbor)?;
-        TrajectorySweep::compile(
-            executor.transpiler(),
-            marked,
-            n_sites,
-            |active| executor.model_for(active),
-            point_seed(executor.seed(), point, neighbor),
-            executor.shots(),
-        )
-    }
-
-    /// Transpiles `marked` and compiles the Kraus plan under
-    /// `model_for(active)`.
-    fn compile(
-        transpiler: &'a Transpiler,
-        marked: QuantumCircuit,
-        n_sites: usize,
-        model_for: impl FnOnce(&[usize]) -> NoiseModel,
-        point_base: u64,
-        shots: u64,
-    ) -> Result<Self, ExecError> {
-        let (physical, sites, active) = compile(transpiler, &marked, n_sites)?;
-        let plan_span = qufi_obs::span("prepare.plan_ns");
-        let model = model_for(&active);
-        let plan = TrajPlan::compile(&physical, &model);
-        plan_span.finish();
+        let device = executor.device();
+        let compiled = CompiledPoint::new(device.transpiler(), marked, n_sites, |a| {
+            device.model_for(a)
+        })?;
         // Surfaces the width error here, so replays cannot fail.
-        LaneCursor::start(&plan, 1).map_err(ExecError::Sim)?;
+        LaneCursor::start(&compiled.plan, 1).map_err(ExecError::Sim)?;
         Ok(TrajectorySweep {
-            transpiler,
-            marked,
-            prefix_pos: sites[0].index,
-            physical,
-            sites,
-            model,
-            plan,
-            point_base,
-            shots,
+            compiled,
+            point_base: point_seed(executor.seed(), point, neighbor),
+            shots: executor.shots(),
         })
     }
 
@@ -992,15 +999,22 @@ impl<'a> TrajectorySweep<'a> {
     /// order, so every cell is bit-identical to the scalar shot loop of
     /// [`SweepPoint::replay_naive`].
     fn run_cells(&self, cells: &[&[FaultParams]]) -> Vec<ProbDist> {
+        let CompiledPoint {
+            physical,
+            sites,
+            model,
+            plan,
+            ..
+        } = &self.compiled;
         qufi_obs::add("traj.shots", self.shots * cells.len() as u64);
-        let n = self.physical.num_qubits();
+        let n = physical.num_qubits();
         let lanes = batch_width(1 << n);
         let mut accs: Vec<ShotAccumulator> = cells
             .iter()
             .map(|_| ShotAccumulator::new(n, self.shots))
             .collect();
         let mut ws = TrajWorkspace::new();
-        let start = || LaneCursor::start(&self.plan, lanes).expect("width checked at prepare");
+        let start = || LaneCursor::start(plan, lanes).expect("width checked at prepare");
         let (mut prefix, mut fork) = (start(), None);
         let mut rngs = Vec::with_capacity(lanes);
         for first in (0..self.shots).step_by(lanes) {
@@ -1013,7 +1027,7 @@ impl<'a> TrajectorySweep<'a> {
                     .clone()
                     .map(|shot| SmallRng::seed_from_u64(self.prefix_seed(shot))),
             );
-            prefix.advance_planned(&self.plan, self.prefix_pos, &mut rngs, &mut ws);
+            prefix.advance_planned(plan, sites[0].index, &mut rngs, &mut ws);
             for (i, (&faults, acc)) in cells.iter().zip(&mut accs).enumerate() {
                 let cursor = if i + 1 < cells.len() {
                     let fork = fork.get_or_insert_with(start);
@@ -1028,22 +1042,22 @@ impl<'a> TrajectorySweep<'a> {
                         .clone()
                         .map(|shot| SmallRng::seed_from_u64(self.suffix_seed(faults, shot))),
                 );
-                for (site, fault) in self.sites.iter().zip(faults) {
-                    cursor.advance_planned(&self.plan, site.index, &mut rngs, &mut ws);
+                for (site, fault) in sites.iter().zip(faults) {
+                    cursor.advance_planned(plan, site.index, &mut rngs, &mut ws);
                     cursor.apply_planned_injector(
-                        &self.plan,
+                        plan,
                         fault.injector_gate(),
                         site.qubit,
                         &mut rngs,
                         &mut ws,
                     );
                 }
-                cursor.advance_planned(&self.plan, self.plan.size(), &mut rngs, &mut ws);
+                cursor.advance_planned(plan, plan.size(), &mut rngs, &mut ws);
                 cursor.accumulate(acc, first);
             }
         }
         accs.iter()
-            .map(|acc| finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical))
+            .map(|acc| finish_trajectory_dist(acc.mean(), n, model, physical))
             .collect()
     }
 }
@@ -1064,22 +1078,15 @@ impl SweepPoint for TrajectorySweep<'_> {
     /// this is **bit-identical** to [`SweepPoint::replay`] — it shares
     /// neither the transpilation and plan nor the lanes.
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
-        let naive = TrajectorySweep::compile(
-            self.transpiler,
-            self.marked.clone(),
-            faults.len(),
-            |_| self.model.clone(),
-            self.point_base,
-            self.shots,
-        )?;
+        let naive = self.compiled.recompile()?;
         let n = naive.physical.num_qubits();
-        let mut acc = ShotAccumulator::new(n, naive.shots);
+        let mut acc = ShotAccumulator::new(n, self.shots);
         let mut ws = TrajWorkspace::new();
-        for shot in 0..naive.shots {
+        for shot in 0..self.shots {
             let mut cursor = TrajectoryCursor::start(&naive.plan).map_err(ExecError::Sim)?;
-            let mut rng = SmallRng::seed_from_u64(naive.prefix_seed(shot));
-            cursor.advance_planned(&naive.plan, naive.prefix_pos, &mut rng, &mut ws);
-            let mut rng = SmallRng::seed_from_u64(naive.suffix_seed(faults, shot));
+            let mut rng = SmallRng::seed_from_u64(self.prefix_seed(shot));
+            cursor.advance_planned(&naive.plan, naive.sites[0].index, &mut rng, &mut ws);
+            let mut rng = SmallRng::seed_from_u64(self.suffix_seed(faults, shot));
             for (site, fault) in naive.sites.iter().zip(faults) {
                 cursor.advance_planned(&naive.plan, site.index, &mut rng, &mut ws);
                 cursor.apply_planned_injector(
@@ -1104,8 +1111,8 @@ impl SweepPoint for TrajectorySweep<'_> {
     /// Single-site points replay grids in blocks of cells that share each
     /// shot batch's prefix.
     fn block_width(&self) -> usize {
-        if self.sites.len() == 1 {
-            batch_width(1 << self.physical.num_qubits())
+        if self.compiled.sites.len() == 1 {
+            batch_width(1 << self.compiled.physical.num_qubits())
         } else {
             1
         }
@@ -1117,7 +1124,7 @@ impl SweepPoint for TrajectorySweep<'_> {
     }
 
     fn prefix_boundary(&self) -> (&QuantumCircuit, usize) {
-        (&self.physical, self.prefix_pos)
+        (&self.compiled.physical, self.compiled.sites[0].index)
     }
 }
 
@@ -1462,7 +1469,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_grid_batched_matches_scalar_bitwise() {
+    fn replay_grid_blocks_match_per_cell_replays_bitwise() {
         // Cell-major blocks must match per-cell replays bit for bit at
         // every thread count and grid shape: θ-duplicate cells (hoisted
         // trig run, one 15-cell block), a ragged grid (a 16-cell block
@@ -1505,7 +1512,7 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_replay_grid_batched_falls_back_to_scalar() {
+    fn trajectory_lane_blocks_match_per_cell_replays() {
         // A trajectory grid replays in blocks of cells that fork each shot
         // batch's prefix. 18 cells form a 16-cell block and a 2-cell block,
         // each re-evolving the prefix; both must reproduce per-cell replays.

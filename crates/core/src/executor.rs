@@ -44,9 +44,6 @@ pub trait Executor: Sync {
     ///
     /// Implementation-specific; simulation or transpilation failures.
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError>;
-
-    /// Short backend label for reports.
-    fn name(&self) -> &str;
 }
 
 /// Scenario 1: exact noiseless statevector simulation of the logical
@@ -58,10 +55,6 @@ impl Executor for IdealExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
         let sv = Statevector::from_circuit(qc)?;
         Ok(sv.measurement_distribution(qc))
-    }
-
-    fn name(&self) -> &str {
-        "ideal"
     }
 }
 
@@ -93,15 +86,6 @@ fn compact_circuit(qc: &QuantumCircuit, active: &[usize]) -> QuantumCircuit {
         }
     }
     out
-}
-
-/// The transpiler for a calibrated device: its coupling map, through the
-/// one pipeline every transpiling executor runs.
-fn device_transpiler(calibration: &BackendCalibration) -> Transpiler {
-    Transpiler::new(CouplingMap::from_edges(
-        calibration.num_qubits(),
-        calibration.coupling(),
-    ))
 }
 
 /// Transpiles `qc` onto the device and compacts the result onto the
@@ -139,25 +123,29 @@ pub(crate) fn compile(
 /// circuit actually occupies, which keeps 4-qubit campaigns on a 7-qubit
 /// device 64× cheaper with bit-identical results (idle qubits stay in |0⟩
 /// and factor out).
+///
+/// It is also the device the other transpiling executors run on: the
+/// hardware scenario drifts its calibration, and the trajectory scenario
+/// samples its restricted models.
 pub struct NoisyExecutor {
     calibration: BackendCalibration,
     transpiler: Transpiler,
     /// Noise models per active-qubit set, built lazily and shared
     /// single-flight across threads.
     model_cache: PrepareCache<Vec<usize>, NoiseModel>,
-    label: String,
 }
 
 impl NoisyExecutor {
     /// Creates a noisy executor that transpiles onto the calibration's
     /// coupling map.
     pub fn new(calibration: BackendCalibration) -> Self {
-        let label = format!("noisy-sim({})", calibration.name);
         NoisyExecutor {
-            transpiler: device_transpiler(&calibration),
+            transpiler: Transpiler::new(CouplingMap::from_edges(
+                calibration.num_qubits(),
+                calibration.coupling(),
+            )),
             calibration,
             model_cache: PrepareCache::new(MODEL_CACHE_CAP),
-            label,
         }
     }
 
@@ -179,17 +167,13 @@ impl Executor for NoisyExecutor {
         let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
         Ok(simulate::run_noisy(&compact, &self.model_for(&active))?)
     }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
 }
 
 /// Scenario 3: simulated hardware — noisy simulation with per-job
 /// calibration drift and finite-shot sampling.
 pub struct HardwareExecutor {
-    base: BackendCalibration,
-    transpiler: Transpiler,
+    /// The undrifted device.
+    device: NoisyExecutor,
     shots: u64,
     drift_sigma: f64,
     /// Construction seed; the shared stream below serves ad-hoc
@@ -198,7 +182,6 @@ pub struct HardwareExecutor {
     /// not depend on scheduling order.
     seed: u64,
     rng: Mutex<SmallRng>,
-    label: String,
 }
 
 impl HardwareExecutor {
@@ -220,15 +203,12 @@ impl HardwareExecutor {
     ) -> Self {
         assert!(shots > 0, "need at least one shot");
         assert!(drift_sigma >= 0.0, "negative drift");
-        let label = format!("hardware({})", calibration.name);
         HardwareExecutor {
-            transpiler: device_transpiler(&calibration),
-            base: calibration,
+            device: NoisyExecutor::new(calibration),
             shots,
             drift_sigma,
             seed,
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
-            label,
         }
     }
 
@@ -239,12 +219,12 @@ impl HardwareExecutor {
 
     /// The transpiler in use.
     pub fn transpiler(&self) -> &Transpiler {
-        &self.transpiler
+        self.device.transpiler()
     }
 
     /// The undrifted base calibration.
     pub fn calibration(&self) -> &BackendCalibration {
-        &self.base
+        &self.device.calibration
     }
 
     pub(crate) fn seed(&self) -> u64 {
@@ -258,11 +238,11 @@ impl HardwareExecutor {
 
 impl Executor for HardwareExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
+        let (compact, _, active) = compile(self.transpiler(), qc, 0)?;
         // Each job sees a slightly different machine and its own shot noise.
         let (cal, mut sample_rng) = {
             let mut rng = self.rng.lock();
-            let cal = self.base.with_drift(&mut *rng, self.drift_sigma);
+            let cal = self.calibration().with_drift(&mut *rng, self.drift_sigma);
             let sample_seed: u64 = rand::Rng::gen(&mut *rng);
             (cal, SmallRng::seed_from_u64(sample_seed))
         };
@@ -271,14 +251,11 @@ impl Executor for HardwareExecutor {
         let counts = exact.sample(&mut sample_rng, self.shots);
         Ok(counts.to_prob_dist())
     }
-
-    fn name(&self) -> &str {
-        &self.label
-    }
 }
 
 /// Scenario 2 at trajectory widths: Monte-Carlo statevector sampling of
-/// the same calibrated noise model [`NoisyExecutor`] evolves exactly.
+/// the restricted models of the [`NoisyExecutor`] it holds, which that
+/// executor evolves exactly.
 ///
 /// No calibration drift is applied — the model is shared verbatim with
 /// the density path, which is what lets the statistical-equivalence suite
@@ -290,14 +267,10 @@ impl Executor for HardwareExecutor {
 /// result is a pure function of `(circuit, calibration, shots, seed)` —
 /// independent of threading or chunking, like every other backend.
 pub struct TrajectoryExecutor {
-    calibration: BackendCalibration,
-    transpiler: Transpiler,
-    /// Noise models per active-qubit set, built lazily and shared
-    /// single-flight across threads.
-    model_cache: PrepareCache<Vec<usize>, NoiseModel>,
+    /// The device whose restricted models the shots sample.
+    device: NoisyExecutor,
     shots: u64,
     seed: u64,
-    label: String,
 }
 
 impl TrajectoryExecutor {
@@ -313,14 +286,10 @@ impl TrajectoryExecutor {
     /// Panics if `shots == 0`.
     pub fn with_shots(calibration: BackendCalibration, seed: u64, shots: u64) -> Self {
         assert!(shots > 0, "need at least one shot");
-        let label = format!("trajectory({})", calibration.name);
         TrajectoryExecutor {
-            transpiler: device_transpiler(&calibration),
-            calibration,
-            model_cache: PrepareCache::new(MODEL_CACHE_CAP),
+            device: NoisyExecutor::new(calibration),
             shots,
             seed,
-            label,
         }
     }
 
@@ -331,25 +300,22 @@ impl TrajectoryExecutor {
 
     /// The transpiler in use.
     pub fn transpiler(&self) -> &Transpiler {
-        &self.transpiler
+        self.device.transpiler()
+    }
+
+    pub(crate) fn device(&self) -> &NoisyExecutor {
+        &self.device
     }
 
     pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
-
-    pub(crate) fn model_for(&self, active: &[usize]) -> NoiseModel {
-        (*self.model_cache.get_or_build(&active.to_vec(), || {
-            self.calibration.restrict(active).noise_model()
-        }))
-        .clone()
-    }
 }
 
 impl Executor for TrajectoryExecutor {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
-        let (compact, _, active) = compile(&self.transpiler, qc, 0)?;
-        let model = self.model_for(&active);
+        let (compact, _, active) = compile(self.transpiler(), qc, 0)?;
+        let model = self.device.model_for(&active);
         // The u64::MAX tag separates the ad-hoc execute stream from the
         // sweep engine's per-point streams (which mix fault-angle bits in
         // that slot — never u64::MAX, see the engine's seed derivation).
@@ -358,10 +324,6 @@ impl Executor for TrajectoryExecutor {
             crate::engine::derive_seed(&[seed, u64::MAX, shot])
         })?;
         Ok(dist)
-    }
-
-    fn name(&self) -> &str {
-        &self.label
     }
 }
 
@@ -457,20 +419,6 @@ mod tests {
             .unwrap();
         assert!(a.tv_distance(&oracle) < 0.05);
         assert_eq!(a.most_probable().0, 0b101);
-    }
-
-    #[test]
-    fn executor_names_are_meaningful() {
-        assert_eq!(IdealExecutor.name(), "ideal");
-        assert!(NoisyExecutor::new(BackendCalibration::lima())
-            .name()
-            .contains("lima"));
-        assert!(HardwareExecutor::new(BackendCalibration::jakarta(), 0)
-            .name()
-            .contains("jakarta"));
-        assert!(TrajectoryExecutor::new(BackendCalibration::guadalupe(), 0)
-            .name()
-            .contains("guadalupe"));
     }
 
     #[test]

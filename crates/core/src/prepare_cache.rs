@@ -1,21 +1,24 @@
 //! A shared, single-flight prepare cache — the precompute-once-serve-many
-//! memoization extracted from the ad-hoc `Mutex<HashMap<…>>` caches that
-//! grew inside [`crate::executor`] (noise models per active-qubit set)
-//! and that the sweep engine's prepare pipeline (transpile →
-//! [`qufi_noise::NoisePlan`] compile → prefix evolution, see
-//! [`crate::engine`]) wants when many clients hit the same workload.
+//! memoization behind two caches: each transpiling executor's noise models
+//! per active-qubit set ([`crate::executor`]), and the job runtimes that
+//! concurrent campaigns and the campaign service's tenants share
+//! (`qufi_cli::job::RuntimeCache`). A job runtime holds the job's circuit,
+//! golden outputs, baseline QVF, injection points and executor (with its
+//! model cache). It holds no prepared point: every injection point still
+//! transpiles, compiles its plan and evolves its prefix when it runs (see
+//! [`crate::engine`]).
 //!
 //! Three properties matter to the multi-tenant campaign service built on
 //! top of this:
 //!
 //! * **Single-flight.** When N threads ask for the same missing key at
 //!   once, exactly one runs the builder; the rest block on a condvar and
-//!   receive the same [`Arc`]. Prepare work (transpile + `NoisePlan` +
-//!   prefix evolution) is seconds-scale, so duplicate computation — not
-//!   lock contention — is the cost to kill.
+//!   receive the same [`Arc`]. Building a job runtime runs the workload
+//!   twice (golden outputs, fault-free baseline), so duplicate
+//!   computation — not lock contention — is the cost to kill.
 //! * **Bounded.** The cache holds at most `capacity` ready entries and
-//!   evicts in insertion order. Prepared sweeps park density matrices;
-//!   an unbounded cache is an OOM with extra steps.
+//!   evicts in insertion order. Each runtime keeps its calibration tables
+//!   and noise models; an unbounded cache is an OOM with extra steps.
 //! * **Failure is not cached.** A builder error clears the in-flight
 //!   slot and wakes waiters so the next caller retries — a transient
 //!   failure must not poison the key forever.

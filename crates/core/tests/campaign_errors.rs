@@ -43,10 +43,6 @@ impl Executor for SlowFirstPoint {
     fn execute(&self, qc: &QuantumCircuit) -> Result<ProbDist, ExecError> {
         self.0.execute(qc)
     }
-
-    fn name(&self) -> &str {
-        "slow-first-point"
-    }
 }
 
 impl SweepExecutor for SlowFirstPoint {

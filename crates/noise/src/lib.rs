@@ -16,6 +16,8 @@
 //!   with magnitudes drawn from published Falcon-processor data, and a
 //!   [`BackendCalibration::with_drift`] method that models the day-to-day
 //!   calibration drift the paper mentions ("the noise is not static", §V-E).
+//! * [`plan`] — a circuit compiled against a noise model once, walked by
+//!   both runners below; they differ only in what a channel stores.
 //! * [`simulate`] — a noisy density-matrix runner: gate → unitary, then
 //!   noise channels; measurement → readout confusion.
 //! * [`trajectory`] — the Monte-Carlo statevector counterpart: per-shot
@@ -42,6 +44,7 @@
 pub mod backend;
 pub mod channel;
 pub mod model;
+pub mod plan;
 pub mod readout;
 pub mod simulate;
 pub mod trajectory;

@@ -10,122 +10,28 @@
 //! wrappers that advance a cursor straight through — so a prefix-then-suffix
 //! evolution applies exactly the same gate/Kraus sequence in exactly the
 //! same order as a one-shot run and is numerically **bit-identical** to it.
+//! Replay loops advance through a [`NoisePlan`] instead, the
+//! [`Plan`] that stores each channel as its superoperator; it applies the
+//! same sequence without looking up a channel or building a matrix.
 
+use crate::channel::KrausChannel;
 use crate::model::NoiseModel;
+use crate::plan::{Plan, PlanChannel};
 use crate::readout::finish_readout;
 use qufi_math::CMatrix;
 use qufi_sim::circuit::Op;
 use qufi_sim::{DensityMatrix, Gate, ProbDist, QuantumCircuit, SimError};
 
-/// One planned-step view handed out by [`NoisePlan::planned_steps`]:
-/// `(gate matrix, operand qubits, channel superoperators)`.
-pub type PlannedStep<'a> = (&'a CMatrix, &'a [usize], &'a [(CMatrix, Vec<usize>)]);
+/// The density path's [`Plan`]: each channel as its superoperator and
+/// target qubits.
+pub type NoisePlan = Plan<(CMatrix, Vec<usize>)>;
 
-/// One compiled gate instruction: its unitary and the noise superoperators
-/// that follow it, resolved against a concrete [`NoiseModel`].
-struct PlanStep {
-    matrix: CMatrix,
-    qubits: Vec<usize>,
-    /// `(superoperator, target qubits)` in the model's canonical order.
-    channels: Vec<(CMatrix, Vec<usize>)>,
-}
+impl PlanChannel for (CMatrix, Vec<usize>) {
+    const COMPILE_SPAN: &'static str = "noise.plan.compile_ns";
+    const COMPILED: &'static str = "noise.plans_compiled";
 
-/// A circuit compiled against a noise model: per-instruction gate matrices
-/// and channel superoperators resolved **once**, so a replay loop walking
-/// the same suffix hundreds of times pays no per-gate matrix construction,
-/// channel lookup, or allocation.
-///
-/// A plan is only meaningful for the `(circuit, model)` pair it was
-/// compiled from; [`NoisyCursor::advance_planned`] applies exactly the
-/// gate/channel sequence [`NoisyCursor::advance_to`] would apply against
-/// the same model, bit-for-bit.
-pub struct NoisePlan {
-    size: usize,
-    /// One entry per instruction; `None` for barriers and measurements.
-    steps: Vec<Option<PlanStep>>,
-    /// Per-qubit channels suffered by a spliced 1-qubit injector gate
-    /// (`U(θ,φ,λ)` — a calibrated physical gate, never the virtual `rz`).
-    injector_channels: Vec<Vec<(CMatrix, Vec<usize>)>>,
-}
-
-impl NoisePlan {
-    /// Compiles `qc` against `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model covers fewer qubits than the circuit uses.
-    pub fn compile(qc: &QuantumCircuit, model: &NoiseModel) -> Self {
-        let _compile_span = qufi_obs::span("noise.plan.compile_ns");
-        qufi_obs::add("noise.plans_compiled", 1);
-        assert!(
-            model.num_qubits() >= qc.num_qubits(),
-            "noise model covers {} qubits, circuit needs {}",
-            model.num_qubits(),
-            qc.num_qubits()
-        );
-        let resolve = |gate: Gate, qubits: &[usize]| {
-            model
-                .channels_after(gate, qubits)
-                .into_iter()
-                .map(|(ch, targets)| (ch.superoperator().clone(), targets))
-                .collect::<Vec<_>>()
-        };
-        let steps = qc
-            .ops()
-            .iter()
-            .map(|op| match op {
-                Op::Gate { gate, qubits } => Some(PlanStep {
-                    matrix: gate.matrix(),
-                    qubits: qubits.clone(),
-                    channels: resolve(*gate, qubits),
-                }),
-                _ => None,
-            })
-            .collect();
-        let injector_channels = (0..qc.num_qubits())
-            .map(|q| resolve(Gate::U(0.0, 0.0, 0.0), &[q]))
-            .collect();
-        NoisePlan {
-            size: qc.size(),
-            steps,
-            injector_channels,
-        }
-    }
-
-    /// Number of instructions in the compiled circuit.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The compiled gate steps in `[from, upto)`, barriers/measurements
-    /// skipped: `(gate matrix, operand qubits, channel superoperators)`.
-    ///
-    /// This is the batch-friendly view of the plan: walking it and applying
-    /// each unitary and channel in order performs exactly the sequence
-    /// [`NoisyCursor::advance_planned`] performs over the same range, so a
-    /// batched replay that drives all grid cells through it stays
-    /// bit-identical to the scalar cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range exceeds the plan.
-    pub fn planned_steps(&self, from: usize, upto: usize) -> impl Iterator<Item = PlannedStep<'_>> {
-        assert!(
-            from <= upto && upto <= self.size,
-            "step range out of bounds"
-        );
-        self.steps[from..upto]
-            .iter()
-            .flatten()
-            .map(|s| (&s.matrix, s.qubits.as_slice(), s.channels.as_slice()))
-    }
-
-    /// The channel superoperators a spliced 1-qubit injector gate suffers on
-    /// `qubit` — what [`NoisyCursor::apply_planned_injector`] applies after
-    /// the injector's unitary.
-    pub fn injector_channels(&self, qubit: usize) -> &[(CMatrix, Vec<usize>)] {
-        &self.injector_channels[qubit]
+    fn resolve(channel: &KrausChannel, targets: Vec<usize>) -> Self {
+        (channel.superoperator().clone(), targets)
     }
 }
 
@@ -263,17 +169,7 @@ impl<'m> NoisyCursor<'m> {
     ///
     /// Panics when `upto` is behind the cursor or beyond the plan.
     pub fn advance_planned(&mut self, plan: &NoisePlan, upto: usize) {
-        assert!(
-            upto >= self.pos,
-            "cursor at {} cannot rewind to {upto}",
-            self.pos
-        );
-        assert!(
-            upto <= plan.size(),
-            "advance_planned({upto}) beyond plan of {} instructions",
-            plan.size()
-        );
-        for step in plan.steps[self.pos..upto].iter().flatten() {
+        for step in plan.steps(self.pos, upto) {
             self.rho.apply_unitary(&step.matrix, &step.qubits);
             for (superop, targets) in &step.channels {
                 self.rho.apply_superoperator(superop, targets);
@@ -293,13 +189,9 @@ impl<'m> NoisyCursor<'m> {
     /// Panics for multi-qubit gates and for the virtual `rz` (which carries
     /// no noise and must not be spliced through this path).
     pub fn apply_planned_injector(&mut self, plan: &NoisePlan, gate: Gate, qubit: usize) {
-        assert_eq!(gate.num_qubits(), 1, "injector must be a 1-qubit gate");
-        assert!(
-            !matches!(gate, Gate::Rz(_)),
-            "virtual rz gates carry no noise and cannot use the injector path"
-        );
+        let channels = plan.injector(gate, qubit);
         self.rho.apply_unitary(&gate.matrix(), &[qubit]);
-        for (superop, targets) in &plan.injector_channels[qubit] {
+        for (superop, targets) in channels {
             self.rho.apply_superoperator(superop, targets);
         }
     }

@@ -8,7 +8,9 @@
 //! Kraus branch (branch `i` with the Born weight `wᵢ = ‖Kᵢ|ψ⟩‖²`,
 //! followed by renormalization). Averaging the per-shot probability
 //! vectors is an unbiased estimator of the density-path distribution with
-//! `O(1/√shots)` total-variation error.
+//! `O(1/√shots)` total-variation error. Shots walk a [`TrajPlan`], the
+//! [`Plan`] the density path compiles too, storing each channel's Kraus
+//! operators instead of its superoperator.
 //!
 //! Two invariants carry over from the deterministic engine:
 //!
@@ -71,10 +73,11 @@
 //! extracted lanes and under 1% each in draws, block copies and shot
 //! accumulation.
 
+use crate::channel::KrausChannel;
 use crate::model::NoiseModel;
+use crate::plan::{Plan, PlanChannel};
 use crate::readout::finish_readout;
 use qufi_math::{CMatrix, Complex};
-use qufi_sim::circuit::Op;
 use qufi_sim::{
     batch_width, BatchedStatevector, Gate, ProbDist, QuantumCircuit, SimError, Statevector,
     MAX_BATCH_CELLS,
@@ -88,7 +91,7 @@ pub const SHOT_BLOCK: u64 = 64;
 
 /// One noise channel resolved for trajectory sampling: the raw Kraus
 /// operators (not the superoperator — trajectories act on vectors).
-struct TrajChannel {
+pub struct TrajChannel {
     ops: Vec<CMatrix>,
     targets: Vec<usize>,
     /// The diagonal of branch 0 when every off-diagonal entry is zero (of
@@ -159,114 +162,16 @@ impl TrajChannel {
     }
 }
 
-/// One compiled gate instruction: its unitary and the Kraus channels that
-/// follow it, resolved against a concrete [`NoiseModel`].
-struct TrajStep {
-    matrix: CMatrix,
-    qubits: Vec<usize>,
-    channels: Vec<TrajChannel>,
-}
+/// The trajectory path's [`Plan`]: each channel as its Kraus operators
+/// (see [`TrajChannel`]).
+pub type TrajPlan = Plan<TrajChannel>;
 
-/// A circuit compiled against a noise model for trajectory execution —
-/// the statevector counterpart of [`crate::NoisePlan`]. Gate matrices and
-/// per-channel Kraus operator lists are resolved **once**, so a shot loop
-/// walking the same circuit thousands of times pays no per-gate matrix
-/// construction, channel lookup, or allocation.
-pub struct TrajPlan {
-    size: usize,
-    num_qubits: usize,
-    /// One entry per instruction; `None` for barriers and measurements.
-    steps: Vec<Option<TrajStep>>,
-    /// Per-qubit channels suffered by a spliced 1-qubit injector gate
-    /// (`U(θ,φ,λ)` — a calibrated physical gate, never the virtual `rz`).
-    injector_channels: Vec<Vec<TrajChannel>>,
-}
+impl PlanChannel for TrajChannel {
+    const COMPILE_SPAN: &'static str = "noise.traj.compile_ns";
+    const COMPILED: &'static str = "noise.traj_plans_compiled";
 
-impl TrajPlan {
-    /// Compiles `qc` against `model`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model covers fewer qubits than the circuit uses.
-    pub fn compile(qc: &QuantumCircuit, model: &NoiseModel) -> Self {
-        let _compile_span = qufi_obs::span("noise.traj.compile_ns");
-        qufi_obs::add("noise.traj_plans_compiled", 1);
-        assert!(
-            model.num_qubits() >= qc.num_qubits(),
-            "noise model covers {} qubits, circuit needs {}",
-            model.num_qubits(),
-            qc.num_qubits()
-        );
-        let resolve = |gate: Gate, qubits: &[usize]| {
-            model
-                .channels_after(gate, qubits)
-                .into_iter()
-                .map(|(ch, targets)| TrajChannel::new(ch.kraus_operators().to_vec(), targets))
-                .collect::<Vec<_>>()
-        };
-        let steps = qc
-            .ops()
-            .iter()
-            .map(|op| match op {
-                Op::Gate { gate, qubits } => Some(TrajStep {
-                    matrix: gate.matrix(),
-                    qubits: qubits.clone(),
-                    channels: resolve(*gate, qubits),
-                }),
-                _ => None,
-            })
-            .collect();
-        let injector_channels = (0..qc.num_qubits())
-            .map(|q| resolve(Gate::U(0.0, 0.0, 0.0), &[q]))
-            .collect();
-        TrajPlan {
-            size: qc.size(),
-            num_qubits: qc.num_qubits(),
-            steps,
-            injector_channels,
-        }
-    }
-
-    /// Number of instructions in the compiled circuit.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Width of the compiled circuit.
-    #[inline]
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
-    /// The gate steps among instructions `[from, upto)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `upto` is behind `from` or beyond the plan.
-    fn steps(&self, from: usize, upto: usize) -> impl Iterator<Item = &TrajStep> {
-        assert!(upto >= from, "cursor at {from} cannot rewind to {upto}");
-        assert!(
-            upto <= self.size,
-            "advance_planned({upto}) beyond plan of {} instructions",
-            self.size
-        );
-        self.steps[from..upto].iter().flatten()
-    }
-
-    /// The channels a spliced 1-qubit injector gate suffers on `qubit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for multi-qubit gates and for the virtual `rz` (which
-    /// carries no noise and must not be spliced through this path).
-    fn injector(&self, gate: Gate, qubit: usize) -> &[TrajChannel] {
-        assert_eq!(gate.num_qubits(), 1, "injector must be a 1-qubit gate");
-        assert!(
-            !matches!(gate, Gate::Rz(_)),
-            "virtual rz gates carry no noise and cannot use the injector path"
-        );
-        &self.injector_channels[qubit]
+    fn resolve(channel: &KrausChannel, targets: Vec<usize>) -> Self {
+        TrajChannel::new(channel.kraus_operators().to_vec(), targets)
     }
 }
 
