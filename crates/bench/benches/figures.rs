@@ -1,10 +1,12 @@
-//! One benchmark per paper figure, on reduced (45°) grids so `cargo bench`
-//! stays interactive. The `fig*` binaries regenerate the full-grid numbers.
+//! Benchmarks of the library figure drivers, on reduced grids so `cargo
+//! bench` stays interactive. The `fig*` binaries regenerate the full-grid
+//! numbers; the single-fault figures run as `qufi run` campaigns, whose
+//! point sweep `benches/engine.rs` times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qufi_bench::experiments::{
-    default_executor, fig10_distributions, fig11_hardware, fig4_worked_example, fig5_heatmaps,
-    fig6_per_qubit, fig7_scaling, fig7_trajectory_extension, fig8_double, fig9_delta,
+    default_executor, fig10_distributions, fig4_worked_example, fig7_trajectory_extension,
+    fig8_double, fig9_delta,
 };
 use qufi_core::fault::FaultGrid;
 use std::f64::consts::PI;
@@ -18,18 +20,6 @@ fn bench_figures(c: &mut Criterion) {
     let grid = FaultGrid::custom(vec![0.0, PI], vec![0.0, PI]);
 
     group.bench_function("fig4_worked_example", |b| b.iter(fig4_worked_example));
-    group.bench_function("fig5_heatmaps_tiny", |b| {
-        let ex = default_executor();
-        b.iter(|| fig5_heatmaps(&grid, &ex))
-    });
-    group.bench_function("fig6_per_qubit_tiny", |b| {
-        let ex = default_executor();
-        b.iter(|| fig6_per_qubit(&grid, &ex))
-    });
-    group.bench_function("fig7_scaling_to4_tiny", |b| {
-        let ex = default_executor();
-        b.iter(|| fig7_scaling(&grid, &ex, 4))
-    });
     group.bench_function("fig8_to_10_double_tiny", |b| {
         let ex = default_executor();
         b.iter(|| {
@@ -39,7 +29,6 @@ fn bench_figures(c: &mut Criterion) {
             (delta.mean(), f10.double_stats)
         })
     });
-    group.bench_function("fig11_hardware_vs_sim", |b| b.iter(|| fig11_hardware(7)));
     // Fig. 7 extension: per-point trajectory sweeps past the density wall.
     // 64 shots on the 2×2 grid keeps each width interactive; BENCHMARKS.md
     // records the production shot counts.

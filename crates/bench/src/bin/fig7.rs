@@ -1,11 +1,15 @@
 //! Fig. 7 — QVF distribution histograms while scaling BV / DJ / QFT from 4
 //! to 7 qubits: BV and DJ keep their reliability profile, QFT concentrates
-//! toward QVF ≈ 0.5 (lower σ) as it scales.
+//! toward QVF ≈ 0.5 (lower σ) as it scales. The twelve circuits run on
+//! jakarta as one `qufi run` campaign into `results/figures/fig7`.
 
-use qufi_bench::experiments::{default_executor, fig7_scaling};
-use qufi_core::fault::FaultGrid;
+use qufi_bench::experiments::{fig7_manifest, FIG7_FAMILIES as FAMILIES};
+use qufi_cli::GridSpec;
+use qufi_core::report::Histogram;
 use qufi_math::AngleGrid;
 use std::f64::consts::PI;
+
+const QUBITS: [usize; 4] = [4, 5, 6, 7];
 
 fn main() {
     let coarse = qufi_bench::coarse_requested();
@@ -16,50 +20,49 @@ fn main() {
     // 7-qubit sweep tractable on one core; pass --full for the paper's
     // 15° grid.
     let grid = if coarse {
-        FaultGrid::coarse()
+        GridSpec::Preset("coarse".into())
     } else if full {
-        FaultGrid::paper()
+        GridSpec::Preset("paper".into())
     } else {
-        FaultGrid::custom(
-            AngleGrid::new(0.0, PI, PI / 6.0, true).values(),
-            AngleGrid::new(0.0, 2.0 * PI, PI / 6.0, false).values(),
-        )
+        GridSpec::Custom {
+            thetas: AngleGrid::new(0.0, PI, PI / 6.0, true).values(),
+            phis: AngleGrid::new(0.0, 2.0 * PI, PI / 6.0, false).values(),
+        }
     };
-    let max_qubits = 7;
+    let manifest = fig7_manifest(&QUBITS, grid);
     qufi_bench::banner("Fig. 7 — QVF histograms vs circuit scale (4→7 qubits)");
-    let executor = default_executor();
-    for (family, points) in fig7_scaling(&grid, &executor, max_qubits) {
+    let jobs = qufi_bench::figure_campaign("fig7", &manifest);
+    for (family, runs) in FAMILIES.iter().zip(jobs.chunks(QUBITS.len())) {
         println!("\n[{family}]");
         println!(
             "{:>6} {:>10} {:>9} {:>9}",
             "qubits", "injections", "meanQVF", "stddev"
         );
-        for p in &points {
+        for (qubits, (_, res)) in QUBITS.iter().zip(runs) {
             println!(
                 "{:>6} {:>10} {:>9.4} {:>9.4}",
-                p.qubits, p.injections, p.mean, p.stddev
+                qubits,
+                res.len(),
+                res.mean_qvf(),
+                res.stddev_qvf()
             );
             qufi_bench::write_artifact(
-                &format!("fig7_{family}_{}q.csv", p.qubits),
-                &p.histogram.to_csv(),
+                &format!("fig7_{family}_{qubits}q.csv"),
+                &Histogram::new(&res.qvfs(), 50).to_csv(),
             );
         }
         // The paper's scaling claim, printed as an explicit check.
-        if points.len() >= 2 {
-            let first = &points[0];
-            let last = &points[points.len() - 1];
-            let trend = last.stddev - first.stddev;
-            println!(
-                "  σ(QVF) {}q → {}q: {:+.4} ({})",
-                first.qubits,
-                last.qubits,
-                trend,
-                if family == "qft" {
-                    "QFT concentrates toward 0.5 as it scales"
-                } else {
-                    "profile approximately scale-independent"
-                }
-            );
-        }
+        let (first, last) = (&runs[0].1, &runs[runs.len() - 1].1);
+        println!(
+            "  σ(QVF) {}q → {}q: {:+.4} ({})",
+            QUBITS[0],
+            QUBITS[QUBITS.len() - 1],
+            last.stddev_qvf() - first.stddev_qvf(),
+            if *family == "qft" {
+                "QFT concentrates toward 0.5 as it scales"
+            } else {
+                "profile approximately scale-independent"
+            }
+        );
     }
 }

@@ -1,10 +1,14 @@
-//! Drivers reproducing each figure of the paper's evaluation (§V).
+//! Library drivers of the figures that do not run as `qufi run` campaigns:
+//! the Fig. 4 worked example, the double-fault Figs. 8–10 (the manifest has
+//! no double-fault axis) and the Fig. 7 trajectory extension; and the
+//! studies of the Fig. 7 and Fig. 11 campaigns, with Fig. 11's rows.
 
-use qufi_algos::{paper_workloads, scaling_family, Workload};
+use crate::paper_manifest;
+use qufi_cli::{ExecutorKind, GridSpec, Manifest};
 use qufi_core::campaign::{run_single_campaign, CampaignOptions, CampaignResult};
 use qufi_core::double::{neighbor_pairs, run_double_campaign, DoubleCampaignResult, DoubleOptions};
 use qufi_core::engine::SweepExecutor;
-use qufi_core::executor::{Executor, HardwareExecutor, NoisyExecutor, TrajectoryExecutor};
+use qufi_core::executor::{Executor, NoisyExecutor, TrajectoryExecutor};
 use qufi_core::fault::{enumerate_injection_points, inject_fault, FaultGrid, FaultParams};
 use qufi_core::metrics::{mean, qvf_from_dist, stddev};
 use qufi_core::report::{Heatmap, Histogram};
@@ -55,99 +59,6 @@ pub fn fig4_worked_example() -> String {
         "QVF fault-free = {qvf_clean:.4}, faulty = {qvf_faulty:.4}"
     );
     out
-}
-
-/// Fig. 5 — QVF heatmaps of the three 4-qubit circuits under single-fault
-/// injection over the full (φ, θ) grid.
-pub fn fig5_heatmaps(
-    grid: &FaultGrid,
-    executor: &impl SweepExecutor,
-) -> Vec<(Workload, CampaignResult, Heatmap)> {
-    paper_workloads(4)
-        .into_iter()
-        .map(|w| {
-            let opts = CampaignOptions {
-                grid: grid.clone(),
-                points: None,
-                threads: 0,
-            };
-            let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
-                .expect("campaign");
-            let hm = Heatmap::from_campaign(&res);
-            (w, res, hm)
-        })
-        .collect()
-}
-
-/// Fig. 6 — per-qubit QVF heatmaps for the 4-qubit QFT.
-pub fn fig6_per_qubit(
-    grid: &FaultGrid,
-    executor: &impl SweepExecutor,
-) -> (CampaignResult, Vec<(usize, Heatmap)>) {
-    let w = &paper_workloads(4)[2]; // qft-4
-    let opts = CampaignOptions {
-        grid: grid.clone(),
-        points: None,
-        threads: 0,
-    };
-    let res =
-        run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts).expect("campaign");
-    let maps = res
-        .injected_qubits()
-        .into_iter()
-        .map(|q| (q, Heatmap::from_campaign_qubit(&res, q)))
-        .collect();
-    (res, maps)
-}
-
-/// One scaling data point of Fig. 7.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Total qubits of the instance.
-    pub qubits: usize,
-    /// 50-bin QVF density histogram.
-    pub histogram: Histogram,
-    /// Mean QVF.
-    pub mean: f64,
-    /// QVF standard deviation.
-    pub stddev: f64,
-    /// Number of injections.
-    pub injections: usize,
-}
-
-/// Fig. 7 — QVF distribution histograms while scaling each circuit from 4
-/// to `max_qubits` qubits.
-pub fn fig7_scaling(
-    grid: &FaultGrid,
-    executor: &impl SweepExecutor,
-    max_qubits: usize,
-) -> Vec<(String, Vec<ScalingPoint>)> {
-    ["bv", "dj", "qft"]
-        .into_iter()
-        .map(|family| {
-            let points = scaling_family(family, max_qubits)
-                .into_iter()
-                .map(|w| {
-                    let opts = CampaignOptions {
-                        grid: grid.clone(),
-                        points: None,
-                        threads: 0,
-                    };
-                    let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
-                        .expect("campaign");
-                    let qvfs = res.qvfs();
-                    ScalingPoint {
-                        qubits: w.circuit.num_qubits(),
-                        histogram: Histogram::new(&qvfs, 50),
-                        mean: mean(&qvfs),
-                        stddev: stddev(&qvfs),
-                        injections: qvfs.len(),
-                    }
-                })
-                .collect();
-            (family.to_string(), points)
-        })
-        .collect()
 }
 
 /// Fig. 8 — Bernstein-Vazirani single vs double fault injection:
@@ -230,53 +141,20 @@ pub fn fig10_distributions(fig8: &Fig8Output) -> Fig10Output {
     }
 }
 
-/// One gate-equivalent fault comparison row of Fig. 11.
-#[derive(Debug, Clone)]
-pub struct Fig11Row {
-    /// Gate whose phase shift was injected (T, S, Z, Y).
-    pub gate: &'static str,
-    /// Mean QVF on the simulated-hardware backend.
-    pub hardware_qvf: f64,
-    /// Mean QVF on the noise-model simulation.
-    pub simulation_qvf: f64,
-}
+/// The circuit families of Fig. 7's scaling study.
+pub const FIG7_FAMILIES: [&str; 3] = ["bv", "dj", "qft"];
 
-/// Fig. 11 — QVF of gate-equivalent faults (T, S, Z, Y) on Bernstein-
-/// Vazirani: simulated IBM-Q Jakarta hardware vs noise-model simulation,
-/// injected at every fault position.
-pub fn fig11_hardware(seed: u64) -> Vec<Fig11Row> {
-    let w = qufi_algos::bernstein_vazirani(0b101, 3);
-    let cal = BackendCalibration::jakarta();
-    let hw = HardwareExecutor::new(cal.clone(), seed);
-    let sim = NoisyExecutor::new(cal);
-    let shifts: [(&'static str, Gate); 4] = [
-        ("t", Gate::T),
-        ("s", Gate::S),
-        ("z", Gate::Z),
-        ("y", Gate::Y),
-    ];
-    shifts
-        .into_iter()
-        .map(|(name, gate)| {
-            let (theta, phi) = gate.as_fault_shift().expect("gate has a fault shift");
-            let grid = FaultGrid::custom(vec![theta], vec![phi]);
-            let run = |ex: &dyn SweepExecutor| -> f64 {
-                let opts = CampaignOptions {
-                    grid: grid.clone(),
-                    points: None,
-                    threads: 1,
-                };
-                run_single_campaign(&w.circuit, &w.correct_outputs, ex, &opts)
-                    .expect("campaign")
-                    .mean_qvf()
-            };
-            Fig11Row {
-                gate: name,
-                hardware_qvf: run(&hw),
-                simulation_qvf: run(&sim),
-            }
-        })
-        .collect()
+/// Fig. 7's study on `grid`: each of [`FIG7_FAMILIES`] at each width in
+/// `qubits` on jakarta, family by family, width by width.
+pub fn fig7_manifest(qubits: &[usize], grid: GridSpec) -> Manifest {
+    let mut manifest = paper_manifest();
+    manifest.name = "fig7".into();
+    manifest.workloads = FIG7_FAMILIES
+        .iter()
+        .flat_map(|family| qubits.iter().map(move |n| format!("{family}-{n}")))
+        .collect();
+    manifest.grid = grid;
+    manifest
 }
 
 /// One width step of the Fig. 7 trajectory extension.
@@ -328,10 +206,53 @@ pub fn fig7_trajectory_extension(
         .collect()
 }
 
+/// Fig. 11's study under `executor`, named `fig11-<executor>`:
+/// bv-4@jakarta (seed 2022) on the θ × φ grid that holds the cells of the
+/// T, S, Z and Y faults.
+pub fn fig11_manifest(executor: ExecutorKind) -> Manifest {
+    let mut manifest = paper_manifest();
+    manifest.name = format!("fig11-{}", executor.keyword());
+    manifest.seed = 2022;
+    manifest.executor = executor;
+    manifest.workloads = vec!["bv-4".into()];
+    manifest.grid = GridSpec::Custom {
+        thetas: vec![0.0, PI],
+        phis: vec![PI / 4.0, PI / 2.0, PI],
+    };
+    manifest
+}
+
+/// Fig. 11's rows: each gate-equivalent fault (T, S, Z, Y) with its QVF
+/// cell in the `hardware` and the `simulation` campaign of
+/// [`fig11_manifest`]. A cell averages the QVF over every injection point,
+/// so it does not depend on the rest of the grid.
+pub fn fig11_rows(hardware: &CampaignResult, simulation: &CampaignResult) -> Vec<(Gate, f64, f64)> {
+    let [hardware, simulation] = [hardware, simulation].map(Heatmap::from_campaign);
+    [Gate::T, Gate::S, Gate::Z, Gate::Y]
+        .into_iter()
+        .map(|gate| {
+            let (theta, phi) = gate.as_fault_shift().expect("gate has a fault shift");
+            let cell = |hm: &Heatmap| {
+                let ti = hm.thetas().iter().position(|&t| t == theta);
+                let pi = hm.phis().iter().position(|&p| p == phi);
+                hm.value(pi.expect("φ on the grid"), ti.expect("θ on the grid"))
+            };
+            (gate, cell(&hardware), cell(&simulation))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qufi_core::executor::IdealExecutor;
+    use crate::run_manifest;
+    use std::fs;
+    use std::path::PathBuf;
+
+    /// A campaign directory of its own for the test `name`.
+    fn scratch_dir(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("qufi-bench-{name}-{}", std::process::id()))
+    }
 
     #[test]
     fn fig4_report_mentions_golden_state() {
@@ -342,23 +263,51 @@ mod tests {
 
     #[test]
     fn fig5_coarse_produces_three_heatmaps() {
-        let out = fig5_heatmaps(&FaultGrid::coarse(), &IdealExecutor);
-        assert_eq!(out.len(), 3);
-        for (w, res, hm) in &out {
-            assert!(!res.is_empty(), "{} empty", w.name);
+        // fig5's study on the coarse grid, on the ideal executor.
+        let mut manifest = paper_manifest();
+        manifest.threads = 2;
+        manifest.executor = ExecutorKind::Ideal;
+        manifest.grid = GridSpec::Preset("coarse".into());
+        let dir = scratch_dir("fig5");
+        let out = run_manifest(&manifest, &dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let workloads: Vec<&str> = out.iter().map(|(meta, _)| meta.workload.as_str()).collect();
+        assert_eq!(workloads, ["bv-4", "dj-4", "qft-4"]);
+        for (meta, res) in &out {
+            assert!(!res.is_empty(), "{} empty", meta.workload);
             // The (0,0) fault cell must be perfect on the ideal executor.
-            assert!(hm.value(0, 0) < 1e-9, "{}: {}", w.name, hm.value(0, 0));
+            let hm = Heatmap::from_campaign(res);
+            assert!(
+                hm.value(0, 0) < 1e-9,
+                "{}: {}",
+                meta.workload,
+                hm.value(0, 0)
+            );
         }
     }
 
     #[test]
     fn fig7_single_family_scales() {
-        let grid = FaultGrid::custom(vec![0.0, PI], vec![0.0]);
-        let out = fig7_scaling(&grid, &IdealExecutor, 5);
-        assert_eq!(out.len(), 3);
-        for (name, points) in &out {
-            assert_eq!(points.len(), 2, "{name}");
-            assert!(points[0].injections > 0);
+        let grid = GridSpec::Custom {
+            thetas: vec![0.0, PI],
+            phis: vec![0.0],
+        };
+        let mut manifest = fig7_manifest(&[4, 5], grid);
+        manifest.threads = 2;
+        let dir = scratch_dir("fig7");
+        let out = run_manifest(&manifest, &dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(out.len(), 6);
+        for (family, runs) in FIG7_FAMILIES.iter().zip(out.chunks(2)) {
+            let workloads: Vec<&str> = runs
+                .iter()
+                .map(|(meta, _)| meta.workload.as_str())
+                .collect();
+            assert_eq!(workloads, [format!("{family}-4"), format!("{family}-5")]);
+            let (narrow, wide) = (&runs[0].1, &runs[1].1);
+            assert!(!narrow.is_empty(), "{family}");
+            // A wider circuit has more gates, so more injection points.
+            assert!(wide.len() > narrow.len(), "{family}");
         }
     }
 
@@ -382,11 +331,24 @@ mod tests {
 
     #[test]
     fn fig11_rows_track_both_backends() {
-        let rows = fig11_hardware(7);
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!((0.0..=1.0).contains(&r.hardware_qvf), "{r:?}");
-            assert!((0.0..=1.0).contains(&r.simulation_qvf), "{r:?}");
+        let [hardware, simulation] =
+            [ExecutorKind::Hardware, ExecutorKind::Noisy].map(|executor| {
+                let mut manifest = fig11_manifest(executor);
+                manifest.threads = 2;
+                let dir = scratch_dir(&manifest.name);
+                let mut jobs = run_manifest(&manifest, &dir).unwrap();
+                fs::remove_dir_all(&dir).unwrap();
+                assert_eq!(jobs.len(), 1);
+                jobs.remove(0).1
+            });
+        let rows = fig11_rows(&hardware, &simulation);
+        let gates: Vec<Gate> = rows.iter().map(|&(gate, _, _)| gate).collect();
+        assert_eq!(gates, [Gate::T, Gate::S, Gate::Z, Gate::Y]);
+        for &(gate, hw, sim) in &rows {
+            assert!((0.0..=1.0).contains(&hw), "{gate:?}: {hw}");
+            assert!((0.0..=1.0).contains(&sim), "{gate:?}: {sim}");
+            // The paper's bound on |hardware − simulation|.
+            assert!((hw - sim).abs() < 0.052, "{gate:?}: {hw} vs {sim}");
         }
     }
 }

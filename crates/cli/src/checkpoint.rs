@@ -13,9 +13,10 @@
 use crate::error::CliError;
 use crate::job::{JobRuntime, JobSpec};
 use crate::toml;
+use qufi_core::fault::FaultGrid;
 use qufi_core::report::records_to_csv;
 use qufi_core::serialize::{records_from_csv, CsvError, RecordsCsvParser};
-use qufi_core::InjectionRecord;
+use qufi_core::{CampaignResult, InjectionRecord};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Seek as _, Write as _};
@@ -260,6 +261,30 @@ impl CheckpointStore {
             line.clear();
         }
         Ok(records)
+    }
+
+    /// Rebuilds `meta`'s job over `grid` from its checkpointed records,
+    /// canonicalized through [`CampaignResult::merge_records`]: replayed
+    /// shards deduplicated, (point, φ, θ) order restored. Every artifact
+    /// of the job renders from this result.
+    ///
+    /// # Errors
+    ///
+    /// What [`CheckpointStore::load_records`] raises.
+    pub fn load_result(
+        &self,
+        meta: &JobMeta,
+        grid: &FaultGrid,
+    ) -> Result<CampaignResult, CliError> {
+        let mut result = CampaignResult::from_parts(
+            meta.circuit.clone(),
+            meta.golden.clone(),
+            meta.baseline_qvf,
+            grid.clone(),
+            Vec::new(),
+        );
+        result.merge_records(self.load_records(&meta.id)?);
+        Ok(result)
     }
 
     /// The torn-tail path of [`CheckpointStore::load_records`]: drops the

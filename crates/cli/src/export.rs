@@ -120,16 +120,7 @@ pub fn export_artifacts(manifest: &Manifest, out_dir: &Path) -> Result<ExportRep
     let mut jobs = Vec::with_capacity(metas.len());
     for meta in metas {
         let load_span = qufi_obs::span("export.load_ns");
-        // Canonicalize through merge_records: deduplicate replayed
-        // shards and restore (point, φ, θ) order.
-        let mut result = CampaignResult::from_parts(
-            meta.circuit.clone(),
-            meta.golden.clone(),
-            meta.baseline_qvf,
-            grid.clone(),
-            Vec::new(),
-        );
-        result.merge_records(store.load_records(&meta.id)?);
+        let result = store.load_result(&meta, &grid)?;
         load_span.finish();
 
         let _render_span = qufi_obs::span("export.render_ns");

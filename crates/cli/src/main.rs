@@ -77,7 +77,8 @@ OPTIONS:
     --threads N    Override the manifest's worker-thread count
     --budget N     Run only the first N pending points, in manifest order
                    (graceful; resume later)
-    --quiet        Errors only on stderr
+    --quiet        Errors only on stderr, and nothing on stdout except the
+                   answers of stats, list and run --dry-run
     --verbose      Progress on stderr even when it is not a terminal
     --no-metrics   Skip telemetry recording and its artifacts
     --trace        Also write a trace.jsonl span log (implies metrics)
@@ -347,13 +348,15 @@ fn cmd_export(args: Vec<String>) -> Result<ExitCode, CliError> {
     let out_dir = PathBuf::from(dir);
     let manifest = load_stored_manifest(&out_dir)?;
     let report = export_artifacts(&manifest, &out_dir)?;
-    println!(
-        "exported {} files ({} complete jobs, {} partial) under {}",
-        report.files.len(),
-        report.jobs_complete,
-        report.jobs_partial,
-        out_dir.join("results").display()
-    );
+    if !flags.opts.quiet {
+        println!(
+            "exported {} files ({} complete jobs, {} partial) under {}",
+            report.files.len(),
+            report.jobs_complete,
+            report.jobs_partial,
+            out_dir.join("results").display()
+        );
+    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -451,13 +454,15 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
                 flags.shards.unwrap_or(2),
                 flags.costs.as_deref(),
             )?;
-            print!("{}", report.summary);
-            println!(
-                "plan written to {}; start workers with: \
-                 qufi shard work {} --worker <name>",
-                out_dir.join("shard-plan.json").display(),
-                out_dir.display()
-            );
+            if !flags.opts.quiet {
+                print!("{}", report.summary);
+                println!(
+                    "plan written to {}; start workers with: \
+                     qufi shard work {} --worker <name>",
+                    out_dir.join("shard-plan.json").display(),
+                    out_dir.display()
+                );
+            }
             Ok(ExitCode::SUCCESS)
         }
         "work" => {
@@ -485,10 +490,12 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
                 quiet: flags.opts.quiet,
             };
             let report = work_campaign(Path::new(target), &opts)?;
-            println!(
-                "worker {}: {} unit(s) done ({} stolen), {} poisoned",
-                opts.worker, report.units_done, report.units_stolen, report.units_poisoned
-            );
+            if !opts.quiet {
+                println!(
+                    "worker {}: {} unit(s) done ({} stolen), {} poisoned",
+                    opts.worker, report.units_done, report.units_stolen, report.units_poisoned
+                );
+            }
             Ok(if report.units_poisoned == 0 {
                 ExitCode::SUCCESS
             } else {
@@ -500,13 +507,13 @@ fn cmd_shard(args: Vec<String>) -> Result<ExitCode, CliError> {
             let report = merge_campaign(Path::new(target))?;
             if !flags.opts.quiet {
                 print!("{}", report.export.summary_table);
+                println!(
+                    "merged {} unit(s); {} artifact file(s) under {}",
+                    report.units_merged,
+                    report.export.files.len(),
+                    Path::new(target).join("results").display()
+                );
             }
-            println!(
-                "merged {} unit(s); {} artifact file(s) under {}",
-                report.units_merged,
-                report.export.files.len(),
-                Path::new(target).join("results").display()
-            );
             Ok(ExitCode::SUCCESS)
         }
         other => Err(CliError::usage(format!(

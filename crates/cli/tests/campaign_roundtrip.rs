@@ -235,11 +235,38 @@ fn the_qufi_binary_runs_lists_and_resumes() {
     assert!(out.join("results/summary.json").is_file());
 
     // export regenerates in place; list subcommands answer.
+    let (manifest_arg, out_arg) = (manifest_path.to_str().unwrap(), out.to_str().unwrap());
     let status = Command::new(bin)
-        .args(["export", out.to_str().unwrap()])
+        .args(["export", out_arg])
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(0), "export failed");
+    // Under --quiet, export and the shard commands print nothing on stdout.
+    let sharded = dir.join("sharded");
+    let sharded_arg = sharded.to_str().unwrap();
+    for args in [
+        vec!["export", out_arg, "--quiet"],
+        vec![
+            "shard",
+            "plan",
+            manifest_arg,
+            "--out",
+            sharded_arg,
+            "--shards",
+            "1",
+            "--quiet",
+        ],
+        vec!["shard", "work", sharded_arg, "--worker", "w1", "--quiet"],
+        vec!["shard", "merge", sharded_arg, "--quiet"],
+    ] {
+        let output = Command::new(bin).args(&args).output().unwrap();
+        assert_eq!(output.status.code(), Some(0), "{args:?} failed");
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} printed {:?} under --quiet",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
     for what in ["workloads", "backends", "grids"] {
         let output = Command::new(bin).args(["list", what]).output().unwrap();
         assert!(output.status.success());
@@ -250,10 +277,9 @@ fn the_qufi_binary_runs_lists_and_resumes() {
     let status = Command::new(bin).args(["frobnicate"]).status().unwrap();
     assert_eq!(status.code(), Some(1));
     // So does a flag the command does not read, named in the error.
-    let dir_arg = out.to_str().unwrap();
     for (args, flag) in [
-        (vec!["export", dir_arg, "--threads", "2"], "--threads"),
-        (vec!["shard", "merge", dir_arg, "--budget", "1"], "--budget"),
+        (vec!["export", out_arg, "--threads", "2"], "--threads"),
+        (vec!["shard", "merge", out_arg, "--budget", "1"], "--budget"),
     ] {
         let output = Command::new(bin).args(&args).output().unwrap();
         assert_eq!(output.status.code(), Some(1), "{args:?} should be refused");

@@ -433,32 +433,6 @@ impl BatchedStatevector {
     }
 }
 
-/// Reusable scratch for [`BatchedDensity::apply_kraus_with`] — the batched
-/// counterpart of `EvolutionWorkspace`.
-#[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    term_re: Vec<f64>,
-    term_im: Vec<f64>,
-    acc_re: Vec<f64>,
-    acc_im: Vec<f64>,
-}
-
-impl BatchWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, len: usize) {
-        if self.term_re.len() < len {
-            self.term_re.resize(len, 0.0);
-            self.term_im.resize(len, 0.0);
-            self.acc_re.resize(len, 0.0);
-            self.acc_im.resize(len, 0.0);
-        }
-    }
-}
-
 /// `width` forked mixed states evolving in lockstep. ρ (row-major) is
 /// treated exactly as the scalar engine treats it: a statevector over `2n`
 /// flat bits, row bit `q` at flat bit `n + q`, column bit `q` at flat bit
@@ -656,73 +630,6 @@ impl BatchedDensity {
         );
     }
 
-    /// Applies a Kraus channel `ρ ↦ Σₖ Kₖ ρ Kₖ†` to every cell, mirroring
-    /// the scalar accumulate-from-zero term structure so each cell stays
-    /// bit-identical to `DensityMatrix::apply_kraus_with`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operators are not square over `2^|qubits|` dimensions
-    /// or the channel is empty.
-    pub fn apply_kraus_with(
-        &mut self,
-        kraus: &[CMatrix],
-        qubits: &[usize],
-        ws: &mut BatchWorkspace,
-    ) {
-        assert!(!kraus.is_empty(), "empty Kraus channel");
-        let k_dim = 1usize << qubits.len();
-        for k in kraus {
-            assert_eq!(
-                (k.rows(), k.cols()),
-                (k_dim, k_dim),
-                "Kraus operator shape mismatch"
-            );
-        }
-        let len = self.block.re.len();
-        ws.ensure(len);
-        ws.acc_re[..len].fill(0.0);
-        ws.acc_im[..len].fill(0.0);
-        let k_count = qubits.len();
-        let mut row_positions = [0usize; MAX_KERNEL_QUBITS];
-        for (slot, &q) in row_positions.iter_mut().zip(qubits) {
-            assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
-            *slot = self.n + q;
-        }
-        for op in kraus {
-            ws.term_re[..len].copy_from_slice(&self.block.re);
-            ws.term_im[..len].copy_from_slice(&self.block.im);
-            batch_apply_matrix_on_bits(
-                &mut ws.term_re[..len],
-                &mut ws.term_im[..len],
-                self.block.width,
-                op.as_slice(),
-                &row_positions[..k_count],
-                2 * self.n,
-                false,
-                Observed::ALL,
-            );
-            batch_apply_matrix_on_bits(
-                &mut ws.term_re[..len],
-                &mut ws.term_im[..len],
-                self.block.width,
-                op.as_slice(),
-                qubits,
-                2 * self.n,
-                true,
-                Observed::ALL,
-            );
-            for (a, t) in ws.acc_re[..len].iter_mut().zip(&ws.term_re[..len]) {
-                *a += *t;
-            }
-            for (a, t) in ws.acc_im[..len].iter_mut().zip(&ws.term_im[..len]) {
-                *a += *t;
-            }
-        }
-        self.block.re.copy_from_slice(&ws.acc_re[..len]);
-        self.block.im.copy_from_slice(&ws.acc_im[..len]);
-    }
-
     /// The real parts of one cell's diagonal, unclamped.
     pub fn diagonal(&self, cell: usize) -> Vec<f64> {
         (0..self.dim)
@@ -740,7 +647,6 @@ impl BatchedDensity {
 mod tests {
     use super::*;
     use crate::circuit::QuantumCircuit;
-    use crate::workspace::EvolutionWorkspace;
 
     fn assert_dist_bitwise(a: &ProbDist, b: &ProbDist, what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
@@ -861,32 +767,5 @@ mod tests {
         let want = [0b111, 0b111, 0b111, 0b010].map(ObservedMask);
         assert_eq!(masks, want);
         assert!(masks[3].contains(1) && !masks[3].contains(0));
-    }
-
-    #[test]
-    fn batched_kraus_matches_scalar_bitwise() {
-        let mut prep = QuantumCircuit::new(2, 0);
-        prep.h(0).t(0).cx(0, 1);
-        let mut parked = DensityMatrix::new(2).unwrap();
-        parked.run_circuit(&prep);
-        let p: f64 = 0.2;
-        let kraus = vec![
-            CMatrix::identity(2).scale_real((1.0 - p).sqrt()),
-            CMatrix::pauli_z().scale_real(p.sqrt()),
-        ];
-        let width = 4usize;
-        let mut batch = BatchedDensity::broadcast(&parked, width);
-        let mut ws = BatchWorkspace::new();
-        batch.apply_kraus_with(&kraus, &[1], &mut ws);
-        let mut rho = parked.clone();
-        let mut sws = EvolutionWorkspace::new();
-        rho.apply_kraus_with(&kraus, &[1], &mut sws);
-        for c in 0..width {
-            assert_dist_bitwise(
-                &batch.probabilities(c),
-                &rho.probabilities(),
-                &format!("kraus cell={c}"),
-            );
-        }
     }
 }

@@ -46,9 +46,7 @@ pub mod statevector;
 pub mod unitary;
 pub mod workspace;
 
-pub use batch::{
-    batch_width, BatchWorkspace, BatchedDensity, BatchedStatevector, ObservedMask, MAX_BATCH_CELLS,
-};
+pub use batch::{batch_width, BatchedDensity, BatchedStatevector, ObservedMask, MAX_BATCH_CELLS};
 pub use circuit::{Instruction, Op, QuantumCircuit};
 pub use counts::{Counts, ProbDist};
 pub use density::DensityMatrix;
